@@ -53,10 +53,6 @@ fn usage() -> ExitCode {
         "env: BIASLAB_FAULTS=<spec> installs a fault schedule like --faults \
          (e.g. seed=7,save.io=0.5,leader.panic=@1)"
     );
-    eprintln!(
-        "     BIASLAB_EXEC=block|collapsed|event pins the simulator's \
-         execution path (alias: BIASLAB_KERNEL); all are bit-identical"
-    );
     eprintln!("experiments:");
     for e in EXPERIMENTS {
         eprintln!("  {:12} {}", e.id, e.title);

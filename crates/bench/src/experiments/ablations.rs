@@ -1,5 +1,5 @@
 //! Ablations: design-choice studies this reproduction adds on top of the
-//! paper's figures (see DESIGN.md §4).
+//! paper's figures (see DESIGN.md §5).
 
 use std::fmt::Write as _;
 

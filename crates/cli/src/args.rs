@@ -81,10 +81,6 @@ options (serve/client/loadgen):
   --seed <n>                   (loadgen) master seed         [default 1]
 
 environment:
-  BIASLAB_EXEC=<path>          pin the execution path: block (decoded
-                               trace cache, the default via Auto) |
-                               collapsed | event — all bit-identical
-                               (alias: BIASLAB_KERNEL)
   BIASLAB_FAULTS=<spec>        deterministic fault injection, e.g.
                                seed=7,save.io=0.5,leader.panic=@1
   BIASLAB_RESULTS_DIR=<dir>    relocate results/ (measurements, traces)";

@@ -362,6 +362,16 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    /// Serializes the tests that simulate through, or count the
+    /// simulations of, the process-wide orchestrator: tests run in
+    /// parallel threads of one process, so an unserialized `run` would
+    /// land inside another test's zero-simulations window.
+    fn global_orchestrator() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn informational_commands_succeed() {
         for cmd in ["list", "machines", "survey"] {
@@ -371,6 +381,7 @@ mod tests {
 
     #[test]
     fn run_command_measures_and_verifies() {
+        let _global = global_orchestrator();
         run(parse(&argv("run hmmer --opt O2 --machine o3cpu --env 100")).unwrap()).unwrap();
     }
 
@@ -387,6 +398,7 @@ mod tests {
 
     #[test]
     fn analyze_succeeds_without_simulating() {
+        let _global = global_orchestrator();
         let before = Orchestrator::global().stats().simulated;
         run(parse(&argv("analyze perlbench --machine o3cpu")).unwrap()).unwrap();
         run(parse(&argv("analyze mcf --explain")).unwrap()).unwrap();
@@ -400,6 +412,7 @@ mod tests {
 
     #[test]
     fn lint_succeeds_without_simulating() {
+        let _global = global_orchestrator();
         let before = Orchestrator::global().stats().simulated;
         run(parse(&argv("lint perlbench --machine pentium4")).unwrap()).unwrap();
         run(parse(&argv("lint libquantum --json")).unwrap()).unwrap();

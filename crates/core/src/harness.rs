@@ -13,10 +13,10 @@ use std::sync::{Arc, OnceLock};
 
 use biaslab_toolchain::codegen;
 use biaslab_toolchain::link::{Executable, LinkError, Linker};
-use biaslab_toolchain::load::{LoadError, Loader};
+use biaslab_toolchain::load::{LoadError, Loader, Process};
 use biaslab_toolchain::opt;
 use biaslab_toolchain::OptLevel;
-use biaslab_uarch::{Counters, Machine, RunError};
+use biaslab_uarch::{Counters, Machine, RunError, RunResult};
 use biaslab_workloads::{Benchmark, InputSize};
 use parking_lot::Mutex;
 
@@ -219,18 +219,16 @@ impl Harness {
         .clone()
     }
 
-    /// Takes one verified measurement under `setup`.
+    /// Takes one verified measurement under `setup`: compile → link → load
+    /// → run → stat, on a fresh (cold) machine.
     ///
-    /// With [`telemetry`] enabled the same stages run wrapped in phase
-    /// spans (compile → link → load → run → stat); the dispatch is one
-    /// relaxed atomic load, so with telemetry off this compiles to the
-    /// pre-telemetry code path and counters stay bit-identical.
-    ///
-    /// The machine is built fresh per measurement (cold state) in the
-    /// default kernel mode, so the `BIASLAB_KERNEL` environment variable
-    /// selects the execution path process-wide: `collapsed` (what Auto
-    /// picks for the paper machines) or `event` (the full scheduler, with
-    /// bit-identical counters — the CI kernel smoke compares the two).
+    /// With [`telemetry`] enabled every stage runs inside a phase span,
+    /// under the span already open on this thread (the orchestrator's
+    /// request span) or else under a `measure` span of its own; with
+    /// profiles enabled as well, the run is profiled and its per-function
+    /// attribution attached to the `run` span. With telemetry off each
+    /// stage costs one relaxed atomic load. Counters are bit-identical
+    /// either way.
     ///
     /// # Errors
     ///
@@ -244,114 +242,34 @@ impl Harness {
         if crate::faults::active() {
             crate::faults::delay(crate::faults::site::MEASURE_DELAY);
         }
-        if telemetry::enabled() {
-            return self.measure_traced(setup, size);
-        }
-        let names = self.object_names();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let order = setup.link_order.resolve(&name_refs);
-        let exe = self.executable(setup.opt, &order, setup.text_offset)?;
-        let process = Loader::new().stack_shift(setup.stack_shift).load(
-            &exe,
-            &setup.env,
-            self.bench.args(size),
-        )?;
-        let mut machine = Machine::new(setup.machine.clone());
-        let result = machine.run(&exe, process)?;
-        Self::export_block_stats(&machine);
-
-        let expected = self.bench.expected(size);
-        if result.checksum != expected.checksum || result.return_value != expected.return_value {
-            return Err(MeasureError::WrongResult {
-                expected: expected.checksum,
-                actual: result.checksum,
-            });
-        }
-        Ok(Measurement {
-            setup: setup.summary(),
-            counters: result.counters,
-            checksum: result.checksum,
-        })
-    }
-
-    /// [`Harness::measure`] with phase spans. The stages, their order and
-    /// the simulator configuration are exactly those of the untraced path
-    /// (only `machine.run` may become `machine.run_profiled`, which the
-    /// PR-2 invariant guarantees produces identical counters), so tracing
-    /// can never change a measurement.
-    fn measure_traced(
-        &self,
-        setup: &ExperimentSetup,
-        size: InputSize,
-    ) -> Result<Measurement, MeasureError> {
         let bench = self.bench.name();
-        // Attach under the orchestrator's request span when one is open on
-        // this thread; open our own "measure" parent for direct callers.
-        let own = (telemetry::current_span() == 0).then(|| telemetry::Span::open("measure", bench));
-
-        let r = (|| {
-            let span = telemetry::Span::open("compile", bench);
-            let _ = self.compiled(setup.opt);
-            let names = self.object_names();
-            let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            let order = setup.link_order.resolve(&name_refs);
-            span.close();
-
-            let span = telemetry::Span::open("link", bench);
-            let exe = self.executable(setup.opt, &order, setup.text_offset);
-            span.close();
-            let exe = exe?;
-
-            let span = telemetry::Span::open("load", bench);
-            let process = Loader::new().stack_shift(setup.stack_shift).load(
-                &exe,
-                &setup.env,
-                self.bench.args(size),
-            );
-            span.close();
-            let process = process?;
-
-            let span = telemetry::Span::open("run", bench);
-            let run_span = span.id();
-            let mut machine = Machine::new(setup.machine.clone());
-            let result = if telemetry::profiles_enabled() {
-                machine
-                    .run_profiled(&exe, process)
-                    .map(|(result, profile)| {
-                        telemetry::emit_profile(run_span, bench, &profile);
-                        result
-                    })
-            } else {
-                machine.run(&exe, process)
-            };
-            span.close();
+        let stages = || {
+            telemetry::in_span("compile", bench, |_| self.compiled(setup.opt));
+            let exe = telemetry::in_span("link", bench, |_| self.link(setup))?;
+            let process = telemetry::in_span("load", bench, |_| self.load(&exe, setup, size))?;
+            let (machine, result) = telemetry::in_span("run", bench, |span| {
+                let mut machine = Machine::new(setup.machine.clone());
+                // `span` is 0 unless tracing is on: profiles need both.
+                let result = if span != 0 && telemetry::profiles_enabled() {
+                    machine
+                        .run_profiled(&exe, process)
+                        .map(|(result, profile)| {
+                            telemetry::emit_profile(span, bench, &profile);
+                            result
+                        })
+                } else {
+                    machine.run(&exe, process)
+                };
+                (machine, result)
+            });
             let result = result?;
             Self::export_block_stats(&machine);
-
-            let span = telemetry::Span::open("stat", bench);
-            let expected = self.bench.expected(size);
-            let out = if result.checksum != expected.checksum
-                || result.return_value != expected.return_value
-            {
-                Err(MeasureError::WrongResult {
-                    expected: expected.checksum,
-                    actual: result.checksum,
-                })
-            } else {
-                Ok(Measurement {
-                    setup: setup.summary(),
-                    counters: result.counters,
-                    checksum: result.checksum,
-                })
-            };
-            span.close();
-            out
-        })();
-
-        if let Some(span) = own {
-            span.close();
+            telemetry::in_span("stat", bench, |_| self.verify(setup, size, &result))
+        };
+        if telemetry::enabled() && telemetry::current_span() == 0 {
+            return telemetry::in_span("measure", bench, |_| stages());
         }
-        r
+        stages()
     }
 
     /// Takes `reps` measurements under one setup, cold or warm (see
@@ -372,36 +290,15 @@ impl Harness {
         policy: CachePolicy,
     ) -> Result<Vec<Measurement>, MeasureError> {
         assert!(reps > 0, "at least one repetition");
-        let names = self.object_names();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let order = setup.link_order.resolve(&name_refs);
-        let exe = self.executable(setup.opt, &order, setup.text_offset)?;
-        let expected = self.bench.expected(size);
-
+        let exe = self.link(setup)?;
         let mut machine = Machine::new(setup.machine.clone());
         let mut out = Vec::with_capacity(reps);
         for _ in 0..reps {
             if policy == CachePolicy::Cold {
                 machine.reset();
             }
-            let process = Loader::new().stack_shift(setup.stack_shift).load(
-                &exe,
-                &setup.env,
-                self.bench.args(size),
-            )?;
-            let result = machine.run(&exe, process)?;
-            if result.checksum != expected.checksum || result.return_value != expected.return_value
-            {
-                return Err(MeasureError::WrongResult {
-                    expected: expected.checksum,
-                    actual: result.checksum,
-                });
-            }
-            out.push(Measurement {
-                setup: setup.summary(),
-                counters: result.counters,
-                checksum: result.checksum,
-            });
+            let result = machine.run(&exe, self.load(&exe, setup, size)?)?;
+            out.push(self.verify(setup, size, &result)?);
         }
         // The machine (and so its block cache) lives across repetitions;
         // one export covers the whole series.
@@ -409,12 +306,55 @@ impl Harness {
         Ok(out)
     }
 
+    /// The (cached) executable for `setup`'s level, link order and text
+    /// offset.
+    fn link(&self, setup: &ExperimentSetup) -> Result<Arc<Executable>, LinkError> {
+        let names = self.object_names();
+        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let order = setup.link_order.resolve(&name_refs);
+        self.executable(setup.opt, &order, setup.text_offset)
+    }
+
+    /// Loads a fresh process for `exe` under `setup`'s environment and
+    /// stack shift.
+    fn load(
+        &self,
+        exe: &Executable,
+        setup: &ExperimentSetup,
+        size: InputSize,
+    ) -> Result<Process, LoadError> {
+        Loader::new()
+            .stack_shift(setup.stack_shift)
+            .load(exe, &setup.env, self.bench.args(size))
+    }
+
+    /// Checks a run against the reference interpreter's outcome.
+    fn verify(
+        &self,
+        setup: &ExperimentSetup,
+        size: InputSize,
+        result: &RunResult,
+    ) -> Result<Measurement, MeasureError> {
+        let expected = self.bench.expected(size);
+        if result.checksum != expected.checksum || result.return_value != expected.return_value {
+            return Err(MeasureError::WrongResult {
+                expected: expected.checksum,
+                actual: result.checksum,
+            });
+        }
+        Ok(Measurement {
+            setup: setup.summary(),
+            counters: result.counters,
+            checksum: result.checksum,
+        })
+    }
+
     /// Accumulates one machine's block-cache stats into the process-wide
-    /// [`telemetry::metrics`] registry (`uarch.blockcache.*`). Machines
-    /// that never dispatched a block — the collapsed and event kernels —
-    /// contribute nothing, so the metrics only appear when block dispatch
-    /// actually ran. A handful of relaxed atomics per *measurement* (not
-    /// per instruction), so the hot path never sees it.
+    /// [`telemetry::metrics`] registry (`uarch.blockcache.*`). A machine
+    /// that never dispatched a block contributes nothing, so the metrics
+    /// only appear when block dispatch actually ran. A handful of relaxed
+    /// atomics per *measurement* (not per instruction), so the hot path
+    /// never sees it.
     fn export_block_stats(machine: &Machine) {
         let stats = machine.block_stats();
         if stats.hits + stats.misses == 0 {
@@ -427,48 +367,6 @@ impl Harness {
             .add(stats.invalidations);
         m.counter("uarch.blockcache.blocks_live")
             .record_max(machine.blocks_live() as u64);
-    }
-
-    /// Measures many setups in parallel, preserving order.
-    ///
-    /// Results are per-setup so one failing setup does not poison a sweep.
-    #[must_use]
-    pub fn measure_sweep(
-        &self,
-        setups: &[ExperimentSetup],
-        size: InputSize,
-    ) -> Vec<Result<Measurement, MeasureError>> {
-        // Pre-warm caches (compile + expected) serially to avoid duplicate
-        // work racing in the workers.
-        for s in setups {
-            let _ = self.compiled(s.opt);
-        }
-        let _ = self.bench.expected(size);
-
-        let threads = std::thread::available_parallelism()
-            .map_or(4, |n| n.get())
-            .min(16);
-        let n = setups.len();
-        let results: Vec<Mutex<Option<Result<Measurement, MeasureError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for _ in 0..threads.min(n.max(1)) {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = self.measure(&setups[i], size);
-                    *results[i].lock() = Some(r);
-                });
-            }
-        })
-        .expect("sweep worker panicked");
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("every index visited"))
-            .collect()
     }
 }
 
@@ -579,19 +477,5 @@ mod tests {
             warm[1].checksum, warm[0].checksum,
             "warmth never changes results"
         );
-    }
-
-    #[test]
-    fn sweep_returns_one_result_per_setup() {
-        let h = harness("hmmer");
-        let base = ExperimentSetup::default_on(MachineConfig::core2(), OptLevel::O2);
-        let setups: Vec<_> = (0..6)
-            .map(|i| base.with_env(Environment::of_total_size(64 * i + 64)))
-            .collect();
-        let results = h.measure_sweep(&setups, InputSize::Test);
-        assert_eq!(results.len(), 6);
-        for r in results {
-            r.unwrap();
-        }
     }
 }

@@ -4,8 +4,8 @@
 //! Every experiment in the suite boils down to "measure this benchmark under
 //! these setups". Before the orchestrator each experiment owned a private
 //! [`Harness`] and re-simulated configurations other experiments (or earlier
-//! runs of `repro all`) had already measured. The orchestrator generalizes
-//! [`Harness::measure_sweep`] across experiments:
+//! runs of `repro all`) had already measured. The orchestrator measures
+//! every experiment's setups through [`Harness::measure`] with:
 //!
 //! - a **process-wide cache** of verified measurements, keyed by every
 //!   timing-relevant setup factor (benchmark, machine configuration,

@@ -423,6 +423,20 @@ impl Span {
     }
 }
 
+/// Runs `f` inside a span named `name` when tracing is on, passing it the
+/// span id. With tracing off `f` runs bare, with id `0`: one relaxed load,
+/// and no clock read, allocation or thread-local write.
+#[inline]
+pub(crate) fn in_span<T>(name: &'static str, bench: &str, f: impl FnOnce(u64) -> T) -> T {
+    if !enabled() {
+        return f(0);
+    }
+    let span = Span::open(name, bench);
+    let out = f(span.id());
+    span.close();
+    out
+}
+
 /// Records one cache interaction. Callers check [`enabled`] first.
 pub fn emit_cache(outcome: CacheOutcome, key: u64, bench: &str) {
     let event = CacheEvent {

@@ -85,7 +85,7 @@ pub const REG_SLOTS: usize = 64;
 /// Register/register ALU forms read `rs1 op rs2`; the `*I` forms read
 /// `rs1 op imm` with the immediate already extended at decode time
 /// (`AluOp::extend_imm` is a pure function of the encoding). Each arm of
-/// the executor's match mirrors [`AluOp::eval`] exactly; the kernel
+/// the executor's match mirrors [`AluOp::eval`] exactly; the block
 /// differential tests and the golden counter rows pin the equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UopKind {

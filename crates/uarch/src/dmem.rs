@@ -5,14 +5,12 @@
 //! the environment size (which moves the stack) transmits bias through
 //! this component: L1D and D-TLB set mappings, bank selection bits, and
 //! line/page straddles. The core drives it through [`MemSystem::access`];
-//! under the event kernel it is registered as a (demand-driven, never
-//! self-ticking) [`Component`].
+//! it is purely demand-driven and owns no time of its own.
 
 use biaslab_toolchain::layout::PAGE_SIZE;
 
 use crate::cache::{Cache, CacheConfig};
 use crate::counters::Counters;
-use crate::kernel::Component;
 use crate::ports::L2Port;
 use crate::tlb::{Tlb, TlbConfig};
 
@@ -238,23 +236,6 @@ impl MemSystem {
     }
 }
 
-impl Component for MemSystem {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
-    /// Purely demand-driven: the core pulls accesses through the port, so
-    /// the hierarchy never asks the scheduler for a tick. (A write-back
-    /// drain or DMA engine would be the first occupant of this hook.)
-    fn next_tick(&self) -> Option<u64> {
-        None
-    }
-
-    fn tick(&mut self, _now: u64) -> Option<u64> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,12 +290,5 @@ mod tests {
         // Far apart in retirement order: no conflict.
         m.access(&mut c, 0, 4, false, 100, &mut port);
         assert_eq!(c.bank_conflicts, 1);
-    }
-
-    #[test]
-    fn is_a_demand_driven_component() {
-        let (m, _) = mem();
-        assert_eq!(m.name(), "memory");
-        assert_eq!(m.next_tick(), None);
     }
 }

@@ -4,16 +4,14 @@
 //! Everything address-indexed on the instruction side lives here, which is
 //! why link order (which moves code) transmits bias through this component:
 //! fetch-window alignment, I-cache and I-TLB set mappings, gshare/BTB
-//! indices. The core drives it through the port methods below; under the
-//! event kernel it is registered as a (demand-driven, never self-ticking)
-//! [`Component`].
+//! indices. The core drives it through the port methods below; it is
+//! purely demand-driven and owns no time of its own.
 
 use biaslab_toolchain::layout::PAGE_SIZE;
 
 use crate::branch::{BranchConfig, BranchPredictor};
 use crate::cache::{Cache, CacheConfig};
 use crate::counters::Counters;
-use crate::kernel::Component;
 use crate::ports::L2Port;
 use crate::tlb::{Tlb, TlbConfig};
 
@@ -171,23 +169,6 @@ impl FrontEnd {
     }
 }
 
-impl Component for FrontEnd {
-    fn name(&self) -> &'static str {
-        "frontend"
-    }
-
-    /// Purely demand-driven: the core pulls fetches through the ports, so
-    /// the front end never asks the scheduler for a tick. (An asynchronous
-    /// prefetcher would be the first occupant of this hook.)
-    fn next_tick(&self) -> Option<u64> {
-        None
-    }
-
-    fn tick(&mut self, _now: u64) -> Option<u64> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,12 +239,5 @@ mod tests {
         f.fetch(0x100, 16, &mut port, &mut c);
         assert_eq!(c.fetches, 2, "a new run reopens the window");
         assert_eq!(c.l1i_misses, 1, "but the I-cache stayed warm");
-    }
-
-    #[test]
-    fn is_a_demand_driven_component() {
-        let f = front();
-        assert_eq!(f.name(), "frontend");
-        assert_eq!(f.next_tick(), None);
     }
 }

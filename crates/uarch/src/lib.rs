@@ -17,18 +17,14 @@
 //! reproduces even though absolute cycle counts are model numbers, not
 //! silicon measurements.
 //!
-//! Structurally, a [`Machine`] is a component graph run by a
-//! discrete-event kernel ([`kernel`]): the core drives a front-end
-//! component ([`front::FrontEnd`]) and a memory-hierarchy component
-//! ([`dmem::MemSystem`]) over explicit ports ([`ports`]), with a shared
-//! unified L2 between them. Single-active-chain configurations — all
-//! three paper machines — dispatch whole basic blocks through a decoded
-//! trace cache ([`block::BlockCache`], [`KernelMode::Auto`] →
-//! [`KernelMode::Block`]), so the fast path pays nothing for the
-//! generality; [`KernelMode::Collapsed`] keeps the per-instruction
-//! direct-dispatch loop as a reference, [`KernelMode::Event`] drives the
-//! same graph through the min-heap scheduler, and differential tests pin
-//! all three paths to bit-identical counters.
+//! Structurally, a [`Machine`] is a core driving a front end
+//! ([`front::FrontEnd`]) and a memory hierarchy ([`dmem::MemSystem`]) over
+//! explicit ports ([`ports`]), with a shared unified L2 between them. It
+//! dispatches whole basic blocks through a decoded trace cache
+//! ([`block::BlockCache`], [`KernelMode::Block`]);
+//! [`KernelMode::Collapsed`] keeps the per-instruction loop as the test
+//! oracle, and differential tests pin both paths to bit-identical
+//! counters.
 //!
 //! # Examples
 //!
@@ -62,7 +58,6 @@ pub mod counters;
 pub mod dmem;
 pub mod front;
 pub mod geometry;
-pub mod kernel;
 pub mod machine;
 pub mod ports;
 pub mod profile;
@@ -71,6 +66,5 @@ pub mod tlb;
 pub use block::{BlockCache, BlockCacheStats, DecodedBlock};
 pub use counters::Counters;
 pub use geometry::{ConfigError, GeometryError};
-pub use kernel::{ClockDivider, Component, ComponentId, EventScheduler, KernelMode};
-pub use machine::{Machine, MachineConfig, RunError, RunResult};
+pub use machine::{KernelMode, Machine, MachineConfig, RunError, RunResult};
 pub use profile::{Profile, ProfileEntry};

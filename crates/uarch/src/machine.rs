@@ -1,15 +1,13 @@
 //! Machine models and the execution engine.
 //!
-//! A [`Machine`] is a small component graph: a core (decode/execute/retire)
-//! driving a [`crate::front::FrontEnd`] (fetch windows, I-cache, I-TLB,
-//! branch prediction) and a [`crate::dmem::MemSystem`] (L1D/D-TLB/banks)
-//! over explicit ports, with a shared unified L2 behind
-//! [`crate::ports::L2Port`]. Execution runs under the discrete-event
-//! kernel ([`crate::kernel`]): in the paper-machine configurations the
-//! graph is a single active chain, which collapses to direct dispatch (the
-//! fast path); [`KernelMode::Event`] drives the identical instruction
-//! stream through the min-heap scheduler instead, and the differential
-//! tests pin both paths to bit-identical counters.
+//! A [`Machine`] is a core (decode/execute/retire) driving a
+//! [`crate::front::FrontEnd`] (fetch windows, I-cache, I-TLB, branch
+//! prediction) and a [`crate::dmem::MemSystem`] (L1D/D-TLB/banks) over
+//! explicit ports, with a shared unified L2 behind [`crate::ports::L2Port`].
+//! Every production run dispatches whole basic blocks through the decoded
+//! trace cache ([`KernelMode::Block`]); the per-instruction loop
+//! ([`KernelMode::Collapsed`]) survives only as the test oracle that block
+//! dispatch is differentially checked against.
 //!
 //! Three presets mirror the paper's experimental machines:
 //!
@@ -21,7 +19,7 @@
 //!   associativity makes layout conflicts easy to see).
 //!
 //! Everything is deterministic: the same executable, environment and
-//! arguments produce bit-identical counters, on either kernel path.
+//! arguments produce bit-identical counters, on either execution path.
 
 use std::fmt;
 
@@ -37,7 +35,6 @@ use crate::counters::Counters;
 use crate::dmem::{MemParams, MemSystem};
 use crate::front::FrontEnd;
 use crate::geometry::{ConfigError, GeometryError};
-use crate::kernel::{ClockDivider, Component, ComponentId, EventScheduler, KernelMode};
 use crate::ports::L2Port;
 use crate::tlb::TlbConfig;
 
@@ -423,93 +420,18 @@ impl HotConfig {
     }
 }
 
-/// Component ids within a machine's kernel instance: the core plus its two
-/// demand-driven timing components.
-const CORE_ID: ComponentId = ComponentId(0);
-const FRONT_ID: ComponentId = ComponentId(1);
-const DMEM_ID: ComponentId = ComponentId(2);
-
-/// How the execution loop advances simulated time between instructions.
-///
-/// The collapsed fast path uses [`DirectDispatch`] (every hook a no-op the
-/// optimizer deletes); [`KernelMode::Event`] uses [`EventDriven`], which
-/// threads each instruction boundary through the event heap and surfaces
-/// any other component due to tick first. Both monomorphize into
-/// `run_loop`, so the instruction semantics — and therefore the counters —
-/// are shared by construction.
-trait KernelDriver {
-    /// Returns the next non-core component due before the core may retire
-    /// its next instruction (at `cycles` local core ticks), or `None` when
-    /// the core holds the earliest event. Call repeatedly until `None`.
-    fn next_due(&mut self, cycles: u64) -> Option<(ComponentId, u64)>;
-
-    /// Re-queues a component after its tick, if it asked for another.
-    fn requeue(&mut self, id: ComponentId, at: Option<u64>);
-}
-
-/// The collapsed single-chain path: no heap, no events, direct dispatch.
-struct DirectDispatch;
-
-impl KernelDriver for DirectDispatch {
-    #[inline(always)]
-    fn next_due(&mut self, _cycles: u64) -> Option<(ComponentId, u64)> {
-        None
-    }
-
-    #[inline(always)]
-    fn requeue(&mut self, _id: ComponentId, _at: Option<u64>) {}
-}
-
-/// The full event-scheduled path: every instruction boundary is an event
-/// popped from the min-heap in deterministic `(time, sequence)` order.
-struct EventDriven {
-    sched: EventScheduler,
-    /// The core's clock relationship to the base clock (unit in the
-    /// paper-machine presets; divided cores schedule sparser events).
-    core_clock: ClockDivider,
-    core_scheduled: bool,
-}
-
-impl EventDriven {
-    fn new(core_divisor: u64) -> EventDriven {
-        EventDriven {
-            sched: EventScheduler::new(),
-            core_clock: ClockDivider::new(core_divisor),
-            core_scheduled: false,
-        }
-    }
-
-    /// Registers a non-core component's first wake-up, if it wants one.
-    fn seed(&mut self, id: ComponentId, next: Option<u64>) {
-        if let Some(t) = next {
-            self.sched.schedule(t, id);
-        }
-    }
-}
-
-impl KernelDriver for EventDriven {
-    fn next_due(&mut self, cycles: u64) -> Option<(ComponentId, u64)> {
-        if !self.core_scheduled {
-            // The core's next instruction retires after `cycles` local
-            // ticks; map through its clock divider onto the base clock.
-            self.sched
-                .schedule(self.core_clock.base_ticks(cycles), CORE_ID);
-            self.core_scheduled = true;
-        }
-        let (t, id) = self.sched.pop().expect("core event is always pending");
-        if id == CORE_ID {
-            self.core_scheduled = false;
-            None
-        } else {
-            Some((id, t))
-        }
-    }
-
-    fn requeue(&mut self, id: ComponentId, at: Option<u64>) {
-        if let Some(t) = at {
-            self.sched.schedule(t, id);
-        }
-    }
+/// Which execution path [`Machine::run`] uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelMode {
+    /// Basic-block dispatch through the decoded trace cache
+    /// ([`crate::block::BlockCache`]): blocks decode once and replay
+    /// precomputed summaries at block edges, with bit-identical counters.
+    /// Every machine built by [`Machine::new`] runs this path.
+    Block,
+    /// The per-instruction loop: the test oracle that block dispatch is
+    /// differentially checked against (`tests/block_differential.rs`).
+    /// Reached only through [`Machine::with_kernel`].
+    Collapsed,
 }
 
 /// A simulated machine instance (cold caches and predictors).
@@ -530,12 +452,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Creates a cold machine, validating the configuration once.
-    ///
-    /// The kernel mode defaults to [`KernelMode::Auto`] (respecting the
-    /// `BIASLAB_KERNEL` environment override): single-active-chain
-    /// configurations — all three paper machines — collapse to direct
-    /// dispatch.
+    /// Creates a cold machine, validating the configuration once. It runs
+    /// block dispatch ([`KernelMode::Block`]).
     ///
     /// # Errors
     ///
@@ -556,7 +474,7 @@ impl Machine {
             }),
             l2: Cache::new(config.l2),
             blocks: BlockCache::new(),
-            kernel: KernelMode::from_env(),
+            kernel: KernelMode::Block,
             config,
         })
     }
@@ -573,9 +491,9 @@ impl Machine {
         Machine::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates a cold machine pinned to a kernel path (ignoring the
-    /// `BIASLAB_KERNEL` override) — what the differential tests use to
-    /// compare the collapsed and event-scheduled paths.
+    /// Creates a cold machine pinned to an execution path — what the
+    /// differential tests use to check block dispatch against the
+    /// per-instruction oracle ([`KernelMode::Collapsed`]).
     ///
     /// # Panics
     ///
@@ -591,30 +509,6 @@ impl Machine {
     #[must_use]
     pub fn config(&self) -> &MachineConfig {
         &self.config
-    }
-
-    /// The configured kernel mode (before Auto resolution).
-    #[must_use]
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
-    /// The kernel path this machine will actually run: Auto picks
-    /// block-at-a-time dispatch (the fastest single-chain path) exactly
-    /// when the component graph is a single active chain (no non-core
-    /// component self-schedules), and the event scheduler otherwise.
-    #[must_use]
-    pub fn effective_kernel(&self) -> KernelMode {
-        match self.kernel {
-            KernelMode::Auto => {
-                if self.front.next_tick().is_none() && self.dmem.next_tick().is_none() {
-                    KernelMode::Block
-                } else {
-                    KernelMode::Event
-                }
-            }
-            mode => mode,
-        }
     }
 
     /// Lifetime hit/miss/invalidation counts of the basic-block trace
@@ -673,39 +567,27 @@ impl Machine {
         process: Process,
         attr: Option<&mut crate::profile::Attributor>,
     ) -> Result<RunResult, RunError> {
-        // Monomorphize the execution loop on (attributor, kernel path):
-        // the plain collapsed `run` carries no per-instruction bookkeeping
-        // at all, and every other combination still observes identical
-        // counters (attribution only reads them; the event driver only
-        // orders them).
-        match self.effective_kernel() {
-            KernelMode::Event => {
-                let mut driver = EventDriven::new(1);
-                driver.seed(FRONT_ID, self.front.next_tick());
-                driver.seed(DMEM_ID, self.dmem.next_tick());
-                match attr {
-                    Some(a) => self.run_loop::<true, _>(exe, process, Some(a), &mut driver),
-                    None => self.run_loop::<false, _>(exe, process, None, &mut driver),
-                }
-            }
-            KernelMode::Collapsed => match attr {
-                Some(a) => self.run_loop::<true, _>(exe, process, Some(a), &mut DirectDispatch),
-                None => self.run_loop::<false, _>(exe, process, None, &mut DirectDispatch),
-            },
-            // `effective_kernel` never returns Auto.
-            KernelMode::Block | KernelMode::Auto => match attr {
-                Some(a) => self.run_blocks::<true>(exe, process, Some(a)),
-                None => self.run_blocks::<false>(exe, process, None),
-            },
+        // Monomorphize the execution loop on (attributor, path): the plain
+        // `run` carries no per-instruction bookkeeping at all, and the
+        // profiled instantiations still observe identical counters
+        // (attribution only reads them).
+        match (self.kernel, attr) {
+            (KernelMode::Block, None) => self.run_blocks::<false>(exe, process, None),
+            (KernelMode::Block, Some(a)) => self.run_blocks::<true>(exe, process, Some(a)),
+            (KernelMode::Collapsed, None) => self.run_loop::<false>(exe, process, None),
+            (KernelMode::Collapsed, Some(a)) => self.run_loop::<true>(exe, process, Some(a)),
         }
     }
 
-    fn run_loop<const PROFILE: bool, D: KernelDriver>(
+    /// The per-instruction reference loop ([`KernelMode::Collapsed`]):
+    /// every instruction is fetched, executed and charged on its own. It
+    /// is the oracle `run_blocks` is differentially tested
+    /// against, so it takes none of the block path's shortcuts.
+    fn run_loop<const PROFILE: bool>(
         &mut self,
         exe: &Executable,
         process: Process,
         mut attr: Option<&mut crate::profile::Attributor>,
-        driver: &mut D,
     ) -> Result<RunResult, RunError> {
         let mut c = Counters::default();
         let mut mem = process.mem;
@@ -756,17 +638,6 @@ impl Machine {
         }
 
         loop {
-            // Kernel hook: under the event driver, wait for the core's
-            // event and tick any component scheduled ahead of it; the
-            // collapsed path compiles this block away entirely.
-            while let Some((id, at)) = driver.next_due(c.cycles) {
-                let next = match id {
-                    FRONT_ID => front.tick(at),
-                    DMEM_ID => dmem.tick(at),
-                    _ => None,
-                };
-                driver.requeue(id, next);
-            }
             if PROFILE {
                 if let Some(a) = attr.as_deref_mut() {
                     if let Some((prev_pc, prev_cycles)) = attributed {
@@ -1130,7 +1001,7 @@ impl Machine {
                 // unconditional destination writes (decode remapped `ZERO`
                 // to the scratch slot), immediates pre-extended. Each ALU
                 // arm mirrors `AluOp::eval` exactly; `body_uops_match_text`
-                // and the kernel differential tests pin the equivalence.
+                // and the block differential tests pin the equivalence.
                 macro_rules! a {
                     ($u:expr) => {
                         regs[$u.rs1 as usize & (REG_SLOTS - 1)]
@@ -1515,30 +1386,34 @@ mod tests {
     }
 
     #[test]
-    fn event_kernel_matches_collapsed_dispatch_bit_for_bit() {
-        // The collapse is an optimization, not a semantic: driving the
-        // identical component graph through the min-heap scheduler must
-        // reproduce every counter exactly, profiled or not.
+    fn block_dispatch_matches_the_per_instruction_loop_bit_for_bit() {
+        // Block dispatch is an optimization, not a semantic: the
+        // per-instruction oracle must reproduce every counter exactly.
         let exe = build_exe(OptLevel::O2);
         for config in MachineConfig::all() {
             let run_with = |mode: KernelMode| {
                 let process = Loader::new()
                     .load(&exe, &Environment::of_total_size(512), &[300])
                     .unwrap();
-                let mut m = Machine::with_kernel(config.clone(), mode);
-                assert_eq!(m.effective_kernel(), mode);
-                m.run(&exe, process).unwrap()
+                Machine::with_kernel(config.clone(), mode)
+                    .run(&exe, process)
+                    .unwrap()
             };
-            let fast = run_with(KernelMode::Collapsed);
-            let event = run_with(KernelMode::Event);
-            assert_eq!(fast, event, "{}", config.name);
+            let block = run_with(KernelMode::Block);
+            let oracle = run_with(KernelMode::Collapsed);
+            assert_eq!(block, oracle, "{}", config.name);
         }
     }
 
     #[test]
-    fn auto_mode_block_dispatches_a_single_active_chain() {
-        let m = Machine::new(MachineConfig::core2());
-        assert_eq!(m.effective_kernel(), KernelMode::Block);
+    fn new_machines_run_block_dispatch() {
+        let exe = build_exe(OptLevel::O2);
+        let process = Loader::new()
+            .load(&exe, &Environment::new(), &[50])
+            .unwrap();
+        let mut m = Machine::new(MachineConfig::core2());
+        m.run(&exe, process).unwrap();
+        assert!(m.block_stats().misses > 0, "no block was decoded");
     }
 
     #[test]
@@ -1567,23 +1442,6 @@ mod tests {
             .run(&exe, process)
             .unwrap();
         assert_eq!(plain.counters, result.counters);
-    }
-
-    #[test]
-    fn profiled_event_runs_match_profiled_collapsed_runs() {
-        let exe = build_exe(OptLevel::O2);
-        let run_with = |mode: KernelMode| {
-            let process = Loader::new()
-                .load(&exe, &Environment::new(), &[200])
-                .unwrap();
-            Machine::with_kernel(MachineConfig::o3cpu(), mode)
-                .run_profiled(&exe, process)
-                .unwrap()
-        };
-        let (fast, fast_profile) = run_with(KernelMode::Collapsed);
-        let (event, event_profile) = run_with(KernelMode::Event);
-        assert_eq!(fast, event);
-        assert_eq!(fast_profile, event_profile);
     }
 
     #[test]

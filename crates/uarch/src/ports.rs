@@ -1,11 +1,9 @@
-//! Explicit ports between components.
+//! Explicit ports between the core, the front end and the memory hierarchy.
 //!
-//! A port is a narrow, borrowed view of a shared resource that one
-//! component hands another for the duration of a single operation — the
-//! wiring that replaced the monolithic loop's inline field accesses. In a
-//! collapsed single-chain configuration the port calls inline to exactly
-//! the code the old loop contained; under the event kernel the same ports
-//! are how front end and memory hierarchy reach the shared L2.
+//! A port is a narrow, borrowed view of a shared resource that one part of
+//! the machine hands another for the duration of a single operation. Port
+//! calls inline, so they cost nothing over direct field access; they are
+//! how the front end and the memory hierarchy reach the shared L2.
 
 use crate::cache::Cache;
 use crate::counters::Counters;

@@ -6,10 +6,10 @@
 //! this kind of profile ("where do the cycles go?") before asking whether
 //! the answer can be trusted.
 //!
-//! The attributor observes the core at instruction-retire boundaries, on
-//! either kernel path ([`crate::KernelMode`]): it only *reads* the cycle
-//! counter, so profiled and unprofiled runs — collapsed or
-//! event-scheduled — stay bit-identical, an invariant the differential
+//! The attributor observes the core at instruction-retire boundaries (per
+//! block on the block path, per instruction on the reference loop; see
+//! [`crate::KernelMode`]): it only *reads* the cycle counter, so profiled
+//! and unprofiled runs stay bit-identical, an invariant the differential
 //! tests pin.
 
 use std::fmt;

@@ -48,18 +48,6 @@ trace_file="$tmp/results/traces/repro-fig1-quick.jsonl"
 ./target/release/biaslab trace "$trace_file" --summary > /dev/null
 ./target/release/biaslab trace "$trace_file" --flame > /dev/null
 
-echo "==> kernel smoke (block dispatch vs collapsed fast path vs event path)"
-BIASLAB_RESULTS_DIR="$tmp/kblock-results" BIASLAB_KERNEL=block \
-    ./target/release/repro fig1 --effort quick --no-resume 2>/dev/null > "$tmp/kblock.out"
-BIASLAB_RESULTS_DIR="$tmp/kfast-results" BIASLAB_KERNEL=collapsed \
-    ./target/release/repro fig1 --effort quick --no-resume 2>/dev/null > "$tmp/kfast.out"
-BIASLAB_RESULTS_DIR="$tmp/kevent-results" BIASLAB_KERNEL=event \
-    ./target/release/repro fig1 --effort quick --no-resume 2>/dev/null > "$tmp/kevent.out"
-cmp "$tmp/kblock.out" "$tmp/kfast.out" \
-    || { echo "FATAL: stdout differs between block and collapsed kernels" >&2; exit 1; }
-cmp "$tmp/kfast.out" "$tmp/kevent.out" \
-    || { echo "FATAL: stdout differs between kernel paths" >&2; exit 1; }
-
 echo "==> chaos smoke (repro all under a canned fault schedule)"
 chaos_spec="seed=7,save.io=0.4,save.short=0.3,load.io=0.5,leader.panic=0.1,measure.delay=0.05,measure.runaway=0.02,worker.delay=0.2"
 BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort quick \

@@ -1,8 +1,8 @@
 //! Differential test for the basic-block dispatch path: block-at-a-time
 //! execution must produce bit-identical [`Counters`], checksums and
-//! profiles against both the interpreted collapsed path and the
-//! event-scheduled path, on every machine model, with and without
-//! attribution, across warm repetitions.
+//! profiles against the per-instruction oracle ([`KernelMode::Collapsed`]),
+//! on every machine model, with and without attribution, across warm
+//! repetitions and across the layout factors the experiments vary.
 //!
 //! The block cache hoists static counter sums to block entry, pre-decodes
 //! bodies to uops and replays fetch-window crossings from a precomputed
@@ -10,34 +10,43 @@
 //! any counter moves, the "optimization" is a measurement-bias generator.
 
 use biaslab_core::harness::Harness;
+use biaslab_core::setup::{ExperimentSetup, LinkOrder};
 use biaslab_toolchain::load::{Environment, Loader};
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::{KernelMode, Machine, MachineConfig, RunResult};
-use biaslab_workloads::{suite, InputSize};
+use biaslab_workloads::{benchmark_by_name, suite, InputSize};
 
-fn run_with(h: &Harness, machine: &MachineConfig, mode: KernelMode) -> RunResult {
-    let order: Vec<usize> = (0..h.object_names().len()).collect();
+/// Runs `setup` at the test input size on a machine pinned to `mode`.
+fn run_setup(h: &Harness, setup: &ExperimentSetup, mode: KernelMode) -> RunResult {
+    let names = h.object_names();
+    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let order = setup.link_order.resolve(&name_refs);
     let exe = h
-        .executable(OptLevel::O2, &order, 0)
+        .executable(setup.opt, &order, setup.text_offset)
         .unwrap_or_else(|e| panic!("{}: {e}", h.benchmark().name()));
     let process = Loader::new()
-        .load(
-            &exe,
-            &Environment::new(),
-            h.benchmark().args(InputSize::Test),
-        )
+        .stack_shift(setup.stack_shift)
+        .load(&exe, &setup.env, h.benchmark().args(InputSize::Test))
         .unwrap_or_else(|e| panic!("{}: {e}", h.benchmark().name()));
-    let mut m = Machine::with_kernel(machine.clone(), mode);
-    assert_eq!(m.effective_kernel(), mode, "mode must pin the path");
-    m.run(&exe, process)
-        .unwrap_or_else(|e| panic!("{}/{}: {e}", h.benchmark().name(), machine.name))
+    Machine::with_kernel(setup.machine.clone(), mode)
+        .run(&exe, process)
+        .unwrap_or_else(|e| panic!("{}/{}: {e}", h.benchmark().name(), setup.summary()))
+}
+
+fn run_with(h: &Harness, machine: &MachineConfig, mode: KernelMode) -> RunResult {
+    run_setup(
+        h,
+        &ExperimentSetup::default_on(machine.clone(), OptLevel::O2),
+        mode,
+    )
 }
 
 #[test]
-fn block_dispatch_reproduces_both_reference_kernels_bit_for_bit() {
+fn block_dispatch_reproduces_the_reference_kernel_bit_for_bit() {
     // Every benchmark against a rotating machine model (the full 72-row
     // cross product lives in the golden sweep, which runs the block path
-    // already): block vs collapsed vs event must agree exactly.
+    // already): block dispatch and the per-instruction oracle must agree
+    // exactly.
     for (i, bench) in suite().into_iter().enumerate() {
         let h = Harness::new(bench);
         let machines = MachineConfig::all();
@@ -53,15 +62,49 @@ fn block_dispatch_reproduces_both_reference_kernels_bit_for_bit() {
         );
         assert_eq!(block.checksum, interp.checksum);
         assert_eq!(block.return_value, interp.return_value);
-        let event = run_with(&h, machine, KernelMode::Event);
+    }
+}
+
+#[test]
+fn block_dispatch_matches_the_oracle_across_layouts() {
+    // fig1's quick grid (perlbench on core2 at O2 and O3, environments of
+    // 0, 112, ..., 1232 bytes, built as `env_points` builds them), plus
+    // one setup per machine that moves code and stack at once: a random
+    // link order, a text offset and a stack shift. `Harness::measure`,
+    // the path `repro` takes, must agree with both.
+    let h = Harness::new(benchmark_by_name("perlbench").expect("known benchmark"));
+    let mut setups = Vec::new();
+    for opt in [OptLevel::O2, OptLevel::O3] {
+        let base = ExperimentSetup::default_on(MachineConfig::core2(), opt);
+        for i in 0..12u32 {
+            let bytes = i * 112;
+            let env = if bytes < 23 {
+                Environment::new()
+            } else {
+                Environment::of_total_size(bytes)
+            };
+            setups.push(base.with_env(env));
+        }
+    }
+    for (i, machine) in (1u32..).zip(MachineConfig::all()) {
+        setups.push(ExperimentSetup {
+            link_order: LinkOrder::Random(u64::from(10 + i)),
+            text_offset: 36 * i,
+            stack_shift: 40 * i,
+            ..ExperimentSetup::default_on(machine, OptLevel::O3)
+        });
+    }
+    for setup in &setups {
+        let block = run_setup(&h, setup, KernelMode::Block);
+        let oracle = run_setup(&h, setup, KernelMode::Collapsed);
+        assert_eq!(block, oracle, "{}: block vs oracle", setup.summary());
+        let measured = h.measure(setup, InputSize::Test).expect("measures");
         assert_eq!(
+            measured.counters,
             block.counters,
-            event.counters,
-            "{}/{}: block vs event counters disagree",
-            h.benchmark().name(),
-            machine.name
+            "{}: Harness::measure disagrees with the direct run",
+            setup.summary()
         );
-        assert_eq!(block.checksum, event.checksum);
     }
 }
 
@@ -110,18 +153,18 @@ fn block_dispatch_profiles_identically_to_the_interpreter() {
 }
 
 #[test]
-fn warm_repetitions_match_across_all_three_kernels() {
+fn warm_repetitions_match_the_oracle() {
     // Machine state (caches, predictors, bank history) persists across
     // runs; the decoded-block cache additionally persists on the block
     // path and must stay timing-invisible: every repetition must agree
-    // with the interpreted kernels, warm hits included.
+    // with the per-instruction oracle, warm hits included.
     let bench = suite().into_iter().next().expect("non-empty suite");
     let h = Harness::new(bench);
     let order: Vec<usize> = (0..h.object_names().len()).collect();
     let exe = h.executable(OptLevel::O2, &order, 0).expect("links");
     let reps = 3;
     let mut per_mode = Vec::new();
-    for mode in [KernelMode::Block, KernelMode::Collapsed, KernelMode::Event] {
+    for mode in [KernelMode::Block, KernelMode::Collapsed] {
         let mut m = Machine::with_kernel(MachineConfig::o3cpu(), mode);
         let mut runs = Vec::new();
         for _ in 0..reps {
@@ -139,10 +182,6 @@ fn warm_repetitions_match_across_all_three_kernels() {
     assert_eq!(
         per_mode[0], per_mode[1],
         "block vs interpreted warm repetitions diverged"
-    );
-    assert_eq!(
-        per_mode[1], per_mode[2],
-        "interpreted vs event warm repetitions diverged"
     );
     assert!(
         per_mode[0][1].counters.cycles <= per_mode[0][0].counters.cycles,

@@ -1,8 +1,10 @@
 //! Telemetry integration tests: the properties `--trace` promises.
 //!
 //! 1. **Bit-identity** — tracing a measurement never changes it: a
-//!    golden-counters subset measured with telemetry on is byte-identical
-//!    to the same subset measured with telemetry off.
+//!    golden-counters subset measured with telemetry on (with and without
+//!    profiles) is byte-identical to the same subset measured with
+//!    telemetry off; the untraced pass emits nothing, and each traced
+//!    measurement has exactly the five phase spans.
 //! 2. **Schema stability** — the trace JSONL schema (field names and
 //!    `TRACE_VERSION`) is pinned by a golden snapshot, so accidental
 //!    drift fails loudly. Re-bless with
@@ -23,7 +25,7 @@ use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
 use biaslab_core::harness::Harness;
 use biaslab_core::orchestrator::MeasureKey;
 use biaslab_core::setup::ExperimentSetup;
-use biaslab_core::telemetry::{self, CacheOutcome, TraceEvent};
+use biaslab_core::telemetry::{self, CacheOutcome, SpanEvent, TraceEvent};
 use biaslab_core::Orchestrator;
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
@@ -58,11 +60,23 @@ fn render(bench: &str, opt: OptLevel, counters: &Counters, checksum: u64) -> Str
     format!("{bench}\t{opt}\t{checksum:#x}\n{counters}\n")
 }
 
+/// The span events among `events`.
+fn spans(events: &[TraceEvent]) -> Vec<&SpanEvent> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Span(s) => Some(s),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn tracing_never_changes_measurements() {
     // A golden-counters subset: three benchmarks at two opt levels. Run it
-    // twice from fresh harnesses — telemetry off, then on — and require
-    // the rendered measurements to be byte-identical.
+    // from fresh harnesses — untraced, with profiles requested but tracing
+    // off, traced, and traced with profiles — and require the rendered
+    // measurements to be byte-identical every time.
     let names: Vec<&str> = suite().iter().take(3).map(|b| b.name()).collect();
     let machine = MachineConfig::core2();
     let measure_all = || -> String {
@@ -82,23 +96,78 @@ fn tracing_never_changes_measurements() {
     telemetry::disable();
     let _ = telemetry::drain();
     let untraced = measure_all();
+    let untraced_events = telemetry::drain();
+    // Profiles alone do nothing: a profiled run also needs tracing on.
+    telemetry::enable_profiles();
+    let profiles_only = measure_all();
+    let profiles_only_events = telemetry::drain();
+    telemetry::disable();
     drop(guard);
+    assert!(
+        untraced_events.is_empty(),
+        "the untraced path must emit nothing, got {untraced_events:?}"
+    );
+    assert!(
+        profiles_only_events.is_empty(),
+        "profiles without tracing must emit nothing, got {profiles_only_events:?}"
+    );
+    assert_eq!(untraced, profiles_only, "profiles alone changed counters");
 
     let guard = traced();
     let traced_out = measure_all();
     let events = telemetry::drain();
     drop(guard);
-
     assert_eq!(
         untraced, traced_out,
         "telemetry must not perturb measurements"
     );
-    // And the traced pass must actually have recorded its work.
-    let spans = events
+    // Each measurement records one `measure` span whose children are the
+    // five phases, in start order (span ids are allocated at open).
+    let phase_spans = spans(&events);
+    let measures: Vec<_> = phase_spans.iter().filter(|s| s.name == "measure").collect();
+    assert_eq!(
+        measures.len(),
+        names.len() * 2,
+        "one measure span per measurement"
+    );
+    for m in measures {
+        let mut children: Vec<_> = phase_spans.iter().filter(|s| s.parent == m.id).collect();
+        children.sort_by_key(|s| s.id);
+        let phases: Vec<&str> = children.iter().map(|s| s.name).collect();
+        assert_eq!(phases, ["compile", "link", "load", "run", "stat"]);
+    }
+    assert!(
+        !events.iter().any(|e| matches!(e, TraceEvent::Profile(_))),
+        "tracing alone must not profile"
+    );
+
+    let guard = traced();
+    telemetry::enable_profiles();
+    let profiled_out = measure_all();
+    let events = telemetry::drain();
+    drop(guard);
+    assert_eq!(untraced, profiled_out, "profiling changed counters");
+    // Exactly one profile per run span, carrying that span's id.
+    let mut run_ids: Vec<u64> = spans(&events)
         .iter()
-        .filter(|e| matches!(e, TraceEvent::Span(s) if s.name == "measure"))
-        .count();
-    assert_eq!(spans, names.len() * 2, "one measure span per measurement");
+        .filter(|s| s.name == "run")
+        .map(|s| s.id)
+        .collect();
+    let mut profiled: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Profile(p) => Some(p.span),
+            _ => None,
+        })
+        .collect();
+    run_ids.sort_unstable();
+    profiled.sort_unstable();
+    assert_eq!(
+        run_ids.len(),
+        names.len() * 2,
+        "one run span per measurement"
+    );
+    assert_eq!(profiled, run_ids, "every run span gets exactly one profile");
 }
 
 #[test]
