@@ -32,6 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use biaslab_core::jsonl::Fields;
 use biaslab_core::telemetry::metrics;
 use biaslab_core::{Harness, LinkOrder, Orchestrator};
 use biaslab_toolchain::dataflow::Lattice;
@@ -332,23 +333,23 @@ fn sanitize(s: &str) -> String {
 }
 
 /// Validates one line of [`LintReport::to_jsonl`] output against the
-/// findings schema (`v:1`; `ev:lint` headers and `ev:finding` records
-/// with their required keys in canonical order; known class names;
-/// finite non-negative severity).
+/// findings schema (one well-formed object per [`Fields::scan`]; `v:1`;
+/// `ev:lint` headers and `ev:finding` records with exactly their keys in
+/// canonical order; known class names; finite non-negative severity).
 ///
 /// # Errors
 ///
 /// Returns a message naming the first violated rule.
 pub fn validate_lint_line(line: &str) -> Result<(), String> {
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err("line is not a JSON object".to_owned());
-    }
-    if !line.starts_with("{\"v\":1,") {
+    let f = Fields::scan(line).ok_or("line is not one well-formed JSON object")?;
+    if f.raw("v") != Some("1") {
         return Err("missing schema version v:1".to_owned());
     }
-    let ev = extract_str(line, "ev").ok_or("missing ev")?;
-    let keys: &[&str] = match ev.as_str() {
+    let ev = f.str("ev").ok_or("missing ev")?;
+    let keys: &[&str] = match ev {
         "lint" => &[
+            "v",
+            "ev",
             "bench",
             "machine",
             "findings",
@@ -356,25 +357,20 @@ pub fn validate_lint_line(line: &str) -> Result<(), String> {
             "functions_analyzed",
         ],
         "finding" => &[
-            "bench", "machine", "level", "class", "function", "severity", "metric", "remedy",
-            "arg", "detail",
+            "v", "ev", "bench", "machine", "level", "class", "function", "severity", "metric",
+            "remedy", "arg", "detail",
         ],
         other => return Err(format!("unknown event `{other}`")),
     };
-    let mut pos = 0;
-    for key in keys {
-        let needle = format!("\"{key}\":");
-        match line[pos..].find(&needle) {
-            Some(i) => pos += i + needle.len(),
-            None => return Err(format!("missing or out-of-order key `{key}`")),
-        }
+    if !f.keys_are(keys) {
+        return Err(format!("keys are not the `{ev}` schema {keys:?}"));
     }
     if ev == "finding" {
-        let class = extract_str(line, "class").ok_or("missing class")?;
-        if FindingClass::parse(&class).is_none() {
+        let class = f.str("class").ok_or("class is not a string")?;
+        if FindingClass::parse(class).is_none() {
             return Err(format!("unknown finding class `{class}`"));
         }
-        let sev = extract_scalar(line, "severity").ok_or("missing severity")?;
+        let sev = f.raw("severity").ok_or("missing severity")?;
         let sev: f64 = sev
             .parse()
             .map_err(|_| format!("severity `{sev}` is not a number"))?;
@@ -383,20 +379,6 @@ pub fn validate_lint_line(line: &str) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_owned())
-}
-
-fn extract_scalar(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let end = line[start..].find([',', '}']).unwrap_or(line.len() - start);
-    Some(line[start..start + end].to_owned())
 }
 
 // ---------------------------------------------------------------------------
@@ -1109,12 +1091,43 @@ mod tests {
              \"remedy\":\"code-fix\",\"arg\":\"\",\"detail\":\"d\"}"
         )
         .is_err());
-        // Valid header.
-        assert!(validate_lint_line(
-            "{\"v\":1,\"ev\":\"lint\",\"bench\":\"x\",\"machine\":\"core2\",\"findings\":0,\
-             \"passes_run\":0,\"functions_analyzed\":0}"
-        )
-        .is_ok());
+        // Valid header and finding.
+        let header = "{\"v\":1,\"ev\":\"lint\",\"bench\":\"x\",\"machine\":\"core2\",\
+                      \"findings\":0,\"passes_run\":0,\"functions_analyzed\":0}";
+        let finding = format!(
+            "{{\"v\":1,\"ev\":\"finding\",\"bench\":\"x\",\"machine\":\"core2\",\"level\":\"O2\",\
+             \"class\":\"{}\",\"function\":\"f\",\"severity\":0.5000,\"metric\":\"cycles\",\
+             \"remedy\":\"code-fix\",\"arg\":\"\",\"detail\":\"hot loop, 2 lines: [a]\"}}",
+            FindingClass::ALL[0].name()
+        );
+        assert!(validate_lint_line(header).is_ok());
+        assert!(validate_lint_line(&finding).is_ok());
+        // An extra trailing key, an unknown key between known ones, and
+        // trailing braces.
+        let trailing_key = header.replace(
+            "\"functions_analyzed\":0}",
+            "\"functions_analyzed\":0,\"x\":1}",
+        );
+        let between = header.replace("\"findings\":0,", "\"findings\":0,\"zzz\":0,");
+        for bad in [trailing_key, between, format!("{header}}}}}")] {
+            assert!(validate_lint_line(&bad).is_err(), "accepted: {bad}");
+        }
+        for line in [header, finding.as_str()] {
+            // Every proper prefix is rejected.
+            for cut in 0..line.len() {
+                assert!(validate_lint_line(&line[..cut]).is_err(), "prefix at {cut}");
+            }
+            // Every single-byte mutation is handled without a panic, the
+            // same way twice.
+            for at in 0..line.len() {
+                for byte in [b'"', b'{', b'}', b'[', b',', b':', b' ', b'\\', b'0', b'x'] {
+                    let mut bytes = line.as_bytes().to_vec();
+                    bytes[at] = byte;
+                    let mutated = String::from_utf8_lossy(&bytes);
+                    assert_eq!(validate_lint_line(&mutated), validate_lint_line(&mutated));
+                }
+            }
+        }
     }
 
     #[test]

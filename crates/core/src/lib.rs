@@ -22,7 +22,10 @@
 //! * [`causal`] — the paper's second remedy: intervene on the suspected
 //!   mechanism (dose response + placebo control + counter mediation);
 //! * [`report`] — plain-text tables, series and sparklines used by the
-//!   `repro` binary to regenerate every figure and table.
+//!   `repro` binary to regenerate every figure and table;
+//! * [`jsonl`] — the one JSON-lines codec every persisted or served line
+//!   goes through: strict key scanner, crc seal, atomic file write and
+//!   bounded I/O retry.
 //!
 //! # Examples
 //!
@@ -59,7 +62,7 @@ pub mod bias;
 pub mod causal;
 pub mod faults;
 pub mod harness;
-mod jsonl;
+pub mod jsonl;
 pub mod orchestrator;
 pub mod randomize;
 pub mod report;

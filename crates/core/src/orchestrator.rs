@@ -47,12 +47,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
@@ -62,7 +61,7 @@ use parking_lot::Mutex;
 
 use crate::faults::{self, site};
 use crate::harness::{Harness, MeasureError, Measurement};
-use crate::jsonl::{field, field_str, field_u64, fnv64, sync_parent_dir};
+use crate::jsonl::{self, fnv64};
 use crate::setup::{ExperimentSetup, LinkOrder};
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use crate::telemetry::{self, CacheOutcome, Counter, MetricsRegistry};
@@ -1100,31 +1099,21 @@ impl Orchestrator {
         out
     }
 
-    /// Persists every successful cached measurement as JSON lines (see the
-    /// module docs; `counters` is the array form of [`Counters`] in
-    /// declaration order, and every record carries a `crc` checksum that
-    /// [`Orchestrator::load`] verifies). The file is written to a sibling
-    /// temp path, fsynced, and renamed into place, with the parent
-    /// directory fsynced after the rename — so a crash at any point leaves
-    /// either the complete old file or the complete new one, and a failed
-    /// write removes its temp file instead of leaking it.
+    /// Persists every successful cached measurement as one sealed JSON
+    /// line (see the module docs), sorted, through
+    /// `jsonl::write_atomic`: a crash leaves either the complete old file
+    /// or the complete new one, and a failed write leaks no temp file.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from writing or renaming. Callers that want
     /// retry and graceful degradation use [`Orchestrator::persist`].
     pub fn save(&self, path: &Path) -> std::io::Result<usize> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let tmp = path.with_extension("tmp");
-        let write = || -> std::io::Result<usize> {
-            let mut written = 0usize;
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            // Deterministic file order: sort by the record line itself.
-            let mut lines: Vec<String> = self.cache.record_lines();
-            lines.sort_unstable();
-            for line in lines {
+        // Deterministic file order: sort by the record line itself.
+        let mut lines: Vec<String> = self.cache.record_lines();
+        lines.sort_unstable();
+        jsonl::write_atomic(path, |f| {
+            for line in &lines {
                 if faults::active() {
                     if let Some(e) = faults::io_error(site::SAVE_IO) {
                         return Err(e);
@@ -1140,23 +1129,9 @@ impl Orchestrator {
                     }
                 }
                 writeln!(f, "{line}")?;
-                written += 1;
             }
-            f.flush()?;
-            f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            Ok(written)
-        };
-        match write() {
-            Ok(n) => {
-                sync_parent_dir(path);
-                Ok(n)
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+            Ok(lines.len())
+        })
     }
 
     /// [`Orchestrator::save`] with transient-failure handling: up to three
@@ -1171,34 +1146,19 @@ impl Orchestrator {
         if self.degraded.load(Ordering::Relaxed) {
             return 0;
         }
-        let mut failed = false;
-        let mut last: Option<std::io::Error> = None;
-        for attempt in 0..3u32 {
-            if attempt > 0 {
-                std::thread::sleep(Duration::from_millis(1 << (2 * (attempt - 1))));
-            }
-            match self.save(path) {
-                Ok(n) => {
-                    if failed {
-                        faults::recovered("io.retry");
-                    }
-                    return n;
-                }
-                Err(e) => {
-                    failed = true;
-                    last = Some(e);
-                }
+        match jsonl::retry_io(|| self.save(path)) {
+            Ok(n) => n,
+            Err(e) => {
+                self.degraded.store(true, Ordering::Relaxed);
+                self.persist_degraded.add(1);
+                faults::recovered("persist.degraded");
+                eprintln!(
+                    "warning: could not write results file {} ({e}); continuing in-memory only",
+                    path.display(),
+                );
+                0
             }
         }
-        self.degraded.store(true, Ordering::Relaxed);
-        self.persist_degraded.add(1);
-        faults::recovered("persist.degraded");
-        eprintln!(
-            "warning: could not write results file {} ({}); continuing in-memory only",
-            path.display(),
-            last.map_or_else(|| "unknown error".to_owned(), |e| e.to_string()),
-        );
-        0
     }
 
     /// Whether [`Orchestrator::persist`] has degraded to in-memory-only
@@ -1227,30 +1187,16 @@ impl Orchestrator {
     /// Propagates I/O errors other than the file not existing; the caller
     /// degrades to a cold start (re-simulation), never to wrong data.
     pub fn load(&self, path: &Path) -> std::io::Result<usize> {
-        let mut text = None;
-        let mut failed = false;
-        for attempt in 0..3u32 {
-            if attempt > 0 {
-                std::thread::sleep(Duration::from_millis(1 << (2 * (attempt - 1))));
-            }
-            let read = match faults::io_error(site::LOAD_IO) {
-                Some(e) => Err(e),
-                None => std::fs::read_to_string(path),
-            };
-            match read {
-                Ok(t) => {
-                    if failed {
-                        faults::recovered("io.retry");
-                    }
-                    text = Some(t);
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-                Err(e) if attempt == 2 => return Err(e),
-                Err(_) => failed = true,
-            }
-        }
-        let text = text.expect("read, returned, or errored above");
+        let read = jsonl::retry_io(|| match faults::io_error(site::LOAD_IO) {
+            Some(e) => Err(e),
+            None => match std::fs::read_to_string(path) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+                text => text.map(Some),
+            },
+        })?;
+        let Some(text) = read else {
+            return Ok(0);
+        };
         let mut restored = 0usize;
         let mut pruned = 0u64;
         let mut quarantined = 0u64;
@@ -1279,8 +1225,8 @@ impl Orchestrator {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence format (hand-rolled: the offline serde stand-in has no JSON
-// backend). One record per line:
+// Persistence format, read and sealed through `crate::jsonl`. One record
+// per line:
 //
 //   {"v":3,"bench":"hmmer","machine":123,"opt":"O2","order":"rand:7",
 //    "text_offset":0,"stack_shift":0,"env":456,"size":"test",
@@ -1288,9 +1234,8 @@ impl Orchestrator {
 //    "counters":[...],"crc":101112}
 //
 // `counters` lists every `Counters` field in declaration order. `crc` is
-// FNV-64 over everything before its own field (the line up to and
-// including the closing `]` of `counters`), so a record torn or flipped
-// anywhere is detected on load.
+// the `jsonl::seal`: FNV-64 over everything before its own field, so a
+// record torn or flipped anywhere is detected on load.
 
 // Version 2: `machine`/`env` switched from Debug-string digests to the
 // canonical named-field digests ([`machine_digest`], [`env_digest`]).
@@ -1299,8 +1244,26 @@ impl Orchestrator {
 // to verify, so they prune wholesale rather than load unchecked.
 const RECORD_VERSION: u64 = 3;
 
+/// The fields of one record line, in order.
+pub(crate) const RECORD_FIELDS: &[&str] = &[
+    "v",
+    "bench",
+    "machine",
+    "opt",
+    "order",
+    "text_offset",
+    "stack_shift",
+    "env",
+    "size",
+    "setup",
+    "checksum",
+    "counters",
+    "crc",
+];
+
 /// What [`parse_record`] concluded about one line.
-enum RecordVerdict {
+#[derive(Debug)]
+pub(crate) enum RecordVerdict {
     /// A verified current-version record (boxed: the other verdicts are
     /// unit variants, and verdicts are consumed one line at a time).
     Ok(MeasureKey, Box<Measurement>),
@@ -1403,13 +1366,8 @@ pub(crate) fn counters_from_vec(v: &[u64]) -> Option<Counters> {
     })
 }
 
-fn record_line(k: &MeasureKey, m: &Measurement) -> String {
-    let counters = counters_to_vec(&m.counters)
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut line = format!(
+pub(crate) fn record_line(k: &MeasureKey, m: &Measurement) -> String {
+    jsonl::seal(format!(
         concat!(
             "{{\"v\":{},\"bench\":\"{}\",\"machine\":{},\"opt\":\"{}\",",
             "\"order\":\"{}\",\"text_offset\":{},\"stack_shift\":{},",
@@ -1427,58 +1385,48 @@ fn record_line(k: &MeasureKey, m: &Measurement) -> String {
         size_str(k.size),
         m.setup,
         m.checksum,
-        counters,
-    );
-    let crc = fnv64(&line);
-    let _ = write!(line, ",\"crc\":{crc}}}");
-    line
+        jsonl::csv(&counters_to_vec(&m.counters)),
+    ))
 }
 
-fn parse_record(line: &str) -> RecordVerdict {
-    // A line is "ours" if it declares the current version; from then on
-    // any defect is corruption, not staleness.
-    if field_u64(line, "v") != Some(RECORD_VERSION) {
+pub(crate) fn parse_record(line: &str) -> RecordVerdict {
+    // A line is "ours" if it opens by declaring the current version; from
+    // then on any defect is corruption, not staleness.
+    let ours = line.strip_prefix("{\"v\":").is_some_and(|rest| {
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        rest[..digits].parse::<u64>().ok() == Some(RECORD_VERSION)
+    });
+    if !ours {
         return RecordVerdict::Foreign;
     }
-    let Some((body, crc)) = line
-        .rsplit_once(",\"crc\":")
-        .and_then(|(body, rest)| Some((body, rest.strip_suffix('}')?.parse::<u64>().ok()?)))
-    else {
-        return RecordVerdict::Corrupt;
-    };
-    if fnv64(body) != crc {
-        return RecordVerdict::Corrupt;
-    }
-    let parsed = (|| {
-        let key = MeasureKey {
-            bench: field_str(line, "bench")?.to_owned(),
-            machine: field_u64(line, "machine")?,
-            opt: OptLevel::ALL
-                .into_iter()
-                .find(|l| l.to_string() == field_str(line, "opt").unwrap_or(""))?,
-            link_order: parse_order(field_str(line, "order")?)?,
-            text_offset: field_u64(line, "text_offset")? as u32,
-            stack_shift: field_u64(line, "stack_shift")? as u32,
-            env: field_u64(line, "env")?,
-            size: parse_size(field_str(line, "size")?)?,
-        };
-        let counters: Vec<u64> = field(line, "counters")?
-            .strip_prefix('[')?
-            .strip_suffix(']')?
-            .split(',')
-            .map(|n| n.trim().parse().ok())
-            .collect::<Option<_>>()?;
-        let m = Measurement {
-            setup: field_str(line, "setup")?.to_owned(),
-            counters: counters_from_vec(&counters)?,
-            checksum: field_u64(line, "checksum")?,
-        };
-        Some((key, m))
-    })();
-    match parsed {
-        Some((key, m)) => RecordVerdict::Ok(key, Box::new(m)),
-        None => RecordVerdict::Corrupt,
-    }
+    jsonl::unseal(line)
+        .filter(|f| f.keys_are(RECORD_FIELDS))
+        .and_then(|f| {
+            let key = MeasureKey {
+                bench: f.str("bench")?.to_owned(),
+                machine: f.u64("machine")?,
+                opt: OptLevel::ALL
+                    .into_iter()
+                    .find(|l| f.str("opt") == Some(l.to_string().as_str()))?,
+                link_order: parse_order(f.str("order")?)?,
+                text_offset: u32::try_from(f.u64("text_offset")?).ok()?,
+                stack_shift: u32::try_from(f.u64("stack_shift")?).ok()?,
+                env: f.u64("env")?,
+                size: parse_size(f.str("size")?)?,
+            };
+            let counters: Vec<u64> = f
+                .array("counters")?
+                .split(',')
+                .map(|n| n.parse().ok())
+                .collect::<Option<_>>()?;
+            let m = Measurement {
+                setup: f.str("setup")?.to_owned(),
+                counters: counters_from_vec(&counters)?,
+                checksum: f.u64("checksum")?,
+            };
+            Some(RecordVerdict::Ok(key, Box::new(m)))
+        })
+        .unwrap_or(RecordVerdict::Corrupt)
 }
 
 #[cfg(test)]
@@ -1675,7 +1623,7 @@ mod tests {
         text.push('\n');
         let renamed = valid.replace("\"bench\":\"hmmer\"", "\"bench\":\"nonesuch\"");
         let body = renamed.rsplit_once(",\"crc\":").expect("has crc").0;
-        text.push_str(&format!("{body},\"crc\":{}}}", crate::jsonl::fnv64(body)));
+        text.push_str(&jsonl::seal(body.to_owned()));
         text.push('\n');
         text.push_str(&valid[..valid.len() / 2]);
         text.push('\n');
@@ -1724,6 +1672,37 @@ mod tests {
             parse_record("{\"v\":3,\"bench\":\"x\",\"crc\":12}"),
             RecordVerdict::Corrupt
         ));
+        // A correctly sealed record whose offset does not fit the key's
+        // `u32` is corrupt, never narrowed into another setup's key.
+        let key = MeasureKey {
+            bench: "hmmer".to_owned(),
+            machine: 1,
+            opt: OptLevel::O2,
+            link_order: LinkOrder::Default,
+            text_offset: 0,
+            stack_shift: 0,
+            env: 2,
+            size: InputSize::Test,
+        };
+        let m = Measurement {
+            setup: "core2/O2".to_owned(),
+            counters: Counters::default(),
+            checksum: 3,
+        };
+        let line = record_line(&key, &m);
+        assert!(matches!(parse_record(&line), RecordVerdict::Ok(..)));
+        for (field, wide) in [
+            ("\"text_offset\":0", "\"text_offset\":4294967296"),
+            ("\"stack_shift\":0", "\"stack_shift\":4294967296"),
+        ] {
+            let body = line.rsplit_once(",\"crc\":").expect("sealed").0;
+            let resealed = jsonl::seal(body.replacen(field, wide, 1));
+            assert!(jsonl::verify_sealed(&resealed));
+            assert!(
+                matches!(parse_record(&resealed), RecordVerdict::Corrupt),
+                "{resealed}"
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! `"item"` (one sweep element), or `"stats"`. Every response line is
 //! sealed with a trailing `"crc"` field — the FNV-1a hash of the body up
 //! to (not including) `,"crc":` — so a client can detect torn writes
-//! without trusting framing alone. String values never contain quotes,
-//! brackets or braces, which keeps the `jsonl` field scanner exact.
+//! without trusting framing alone. Lines are read and sealed through
+//! [`crate::jsonl`]; free text is stripped of quotes, backslashes,
+//! brackets and braces, so no writer emits what the scanner rejects.
 //!
 //! Failure model: the socket-boundary `serve.*` fault sites (accept
 //! failure, short write, mid-response disconnect, slow client) leave a
@@ -40,6 +41,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread;
@@ -55,13 +57,16 @@ use rand::{Rng, SeedableRng};
 
 use crate::faults::{self, site};
 use crate::harness::{MeasureError, Measurement};
-use crate::jsonl::{field, field_str, field_u64, fnv64, sync_parent_dir};
+use crate::jsonl::{csv, fnv64, seal, unseal, write_atomic, Fields};
 use crate::orchestrator::{
     counters_to_vec, order_str, parse_order, parse_size, size_str, DeadlineExceeded, Orchestrator,
 };
 use crate::setup::{ExperimentSetup, LinkOrder};
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
 use crate::telemetry;
+
+/// Re-exported from [`crate::jsonl`], the one seal every format shares.
+pub use crate::jsonl::verify_sealed;
 
 /// Wire protocol version; every line carries it as `"v"`.
 pub const PROTO_VERSION: u64 = 1;
@@ -263,7 +268,8 @@ impl Request {
 pub enum ProtoError {
     /// The line was empty or whitespace.
     Empty,
-    /// The line was not a braced one-line object (truncated or garbage).
+    /// The line was not one well-formed object ([`Fields::scan`]): torn,
+    /// garbage, a duplicate key, a key without a value, trailing bytes.
     BadFrame,
     /// `v` was missing or not [`PROTO_VERSION`].
     BadVersion(String),
@@ -283,7 +289,7 @@ impl fmt::Display for ProtoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProtoError::Empty => write!(f, "empty request line"),
-            ProtoError::BadFrame => write!(f, "request line is not a braced object"),
+            ProtoError::BadFrame => write!(f, "request line is not one well-formed JSON object"),
             ProtoError::BadVersion(v) => {
                 write!(
                     f,
@@ -299,38 +305,6 @@ impl fmt::Display for ProtoError {
     }
 }
 
-/// Scans the top-level keys of a one-line JSON object, in line order.
-/// Depth-aware so nested objects/arrays contribute no keys; panic-free on
-/// arbitrary input.
-#[must_use]
-pub fn top_level_keys(line: &str) -> Vec<&str> {
-    let mut keys = Vec::new();
-    let bytes = line.as_bytes();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' if depth == 1 => {
-                let start = i + 1;
-                let Some(rel) = line.get(start..).and_then(|rest| rest.find('"')) else {
-                    break;
-                };
-                let end = start + rel;
-                // A key is a quoted string immediately followed by a colon.
-                if bytes.get(end + 1) == Some(&b':') {
-                    keys.push(&line[start..end]);
-                }
-                i = end;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
-
 /// Parses one request line. Never panics; the error for a given malformed
 /// line is deterministic (see [`ProtoError`] ordering).
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
@@ -338,20 +312,16 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     if line.is_empty() {
         return Err(ProtoError::Empty);
     }
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err(ProtoError::BadFrame);
+    let f = Fields::scan(line).ok_or(ProtoError::BadFrame)?;
+    if f.u64("v") != Some(PROTO_VERSION) {
+        return Err(ProtoError::BadVersion(f.raw("v").unwrap_or("").to_owned()));
     }
-    if field_u64(line, "v") != Some(PROTO_VERSION) {
-        return Err(ProtoError::BadVersion(
-            field(line, "v").unwrap_or("").to_owned(),
-        ));
-    }
-    match field_str(line, "ev") {
+    match f.str("ev") {
         Some("req") => {}
         other => return Err(ProtoError::NotARequest(other.unwrap_or("").to_owned())),
     }
-    let id = field_u64(line, "id").ok_or(ProtoError::MissingField("id"))?;
-    let op = field_str(line, "op").ok_or(ProtoError::MissingField("op"))?;
+    let id = f.u64("id").ok_or(ProtoError::MissingField("id"))?;
+    let op = f.str("op").ok_or(ProtoError::MissingField("op"))?;
     let allowed: &[&str] = match op {
         "ping" | "stats" => REQ_CONTROL_FIELDS,
         "shutdown" => REQ_SHUTDOWN_FIELDS,
@@ -359,16 +329,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         "sweep" => REQ_SWEEP_FIELDS,
         other => return Err(ProtoError::UnknownOp(other.to_owned())),
     };
-    for key in top_level_keys(line) {
-        if !allowed.contains(&key) {
-            return Err(ProtoError::UnknownField(key.to_owned()));
-        }
+    if let Some((key, _)) = f.pairs().find(|(k, _)| !allowed.contains(k)) {
+        return Err(ProtoError::UnknownField(key.to_owned()));
     }
     match op {
         "ping" => Ok(Request::Ping { id }),
         "stats" => Ok(Request::Stats { id }),
         "shutdown" => {
-            let drain = match field_str(line, "mode") {
+            let drain = match f.str("mode") {
                 None | Some("now") => false,
                 Some("drain") => true,
                 Some(other) => return Err(ProtoError::BadValue("mode", other.to_owned())),
@@ -376,8 +344,8 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             Ok(Request::Shutdown { id, drain })
         }
         "measure" => {
-            let spec = parse_spec(line)?;
-            let deadline_ms = opt_u64(line, "deadline_ms")?;
+            let spec = parse_spec(&f)?;
+            let deadline_ms = num(&f, "deadline_ms", Some(0))?;
             Ok(Request::Measure {
                 id,
                 spec,
@@ -385,9 +353,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             })
         }
         _ => {
-            let spec = parse_spec(line)?;
-            let deadline_ms = opt_u64(line, "deadline_ms")?;
-            let envs = parse_envs(line)?;
+            let spec = parse_spec(&f)?;
+            let deadline_ms = num(&f, "deadline_ms", Some(0))?;
+            let envs = parse_envs(&f)?;
             Ok(Request::Sweep {
                 id,
                 spec,
@@ -398,62 +366,44 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
-/// An optional numeric field: absent parses as `0`.
-fn opt_u64(line: &str, key: &'static str) -> Result<u64, ProtoError> {
-    match field(line, key) {
-        None => Ok(0),
+fn need<'a>(f: &Fields<'a>, key: &'static str) -> Result<&'a str, ProtoError> {
+    f.str(key).ok_or(ProtoError::MissingField(key))
+}
+
+/// A numeric field; `absent` stands in for a missing one (`None`: required).
+fn num<T: FromStr>(f: &Fields<'_>, key: &'static str, absent: Option<T>) -> Result<T, ProtoError> {
+    match f.raw(key) {
+        None => absent.ok_or(ProtoError::MissingField(key)),
         Some(raw) => raw
             .parse()
             .map_err(|_| ProtoError::BadValue(key, raw.to_owned())),
     }
 }
 
-fn need<'a>(line: &'a str, key: &'static str) -> Result<&'a str, ProtoError> {
-    field_str(line, key).ok_or(ProtoError::MissingField(key))
-}
-
-fn need_u64(line: &str, key: &'static str) -> Result<u64, ProtoError> {
-    match field(line, key) {
-        None => Err(ProtoError::MissingField(key)),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ProtoError::BadValue(key, raw.to_owned())),
-    }
-}
-
-fn need_u32(line: &str, key: &'static str) -> Result<u32, ProtoError> {
-    match field(line, key) {
-        None => Err(ProtoError::MissingField(key)),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ProtoError::BadValue(key, raw.to_owned())),
-    }
-}
-
-fn parse_spec(line: &str) -> Result<MeasureSpec, ProtoError> {
-    let bench = need(line, "bench")?.to_owned();
-    let machine = need(line, "machine")?.to_owned();
+fn parse_spec(f: &Fields<'_>) -> Result<MeasureSpec, ProtoError> {
+    let bench = need(f, "bench")?.to_owned();
+    let machine = need(f, "machine")?.to_owned();
     if !MachineConfig::all().iter().any(|m| m.name == machine) {
         return Err(ProtoError::BadValue("machine", machine));
     }
-    let opt_raw = need(line, "opt")?;
+    let opt_raw = need(f, "opt")?;
     let opt = OptLevel::ALL
         .into_iter()
         .find(|l| l.name() == opt_raw)
         .ok_or_else(|| ProtoError::BadValue("opt", opt_raw.to_owned()))?;
-    let order_raw = need(line, "order")?;
+    let order_raw = need(f, "order")?;
     let order = parse_order(order_raw)
         .ok_or_else(|| ProtoError::BadValue("order", order_raw.to_owned()))?;
-    let text_offset = need_u32(line, "text_offset")?;
-    let stack_shift = need_u32(line, "stack_shift")?;
-    let env = need_u64(line, "env")?;
+    let text_offset = num(f, "text_offset", None)?;
+    let stack_shift = num(f, "stack_shift", None)?;
+    let env = num(f, "env", None)?;
     if !env_in_range(env) {
         return Err(ProtoError::BadValue("env", env.to_string()));
     }
-    let size_raw = need(line, "size")?;
+    let size_raw = need(f, "size")?;
     let size =
         parse_size(size_raw).ok_or_else(|| ProtoError::BadValue("size", size_raw.to_owned()))?;
-    let budget = need_u64(line, "budget")?;
+    let budget = num(f, "budget", None)?;
     Ok(MeasureSpec {
         bench,
         machine,
@@ -467,25 +417,20 @@ fn parse_spec(line: &str) -> Result<MeasureSpec, ProtoError> {
     })
 }
 
-fn parse_envs(line: &str) -> Result<Vec<u64>, ProtoError> {
-    let raw = field(line, "envs").ok_or(ProtoError::MissingField("envs"))?;
-    let inner = raw
-        .strip_prefix('[')
-        .and_then(|r| r.strip_suffix(']'))
-        .ok_or_else(|| ProtoError::BadValue("envs", raw.to_owned()))?;
-    let mut envs = Vec::new();
-    if !inner.is_empty() {
-        for part in inner.split(',') {
-            let bytes: u64 = part
-                .parse()
-                .map_err(|_| ProtoError::BadValue("envs", part.to_owned()))?;
-            if !env_in_range(bytes) {
-                return Err(ProtoError::BadValue("envs", part.to_owned()));
-            }
-            envs.push(bytes);
-        }
-    }
-    Ok(envs)
+fn parse_envs(f: &Fields<'_>) -> Result<Vec<u64>, ProtoError> {
+    let raw = f.raw("envs").ok_or(ProtoError::MissingField("envs"))?;
+    let bad = |v: &str| ProtoError::BadValue("envs", v.to_owned());
+    let inner = f.array("envs").ok_or_else(|| bad(raw))?;
+    inner
+        .split(',')
+        .filter(|_| !inner.is_empty())
+        .map(|part| {
+            part.parse()
+                .ok()
+                .filter(|&b| env_in_range(b))
+                .ok_or_else(|| bad(part))
+        })
+        .collect()
 }
 
 /// Encodes a control request (`ping`, `stats`, or an immediate
@@ -565,12 +510,11 @@ pub fn encode_sweep_deadline(
     envs: &[u64],
     deadline_ms: u64,
 ) -> String {
-    let envs: Vec<String> = envs.iter().map(u64::to_string).collect();
     format!(
         "{{\"v\":{PROTO_VERSION},\"ev\":\"req\",\"id\":{id},\"op\":\"sweep\",{}{},\"envs\":[{}]}}",
         spec_fields(spec),
         deadline_field(deadline_ms),
-        envs.join(",")
+        csv(envs)
     )
 }
 
@@ -599,35 +543,12 @@ pub fn encode_request(req: &Request) -> String {
 // Protocol: responses
 // ---------------------------------------------------------------------------
 
-/// Seals a body (no closing brace) with its crc and closes the object.
-fn seal(mut body: String) -> String {
-    let crc = fnv64(&body);
-    let _ = write!(body, ",\"crc\":{crc}}}");
-    body
-}
-
-/// Verifies a sealed response line: the trailing `"crc"` must hash the
-/// body exactly. Returns `false` for torn, truncated, or tampered lines.
-#[must_use]
-pub fn verify_sealed(line: &str) -> bool {
-    let Some(at) = line.rfind(",\"crc\":") else {
-        return false;
-    };
-    let Some(crc) = line[at + 7..]
-        .strip_suffix('}')
-        .and_then(|s| s.parse::<u64>().ok())
-    else {
-        return false;
-    };
-    fnv64(&line[..at]) == crc
-}
-
 /// Strips protocol-hostile characters from free-text values so that string
-/// fields never contain quotes, brackets or braces (the `jsonl` scanner's
-/// one assumption).
+/// fields never contain quotes, backslashes, brackets or braces, which
+/// [`Fields::scan`] rejects or a reader could mistake for structure.
 fn clean(s: &str) -> String {
     s.chars()
-        .filter(|c| !matches!(c, '"' | '[' | ']' | '{' | '}'))
+        .filter(|c| !matches!(c, '"' | '\\' | '[' | ']' | '{' | '}'))
         .collect()
 }
 
@@ -661,14 +582,6 @@ pub fn error_code(e: &MeasureError) -> &'static str {
     }
 }
 
-fn counters_csv(m: &Measurement) -> String {
-    let v: Vec<String> = counters_to_vec(&m.counters)
-        .iter()
-        .map(u64::to_string)
-        .collect();
-    v.join(",")
-}
-
 /// Encodes the terminal response for one measurement result. This is the
 /// byte-identity pivot: the daemon and the differential test both call it.
 #[must_use]
@@ -681,7 +594,7 @@ pub fn encode_response(id: u64, r: &Result<Measurement, MeasureError>) -> String
             "",
             &clean(&m.setup),
             m.checksum,
-            &counters_csv(m),
+            &csv(&counters_to_vec(&m.counters)),
             0,
         ),
         Err(e) => resp_line(
@@ -702,13 +615,13 @@ pub fn encode_response(id: u64, r: &Result<Measurement, MeasureError>) -> String
 /// `Result`) lets a journal replay re-emit byte-identical item lines
 /// without reconstructing a [`MeasureError`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct ItemPayload {
-    status: &'static str,
-    code: String,
-    error: String,
-    setup: String,
-    checksum: u64,
-    counters: String,
+pub(crate) struct ItemPayload {
+    pub(crate) status: &'static str,
+    pub(crate) code: String,
+    pub(crate) error: String,
+    pub(crate) setup: String,
+    pub(crate) checksum: u64,
+    pub(crate) counters: String,
 }
 
 impl ItemPayload {
@@ -720,7 +633,7 @@ impl ItemPayload {
                 error: String::new(),
                 setup: clean(&m.setup),
                 checksum: m.checksum,
-                counters: counters_csv(m),
+                counters: csv(&counters_to_vec(&m.counters)),
             },
             Err(e) => ItemPayload {
                 status: "err",
@@ -826,57 +739,53 @@ pub fn encode_stats(id: u64, health: &str, counters: &[(String, u64)]) -> String
 /// Extracts the request/response id from a line.
 #[must_use]
 pub fn line_id(line: &str) -> Option<u64> {
-    field_u64(line, "id")
+    Fields::scan(line)?.u64("id")
 }
 
 /// Extracts the event kind (`req`, `resp`, `item`, `stats`).
 #[must_use]
 pub fn line_ev(line: &str) -> Option<&str> {
-    field_str(line, "ev")
+    Fields::scan(line)?.str("ev")
 }
 
 /// Extracts the response status (`ok`, `err`, `shed`, `deadline`,
 /// `draining`).
 #[must_use]
 pub fn line_status(line: &str) -> Option<&str> {
-    field_str(line, "status")
+    Fields::scan(line)?.str("status")
 }
 
 /// Extracts the daemon health (`ok`, `degraded`, `draining`) from a
 /// `stats` response line.
 #[must_use]
 pub fn line_health(line: &str) -> Option<&str> {
-    field_str(line, "health")
+    Fields::scan(line)?.str("health")
 }
 
 /// Reads one named counter out of a `stats` response line.
 #[must_use]
 pub fn stats_counter(line: &str, name: &str) -> Option<u64> {
-    let obj = field(line, "counters")?;
-    field_u64(obj, name)
+    Fields::scan(line)?.object("counters")?.u64(name)
 }
 
 /// Validates a response line end to end: version, seal, and the exact
 /// field list (names **and** order) for its event kind. The schema golden
 /// and the chaos battery both lean on this.
 pub fn validate_response_line(line: &str) -> Result<(), String> {
-    if field_u64(line, "v") != Some(PROTO_VERSION) {
+    let f = unseal(line).ok_or_else(|| format!("torn line or crc seal mismatch: {line}"))?;
+    if f.u64("v") != Some(PROTO_VERSION) {
         return Err(format!("bad or missing protocol version: {line}"));
     }
-    if !verify_sealed(line) {
-        return Err(format!("crc seal mismatch (torn line?): {line}"));
-    }
-    let ev = line_ev(line).ok_or_else(|| format!("no ev field: {line}"))?;
+    let ev = f.str("ev").ok_or_else(|| format!("no ev field: {line}"))?;
     let want: &[&str] = match ev {
         "resp" => RESP_FIELDS,
         "item" => ITEM_FIELDS,
         "stats" => STATS_FIELDS,
         other => return Err(format!("unknown response event `{other}`")),
     };
-    let keys = top_level_keys(line);
-    if keys != want {
+    if !f.keys_are(want) {
         return Err(format!(
-            "field schema drifted for ev={ev}: got {keys:?}, want {want:?}"
+            "field schema drifted for ev={ev}, want {want:?}: {line}"
         ));
     }
     Ok(())
@@ -1570,12 +1479,13 @@ fn reader_loop(shared: &Arc<Shared>, conn: Stream) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
+        let mut buf = String::new();
+        match reader.read_line(&mut buf) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        if line.trim().is_empty() {
+        let line = buf.trim();
+        if line.is_empty() {
             continue;
         }
         shared.c.requests.add(1);
@@ -1584,11 +1494,11 @@ fn reader_loop(shared: &Arc<Shared>, conn: Stream) {
             // every response must be unaffected.
             faults::delay(site::SERVE_SLOW);
         }
-        let req = match parse_request(&line) {
+        let req = match parse_request(line) {
             Ok(req) => req,
             Err(e) => {
                 shared.c.proto_errors.add(1);
-                let id = line_id(&line).unwrap_or(0);
+                let id = line_id(line).unwrap_or(0);
                 out.send(shared, &encode_error(id, "proto", &e.to_string()));
                 continue;
             }
@@ -1802,23 +1712,23 @@ pub fn sweep_setups(base: &ExperimentSetup, envs: &[u64]) -> Vec<ExperimentSetup
 /// the orchestrator's `RECORD_VERSION`.
 pub const JOURNAL_VERSION: u64 = 1;
 
+/// The fields of one sweep-journal line, in order.
+pub(crate) const JOURNAL_FIELDS: &[&str] = &[
+    "v", "ev", "digest", "seq", "status", "code", "error", "setup", "checksum", "counters", "crc",
+];
+
 /// Content-addresses a sweep for its journal file: FNV-64 over the
 /// canonical spec rendering plus the env grid. Deliberately independent
 /// of the request `id`, so a client retrying a killed sweep under a fresh
 /// id still resumes the same journal.
 #[must_use]
 pub fn sweep_digest(spec: &MeasureSpec, envs: &[u64]) -> u64 {
-    let envs: Vec<String> = envs.iter().map(u64::to_string).collect();
-    fnv64(&format!(
-        "sweep {} envs=[{}]",
-        spec_fields(spec),
-        envs.join(",")
-    ))
+    fnv64(&format!("sweep {} envs=[{}]", spec_fields(spec), csv(envs)))
 }
 
 /// One sweep-journal line: the item payload keyed by sweep digest and
 /// sequence number, crc-sealed like every other line this module writes.
-fn journal_line(digest: u64, seq: u64, p: &ItemPayload) -> String {
+pub(crate) fn journal_line(digest: u64, seq: u64, p: &ItemPayload) -> String {
     seal(format!(
         "{{\"v\":{JOURNAL_VERSION},\"ev\":\"sweep_journal\",\"digest\":{digest},\"seq\":{seq},\
          \"status\":\"{}\",\"code\":\"{}\",\"error\":\"{}\",\"setup\":\"{}\",\
@@ -1831,34 +1741,28 @@ fn journal_line(digest: u64, seq: u64, p: &ItemPayload) -> String {
 /// (a crash mid-append leaves a half-written tail that fails its crc),
 /// foreign versions, and other sweeps' digests — the caller re-simulates
 /// those items instead of trusting them.
-fn parse_journal_line(line: &str, digest: u64) -> Option<(u64, ItemPayload)> {
-    if !verify_sealed(line) {
-        return None;
-    }
-    if field_u64(line, "v") != Some(JOURNAL_VERSION)
-        || field_str(line, "ev") != Some("sweep_journal")
-        || field_u64(line, "digest") != Some(digest)
+pub(crate) fn parse_journal_line(line: &str, digest: u64) -> Option<(u64, ItemPayload)> {
+    let f = unseal(line).filter(|f| f.keys_are(JOURNAL_FIELDS))?;
+    if f.u64("v") != Some(JOURNAL_VERSION)
+        || f.str("ev") != Some("sweep_journal")
+        || f.u64("digest") != Some(digest)
     {
         return None;
     }
-    let seq = field_u64(line, "seq")?;
-    let status = match field_str(line, "status")? {
+    let status = match f.str("status")? {
         "ok" => "ok",
         "err" => "err",
         _ => return None,
     };
-    let counters = field(line, "counters")?
-        .strip_prefix('[')?
-        .strip_suffix(']')?;
     Some((
-        seq,
+        f.u64("seq")?,
         ItemPayload {
             status,
-            code: field_str(line, "code")?.to_owned(),
-            error: field_str(line, "error")?.to_owned(),
-            setup: field_str(line, "setup")?.to_owned(),
-            checksum: field_u64(line, "checksum")?,
-            counters: counters.to_owned(),
+            code: f.str("code")?.to_owned(),
+            error: f.str("error")?.to_owned(),
+            setup: f.str("setup")?.to_owned(),
+            checksum: f.u64("checksum")?,
+            counters: f.array("counters")?.to_owned(),
         },
     ))
 }
@@ -1878,9 +1782,9 @@ struct SweepJournal {
 impl SweepJournal {
     /// Opens (or creates) the journal for `digest`, returning the journal
     /// and every intact item a previous run recorded. Recovery compacts
-    /// the file through the tmp-then-rename discipline, which drops any
-    /// torn tail a crash left behind — so later appends never concatenate
-    /// onto half a line.
+    /// the file through [`write_atomic`], which drops any torn tail a
+    /// crash left behind — so later appends never concatenate onto half a
+    /// line.
     fn open(dir: &Path, digest: u64) -> io::Result<(SweepJournal, HashMap<u64, ItemPayload>)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{digest:016x}.jsonl"));
@@ -1892,23 +1796,14 @@ impl SweepJournal {
                 }
             }
             if !items.is_empty() {
-                let tmp = path.with_extension("jsonl.tmp");
-                let compact = || -> io::Result<()> {
-                    let mut f = File::create(&tmp)?;
+                write_atomic(&path, |f| {
                     let mut seqs: Vec<&u64> = items.keys().collect();
                     seqs.sort();
                     for &seq in seqs {
                         writeln!(f, "{}", journal_line(digest, seq, &items[&seq]))?;
                     }
-                    f.sync_all()?;
-                    std::fs::rename(&tmp, &path)?;
-                    sync_parent_dir(&path);
                     Ok(())
-                };
-                if let Err(e) = compact() {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e);
-                }
+                })?;
             } else {
                 let _ = std::fs::remove_file(&path);
             }
@@ -2169,7 +2064,8 @@ impl Client {
     /// Sends one request line and collects its verified response lines.
     /// On failure the error reports the attempts actually consumed.
     pub fn request(&mut self, line: &str) -> Result<Exchange, RequestFailed> {
-        let id = line_id(line).unwrap_or(0);
+        // The daemon trims the line before taking its id; so does the client.
+        let id = line_id(line.trim()).unwrap_or(0);
         let mut retries = 0u32;
         let mut last = ClientError::Io("no attempts made".to_owned());
         for attempt in 0..self.attempts {
@@ -2228,14 +2124,14 @@ impl Client {
             if resp.is_empty() {
                 continue;
             }
-            if !verify_sealed(resp) {
+            let Some(f) = unseal(resp) else {
                 return Err(ClientError::Torn);
-            }
-            if line_id(resp) != Some(id) {
+            };
+            if f.u64("id") != Some(id) {
                 continue; // leftover from an interrupted earlier exchange
             }
             lines.push(resp.to_owned());
-            if matches!(line_ev(resp), Some("resp" | "stats")) {
+            if matches!(f.str("ev"), Some("resp" | "stats")) {
                 return Ok(lines);
             }
         }
@@ -2567,6 +2463,28 @@ mod tests {
                 "{\"v\":1,\"ev\":\"req\",\"id\":1,\"op\":\"measure\"}",
                 ProtoError::MissingField("bench"),
             ),
+            // Not one well-formed object: a framing error, before the
+            // version is even read.
+            (
+                "{\"v\":1,\"ev\":\"req\",\"id\":1,\"op\":\"ping\",\"op\":\"shutdown\"}",
+                ProtoError::BadFrame,
+            ),
+            (
+                "{\"v\":1,\"ev\":\"req\",\"id\":1,\"id\":2,\"op\":\"ping\"}",
+                ProtoError::BadFrame,
+            ),
+            (
+                "{\"v\":1,\"ev\":\"req\",\"id\":1,\"op\":\"ping\",\"x\"}",
+                ProtoError::BadFrame,
+            ),
+            (
+                "{\"v\":1,\"ev\":\"req\",\"id\":1,\"op\":\"ping\" \"junk\"}",
+                ProtoError::BadFrame,
+            ),
+            (
+                "{\"v\":2,\"ev\":\"req\",\"id\":1,\"op\":\"ping\"}}",
+                ProtoError::BadFrame,
+            ),
         ];
         for (line, want) in cases {
             assert_eq!(parse_request(line).unwrap_err(), *want, "line: {line}");
@@ -2693,20 +2611,6 @@ mod tests {
             "per-connection state leaked after clients disconnected"
         );
         server.shutdown();
-    }
-
-    #[test]
-    fn seal_detects_tearing() {
-        let line = encode_ok(7);
-        assert!(verify_sealed(&line));
-        for cut in 0..line.len() {
-            assert!(
-                !verify_sealed(&line[..cut]),
-                "truncation at {cut} passed the seal"
-            );
-        }
-        let tampered = line.replace("\"status\":\"ok\"", "\"status\":\"er\"");
-        assert!(!verify_sealed(&tampered));
     }
 
     #[test]
@@ -2844,6 +2748,55 @@ mod tests {
     }
 
     #[test]
+    fn proto_errors_answer_with_the_request_id() {
+        let addr = temp_sock("proto");
+        let server = Server::start(
+            &ServerConfig::new(addr.clone()),
+            Arc::new(Orchestrator::default()),
+        )
+        .expect("server starts");
+        let mut client = Client::new(addr);
+        let (reader, writer) = client.connected().expect("connect");
+        // A well-formed line keeps its id in the error; a line that is not
+        // one object has no trustworthy id and is answered as id 0.
+        for (line, id) in [
+            ("{\"v\":1,\"ev\":\"req\",\"id\":7,\"op\":\"dance\"}\r", 7),
+            (
+                "{\"v\":1,\"ev\":\"req\",\"id\":8,\"op\":\"ping\",\"op\":\"stats\"}",
+                0,
+            ),
+        ] {
+            writer
+                .write_all(format!("{line}\n").as_bytes())
+                .and_then(|()| writer.flush())
+                .expect("send");
+            let mut buf = String::new();
+            reader.read_line(&mut buf).expect("read response");
+            let resp = buf.trim_end();
+            validate_response_line(resp).expect("sealed response");
+            assert_eq!(line_id(resp), Some(id), "{resp}");
+            assert!(resp.contains("\"code\":\"proto\""), "{resp}");
+        }
+        // A padded line is answered with its real id, and `Client` waits
+        // for that id. The timeout turns a wait for the wrong id into an
+        // error instead of a hang.
+        let (reader, _) = client.connected().expect("connect");
+        if let Stream::Unix(s) = reader.get_ref() {
+            s.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+        }
+        let padded = format!(" {}\r", encode_control(9, "ping"));
+        let ex = client
+            .with_attempts(1)
+            .request(&padded)
+            .expect("padded ping answered");
+        assert_eq!(ex.lines.len(), 1);
+        assert_eq!(line_id(&ex.lines[0]), Some(9), "{}", ex.lines[0]);
+        assert_eq!(line_status(&ex.lines[0]), Some("ok"), "{}", ex.lines[0]);
+        server.shutdown();
+    }
+
+    #[test]
     fn stop_is_idempotent_and_safe_under_races() {
         let addr = temp_sock("stop-twice");
         let server = Server::start(
@@ -2905,7 +2858,8 @@ mod tests {
         let line = encode_sweep_deadline(42, &spec("gcc"), &[0, 64, 128], 1);
         let ex = client.request(&line).expect("deadline answered");
         assert_eq!(line_status(ex.terminal()), Some("deadline"));
-        assert_eq!(field_str(ex.terminal(), "code"), Some("deadline"));
+        let fields = Fields::scan(ex.terminal()).expect("one object");
+        assert_eq!(fields.str("code"), Some("deadline"));
         server.shutdown();
     }
 
@@ -3059,13 +3013,5 @@ mod tests {
             let _ = parse_request(&line); // must not panic
         }
 
-        #[test]
-        fn prop_seal_rejects_any_truncation(id in 0u64..1_000_000) {
-            let line = encode_shed(id);
-            prop_assert!(verify_sealed(&line));
-            for cut in (0..line.len()).step_by(7) {
-                prop_assert!(!verify_sealed(&line[..cut]));
-            }
-        }
     }
 }

@@ -53,7 +53,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::jsonl::{field, field_str, field_u64};
+use crate::jsonl::{self, Fields};
 
 /// Version stamp written on every trace line. Bump it whenever a field is
 /// added, removed or reinterpreted; readers skip lines from foreign
@@ -659,49 +659,69 @@ pub enum TraceLine {
     Metrics(Vec<(String, u64)>),
 }
 
+impl TraceLine {
+    /// The line's JSONL text (no trailing newline); [`parse_line`]
+    /// inverts it.
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        match self {
+            TraceLine::Start { label, clock_us } => format!(
+                "{{\"v\":{TRACE_VERSION},\"ev\":\"trace_start\",\"label\":\"{label}\",\"clock_us\":{clock_us}}}"
+            ),
+            TraceLine::Event(e) => e.to_line(),
+            TraceLine::Metrics(counters) => {
+                let counters = counters
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\":{v}"))
+                    .collect::<Vec<_>>()
+                    .join(",");
+                format!("{{\"v\":{TRACE_VERSION},\"ev\":\"metrics\",\"counters\":{{{counters}}}}}")
+            }
+        }
+    }
+}
+
 /// Parses one trace line. Returns `None` for blank lines, foreign
 /// versions and anything else this writer did not produce.
 #[must_use]
 pub fn parse_line(line: &str) -> Option<TraceLine> {
-    if line.trim().is_empty() || field_u64(line, "v")? != TRACE_VERSION {
+    let f = Fields::scan(line)?;
+    if f.u64("v")? != TRACE_VERSION {
         return None;
     }
-    match field_str(line, "ev")? {
+    match f.str("ev")? {
         "trace_start" => Some(TraceLine::Start {
-            label: field_str(line, "label")?.to_owned(),
-            clock_us: field_u64(line, "clock_us")?,
+            label: f.str("label")?.to_owned(),
+            clock_us: f.u64("clock_us")?,
         }),
         "span" => {
-            let name = *SPAN_NAMES
-                .iter()
-                .find(|n| **n == field_str(line, "name").unwrap_or(""))?;
+            let name = *SPAN_NAMES.iter().find(|n| Some(**n) == f.str("name"))?;
             Some(TraceLine::Event(TraceEvent::Span(SpanEvent {
-                id: field_u64(line, "id")?,
-                parent: field_u64(line, "parent")?,
+                id: f.u64("id")?,
+                parent: f.u64("parent")?,
                 name,
-                scope: field_str(line, "scope")?.to_owned(),
-                bench: field_str(line, "bench")?.to_owned(),
-                worker: field_u64(line, "worker")?,
-                key: field_u64(line, "key")?,
-                outcome: match field_str(line, "outcome")? {
+                scope: f.str("scope")?.to_owned(),
+                bench: f.str("bench")?.to_owned(),
+                worker: f.u64("worker")?,
+                key: f.u64("key")?,
+                outcome: match f.str("outcome")? {
                     "" => None,
                     s => Some(CacheOutcome::parse(s)?),
                 },
-                start_us: field_u64(line, "start_us")?,
-                dur_us: field_u64(line, "dur_us")?,
+                start_us: f.u64("start_us")?,
+                dur_us: f.u64("dur_us")?,
             })))
         }
         "cache" => Some(TraceLine::Event(TraceEvent::Cache(CacheEvent {
-            outcome: CacheOutcome::parse(field_str(line, "outcome")?)?,
-            key: field_u64(line, "key")?,
-            bench: field_str(line, "bench")?.to_owned(),
-            scope: field_str(line, "scope")?.to_owned(),
-            worker: field_u64(line, "worker")?,
-            t_us: field_u64(line, "t_us")?,
+            outcome: CacheOutcome::parse(f.str("outcome")?)?,
+            key: f.u64("key")?,
+            bench: f.str("bench")?.to_owned(),
+            scope: f.str("scope")?.to_owned(),
+            worker: f.u64("worker")?,
+            t_us: f.u64("t_us")?,
         }))),
         "profile" => {
-            let raw = field(line, "entries")?;
-            let inner = raw.strip_prefix('[')?.strip_suffix(']')?;
+            let inner = f.array("entries")?;
             let mut entries = Vec::new();
             if !inner.is_empty() {
                 for part in inner.split("],[") {
@@ -714,30 +734,25 @@ pub fn parse_line(line: &str) -> Option<TraceLine> {
                 }
             }
             Some(TraceLine::Event(TraceEvent::Profile(ProfileEvent {
-                span: field_u64(line, "span")?,
-                bench: field_str(line, "bench")?.to_owned(),
-                scope: field_str(line, "scope")?.to_owned(),
+                span: f.u64("span")?,
+                bench: f.str("bench")?.to_owned(),
+                scope: f.str("scope")?.to_owned(),
                 entries,
             })))
         }
         "fault" => Some(TraceLine::Event(TraceEvent::Fault(FaultEvent {
-            kind: FaultKind::parse(field_str(line, "kind")?)?,
-            site: field_str(line, "site")?.to_owned(),
-            scope: field_str(line, "scope")?.to_owned(),
-            worker: field_u64(line, "worker")?,
-            t_us: field_u64(line, "t_us")?,
+            kind: FaultKind::parse(f.str("kind")?)?,
+            site: f.str("site")?.to_owned(),
+            scope: f.str("scope")?.to_owned(),
+            worker: f.u64("worker")?,
+            t_us: f.u64("t_us")?,
         }))),
         "metrics" => {
-            let raw = field(line, "counters")?;
-            let inner = raw.strip_prefix('{')?.strip_suffix('}')?;
-            let mut counters = Vec::new();
-            if !inner.is_empty() {
-                for part in inner.split(',') {
-                    let (name, value) = part.split_once(':')?;
-                    let name = name.strip_prefix('"')?.strip_suffix('"')?;
-                    counters.push((name.to_owned(), value.parse().ok()?));
-                }
-            }
+            let counters = f
+                .object("counters")?
+                .pairs()
+                .map(|(name, value)| Some((name.to_owned(), value.parse().ok()?)))
+                .collect::<Option<_>>()?;
             Some(TraceLine::Metrics(counters))
         }
         _ => None,
@@ -751,7 +766,9 @@ pub fn parse_line(line: &str) -> Option<TraceLine> {
 ///
 /// Returns a description of the first deviation.
 pub fn validate_line(line: &str) -> Result<(), String> {
-    let parsed = parse_line(line).ok_or_else(|| format!("unparsable line: {line}"))?;
+    let (Some(fields), Some(parsed)) = (Fields::scan(line), parse_line(line)) else {
+        return Err(format!("unparsable line: {line}"));
+    };
     let expected: &[&str] = match parsed {
         TraceLine::Start { .. } => START_FIELDS,
         TraceLine::Event(TraceEvent::Span(_)) => SPAN_FIELDS,
@@ -760,73 +777,10 @@ pub fn validate_line(line: &str) -> Result<(), String> {
         TraceLine::Event(TraceEvent::Fault(_)) => FAULT_FIELDS,
         TraceLine::Metrics(_) => METRICS_FIELDS,
     };
-    let seen = top_level_keys(line).ok_or_else(|| format!("malformed field structure: {line}"))?;
-    if seen != expected {
-        return Err(format!(
-            "fields {seen:?} do not match schema {expected:?}: {line}"
-        ));
+    if !fields.keys_are(expected) {
+        return Err(format!("fields do not match schema {expected:?}: {line}"));
     }
     Ok(())
-}
-
-/// The top-level field names of one record line, in order. Walks the
-/// object structurally — string values are skipped to their closing
-/// quote, array/object values bracket-depth-matched — so nested keys
-/// (the metrics counter object) and string values never masquerade as
-/// fields. Exact for lines this writer produces (values contain no
-/// escaped quotes); returns `None` on anything structurally foreign.
-fn top_level_keys(line: &str) -> Option<Vec<&str>> {
-    let inner = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let b = inner.as_bytes();
-    let mut keys = Vec::new();
-    let mut i = 0usize;
-    loop {
-        if *b.get(i)? != b'"' {
-            return None;
-        }
-        let start = i + 1;
-        let end = start + inner[start..].find('"')?;
-        keys.push(&inner[start..end]);
-        i = end + 1;
-        if *b.get(i)? != b':' {
-            return None;
-        }
-        i += 1;
-        match b.get(i)? {
-            b'"' => {
-                let vstart = i + 1;
-                i = vstart + inner[vstart..].find('"')? + 1;
-            }
-            b'[' | b'{' => {
-                let mut depth = 0usize;
-                loop {
-                    match b.get(i)? {
-                        b'[' | b'{' => depth += 1,
-                        b']' | b'}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
-            _ => {
-                while i < b.len() && b[i] != b',' {
-                    i += 1;
-                }
-            }
-        }
-        match b.get(i) {
-            None => break,
-            Some(b',') => i += 1,
-            _ => return None,
-        }
-    }
-    Some(keys)
 }
 
 /// The trace schema as a stable, human-readable description — the golden
@@ -863,54 +817,33 @@ pub fn schema() -> String {
     out
 }
 
-/// Drains the buffered events and writes the complete trace file:
-/// a `trace_start` header, every event, and a final `metrics` record
-/// merging the [`metrics`] global with `extra_metrics` (the exporter
-/// passes the orchestrator's snapshot). The file is written to a sibling
-/// temp path, fsynced, and renamed into place (the temp file is removed
-/// if any step fails, and the parent directory is fsynced after the
-/// rename, so a crash leaves either the old file or the new one — never
-/// a torn or orphaned temp). Returns the number of event lines.
+/// Drains the buffered events and atomically (`jsonl::write_atomic`)
+/// writes the trace file: a `trace_start` header, every event, and a
+/// `metrics` record merging the [`metrics`] global with `extra_metrics`
+/// (the orchestrator's snapshot). Returns the number of event lines.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from writing or renaming.
 pub fn export(path: &Path, label: &str, extra_metrics: &[(String, u64)]) -> std::io::Result<usize> {
     let events = drain();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension("tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        writeln!(
-            f,
-            "{{\"v\":{TRACE_VERSION},\"ev\":\"trace_start\",\"label\":\"{label}\",\"clock_us\":{}}}",
-            now_us()
-        )?;
+    jsonl::write_atomic(path, |f| {
+        let start = TraceLine::Start {
+            label: label.to_owned(),
+            clock_us: now_us(),
+        };
+        writeln!(f, "{}", start.to_line())?;
         for e in &events {
             writeln!(f, "{}", e.to_line())?;
         }
         let mut merged: BTreeMap<String, u64> = metrics().snapshot().into_iter().collect();
         merged.extend(extra_metrics.iter().cloned());
-        let counters = merged
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
         writeln!(
             f,
-            "{{\"v\":{TRACE_VERSION},\"ev\":\"metrics\",\"counters\":{{{counters}}}}}"
-        )?;
-        f.flush()?;
-        f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        std::fs::rename(&tmp, path)
-    };
-    if let Err(e) = write() {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    crate::jsonl::sync_parent_dir(path);
+            "{}",
+            TraceLine::Metrics(merged.into_iter().collect()).to_line()
+        )
+    })?;
     Ok(events.len())
 }
 
@@ -1003,6 +936,21 @@ mod tests {
         assert_eq!(parse_line("{\"v\":99,\"ev\":\"span\"}"), None);
         assert_eq!(parse_line("{\"v\":1,\"ev\":\"mystery\"}"), None);
         assert!(validate_line("{\"v\":1,\"ev\":\"mystery\"}").is_err());
+        // A duplicate key makes a line foreign, whichever copy a reader
+        // would have picked.
+        let cache = TraceEvent::Cache(CacheEvent {
+            outcome: CacheOutcome::Hit,
+            key: 7,
+            bench: "mcf".into(),
+            scope: "fig1".into(),
+            worker: 1,
+            t_us: 5,
+        })
+        .to_line();
+        assert!(parse_line(&cache).is_some());
+        let duplicated = cache.replace("\"worker\":1", "\"key\":8,\"worker\":1");
+        assert_eq!(parse_line(&duplicated), None, "{duplicated}");
+        assert!(validate_line(&duplicated).is_err());
     }
 
     #[test]
