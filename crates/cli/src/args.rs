@@ -81,6 +81,8 @@ options (serve/client/loadgen):
   --seed <n>                   (loadgen) master seed         [default 1]
 
 environment:
+  BIASLAB_CACHE_CAP=<n>        cap the in-memory measurement cache at n
+                               records, evicting the oldest first
   BIASLAB_FAULTS=<spec>        deterministic fault injection, e.g.
                                seed=7,save.io=0.5,leader.panic=@1
   BIASLAB_RESULTS_DIR=<dir>    relocate results/ (measurements, traces)";
@@ -188,8 +190,9 @@ pub struct ClientArgs {
     pub opt: OptLevel,
     /// Link order.
     pub order: LinkOrder,
-    /// Environment size in bytes (0 = empty).
-    pub env_bytes: u32,
+    /// Environment size in bytes (0 = empty), sent as given: the daemon
+    /// validates it.
+    pub env_bytes: u64,
     /// Input size.
     pub size: InputSize,
     /// Instruction-budget override (0 keeps the machine default).
@@ -334,12 +337,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 machine,
                 opt: parse_opt(get("--opt").unwrap_or("O2"))?,
                 order: parse_order(get("--order").unwrap_or("default"))?,
-                env_bytes: num("--env", 0)? as u32,
+                env_bytes: num("--env", 0)?,
                 size: parse_size(get("--size").unwrap_or("test"))?,
                 budget: num("--budget", 0)?,
                 id: num("--id", 1)?,
                 envs,
-                attempts: num("--attempts", 4)? as u32,
+                attempts: u32::try_from(num("--attempts", 4)?)
+                    .map_err(|e| format!("bad --attempts: {e}"))?,
                 deadline_ms: num("--deadline", 0)?,
                 drain,
             }))
@@ -397,10 +401,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     bench,
                     opt,
                     machine,
-                    env_bytes: get("--env")
-                        .map(|v| v.parse::<u32>().map_err(|_| format!("bad --env `{v}`")))
-                        .transpose()?
-                        .unwrap_or(0),
+                    env_bytes: get("--env").map(parse_env).transpose()?.unwrap_or(0),
                     order: parse_order(get("--order").unwrap_or("default"))?,
                     size,
                     profile: rest.iter().any(|a| a.as_str() == "--profile"),
@@ -409,6 +410,19 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         other => Err(format!("unknown command `{other}`")),
     }
+}
+
+/// A `run --env` size: exactly the sizes a daemon request may carry
+/// ([`biaslab_core::serve::env_in_range`]), so an unplaceable size is an
+/// error here instead of a silent default or a huge fill string.
+fn parse_env(v: &str) -> Result<u32, String> {
+    v.parse::<u64>()
+        .ok()
+        .filter(|&b| biaslab_core::serve::env_in_range(b))
+        .and_then(|b| u32::try_from(b).ok())
+        .ok_or_else(|| {
+            format!("bad --env `{v}` (0, or a size from 23 bytes up to what the loader can place)")
+        })
 }
 
 fn parse_opt(s: &str) -> Result<OptLevel, String> {
@@ -507,6 +521,19 @@ mod tests {
         assert!(parse(&argv("run x --machine vax")).is_err());
         assert!(parse(&argv("run x --order rand:zzz")).is_err());
         assert!(parse(&argv("run x --env lots")).is_err());
+        // `run --env` takes exactly the sizes a daemon request may carry:
+        // none is dropped to the default or allocated before the loader
+        // refuses it.
+        assert!(parse(&argv("run x --env 10")).is_err());
+        assert!(parse(&argv("run x --env 22")).is_err());
+        assert!(parse(&argv("run x --env 524289")).is_err());
+        assert!(parse(&argv("run x --env 100000000")).is_err());
+        for good in [0, 23, 524_288] {
+            let Command::Run(a) = parse(&argv(&format!("run x --env {good}"))).unwrap() else {
+                panic!("expected run")
+            };
+            assert_eq!(a.env_bytes, good);
+        }
         assert!(parse(&[]).is_err());
     }
 
@@ -625,6 +652,18 @@ mod tests {
         assert!(!a.drain);
         assert!(parse(&argv("client shutdown --mode later")).is_err());
         assert!(parse(&argv("serve --drain-timeout soon")).is_err());
+
+        // The client sends `--env` unchanged, so the daemon rejects an
+        // out-of-range size instead of receiving a narrowed one.
+        for env in [4_294_967_296u64, 4_294_967_319] {
+            let Command::Client(a) =
+                parse(&argv(&format!("client measure hmmer --env {env}"))).unwrap()
+            else {
+                panic!("expected client")
+            };
+            assert_eq!(a.env_bytes, env);
+        }
+        assert!(parse(&argv("client ping --attempts 4294967296")).is_err());
     }
 
     #[test]

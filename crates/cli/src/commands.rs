@@ -100,7 +100,7 @@ fn client_cmd(a: &ClientArgs) -> Result<(), String> {
                 order: a.order,
                 text_offset: 0,
                 stack_shift: 0,
-                env: u64::from(a.env_bytes),
+                env: a.env_bytes,
                 size: a.size,
                 budget: a.budget,
             };
@@ -193,7 +193,7 @@ fn run_bench(args: &RunArgs) -> Result<(), String> {
     let machine_config = parse_machine(&args.machine)?;
     let mut setup = ExperimentSetup::default_on(machine_config.clone(), args.opt);
     setup.link_order = args.order;
-    if args.env_bytes >= 23 {
+    if args.env_bytes != 0 {
         setup.env = Environment::of_total_size(args.env_bytes);
     }
 

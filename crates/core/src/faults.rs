@@ -344,12 +344,22 @@ fn unit(h: u64) -> f64 {
     (mix(h) >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// Whether `site`, scheduled with `trigger` under `seed`, fires on its
+/// `hit`-th hit (0-based). A pure function of its arguments: this is the
+/// whole determinism contract, so one spec yields one fire-set per site
+/// on every run.
+fn decides(seed: u64, site: &str, trigger: Trigger, hit: u64) -> bool {
+    match trigger {
+        Trigger::Nth(k) => hit + 1 == k,
+        Trigger::Prob(p) => unit(fnv64(&format!("{seed}:{site}:{hit}"))) < p,
+    }
+}
+
 /// Evaluates one hit of `site` against the installed schedule: advances
-/// the site's hit counter and decides, deterministically in
-/// `(seed, site, hit index)`, whether the fault fires. Counts every fire
-/// in `fault.injected.<site>` and emits a trace event when telemetry is
-/// on. Always `false` when no schedule is installed or the site is not
-/// scheduled.
+/// the site's hit counter and asks `decides` whether the fault fires.
+/// Counts every fire in `fault.injected.<site>` and emits a trace event
+/// when telemetry is on. Always `false` when no schedule is installed or
+/// the site is not scheduled.
 #[must_use]
 pub fn fire(site: &str) -> bool {
     if !active() {
@@ -362,10 +372,7 @@ pub fn fire(site: &str) -> bool {
         return false;
     };
     let n = hits.fetch_add(1, Ordering::Relaxed);
-    let fired = match *trigger {
-        Trigger::Nth(k) => n + 1 == k,
-        Trigger::Prob(p) => unit(fnv64(&format!("{}:{site}:{n}", installed.seed))) < p,
-    };
+    let fired = decides(installed.seed, site, *trigger, n);
     if fired {
         telemetry::metrics()
             .counter(&format!("fault.injected.{site}"))
@@ -521,11 +528,12 @@ mod tests {
         );
     }
 
-    /// The determinism contract: one spec produces one fire-set, so a
-    /// failure under `BIASLAB_FAULTS=<spec>` replays exactly.
-    fn fire_set(spec: &FaultSpec, site: &str, hits: usize) -> Vec<bool> {
-        let _guard = scoped(spec);
-        (0..hits).map(|_| fire(site)).collect()
+    /// The decisions for a site's first `hits` hits. Checked on the pure
+    /// [`decides`], not through [`fire`]: the installed schedule and its
+    /// hit counters are process-global, and other tests fire sites while
+    /// one is installed.
+    fn fire_set(seed: u64, site: &str, trigger: Trigger, hits: u64) -> Vec<bool> {
+        (0..hits).map(|n| decides(seed, site, trigger, n)).collect()
     }
 
     proptest! {
@@ -535,10 +543,9 @@ mod tests {
             p_mille in 0u64..=1000,
             s in select(site::ALL.to_vec()),
         ) {
-            let p = p_mille as f64 / 1000.0;
-            let spec = FaultSpec { seed, ..FaultSpec::default() }.with(s, Trigger::Prob(p));
-            let first = fire_set(&spec, s, 64);
-            let second = fire_set(&spec, s, 64);
+            let trigger = Trigger::Prob(p_mille as f64 / 1000.0);
+            let first = fire_set(seed, s, trigger, 64);
+            let second = fire_set(seed, s, trigger, 64);
             prop_assert_eq!(first, second, "same spec, same schedule");
         }
 
@@ -549,10 +556,27 @@ mod tests {
         ) {
             // With p=0.5 over 64 hits, two different seeds agreeing on
             // every decision is a 2^-64 event — treat it as failure.
-            let a = FaultSpec { seed, ..FaultSpec::default() }.with(s, Trigger::Prob(0.5));
-            let b = FaultSpec { seed: seed.wrapping_add(1), ..FaultSpec::default() }
-                .with(s, Trigger::Prob(0.5));
-            prop_assert_ne!(fire_set(&a, s, 64), fire_set(&b, s, 64));
+            let half = Trigger::Prob(0.5);
+            prop_assert_ne!(
+                fire_set(seed, s, half, 64),
+                fire_set(seed.wrapping_add(1), s, half, 64)
+            );
+        }
+
+        #[test]
+        fn probability_triggers_fire_at_their_rate(
+            seed in 0u64..1_000_000,
+            p_mille in 0u64..=1000,
+            s in select(site::ALL.to_vec()),
+        ) {
+            // Per-hit decisions must be independent draws: a hash that
+            // spread the hit index poorly would fire in long runs, far
+            // from `p` over a window (one standard deviation here is at
+            // most 0.008).
+            let p = p_mille as f64 / 1000.0;
+            let fires = fire_set(seed, s, Trigger::Prob(p), 4096);
+            let rate = fires.iter().filter(|&&f| f).count() as f64 / 4096.0;
+            prop_assert!((rate - p).abs() <= 0.05, "seed {seed}, {s}: rate {rate} for p={p}");
         }
 
         #[test]

@@ -11,18 +11,19 @@
 //!   timing-relevant setup factor (benchmark, machine configuration,
 //!   optimization level, link order, text offset, stack shift, environment,
 //!   input size);
+//! - **one measurement protocol**: [`Orchestrator::measure`] and every
+//!   worker of [`Orchestrator::sweep`] take a key through the same
+//!   single-flight leader/waiter loop, so the cache never runs the same
+//!   simulation twice, however callers overlap;
 //! - **work-stealing parallel execution** over the deduplicated set of
 //!   uncached setups;
 //! - a **capacity bound**: the cache can be capped (oldest-record-first
 //!   eviction) via [`Orchestrator::set_cache_cap`] or, for the global
 //!   instance, the `BIASLAB_CACHE_CAP` environment variable — evictions
 //!   are counted in the instrumentation, and results never depend on
-//!   retention. Storage is split into N shards keyed by the
-//!   [`MeasureKey::digest`] (`BIASLAB_CACHE_SHARDS`, default
-//!   [`DEFAULT_CACHE_SHARDS`]) so concurrent sweep workers and
-//!   `biaslab serve` threads do not serialize on one map lock; the cap
-//!   and FIFO order stay global, so the shard count never changes what
-//!   is evicted;
+//!   retention. Records, their FIFO order, the cap and the in-flight
+//!   cells sit behind one lock, held only for map bookkeeping, never
+//!   across a simulation;
 //! - **persistence**: records round-trip through a JSON-lines file under
 //!   `results/`, so an interrupted `repro all` resumes instead of
 //!   restarting;
@@ -45,7 +46,7 @@
 //! never go through the cache: their later repetitions depend on machine
 //! state, not just the setup.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -217,8 +218,8 @@ pub struct OrchestratorStats {
     pub hits: u64,
     /// Measurement requests that missed the cache.
     pub misses: u64,
-    /// Simulations actually run (≤ `misses`: duplicate requests within one
-    /// sweep simulate once).
+    /// Simulations actually run (≤ `misses`: single-flight simulates each
+    /// key once, however many requests for it overlap).
     pub simulated: u64,
     /// Records restored from a persisted results file.
     pub loaded: u64,
@@ -306,11 +307,7 @@ impl fmt::Display for OrchestratorStats {
 #[derive(Debug)]
 pub struct Orchestrator {
     harnesses: Mutex<HashMap<String, Arc<Harness>>>,
-    cache: ShardedCache,
-    /// Keys a [`Orchestrator::measure`] leader is currently simulating.
-    /// Concurrent requesters of the same key wait on the leader's cell
-    /// (single-flight) instead of re-simulating; they count as hits.
-    inflight: Mutex<HashMap<MeasureKey, Arc<InflightCell>>>,
+    cache: Mutex<Cache>,
     /// The instrumentation registry. [`OrchestratorStats`] is a typed
     /// snapshot of it; the handles below are the same counters, held so
     /// hot paths skip the by-name lookup. Per-instance on purpose:
@@ -337,24 +334,10 @@ pub struct Orchestrator {
 
 impl Default for Orchestrator {
     fn default() -> Orchestrator {
-        Orchestrator::with_cache_shards(DEFAULT_CACHE_SHARDS)
-    }
-}
-
-impl Orchestrator {
-    /// An orchestrator whose measurement cache is split into `shards`
-    /// shards (clamped to at least one). [`Orchestrator::new`] uses
-    /// [`DEFAULT_CACHE_SHARDS`]; the global instance reads
-    /// `BIASLAB_CACHE_SHARDS`. The shard count is a concurrency knob
-    /// only — cap, eviction order and eviction counts are identical at
-    /// any value.
-    #[must_use]
-    pub fn with_cache_shards(shards: usize) -> Orchestrator {
         let metrics = MetricsRegistry::new();
         Orchestrator {
             harnesses: Mutex::default(),
-            cache: ShardedCache::new(shards),
-            inflight: Mutex::default(),
+            cache: Mutex::default(),
             hits: metrics.counter("orch.hits"),
             misses: metrics.counter("orch.misses"),
             simulated: metrics.counter("orch.simulated"),
@@ -417,14 +400,15 @@ impl Drop for LeaderGuard<'_> {
         if !self.armed {
             return;
         }
-        self.orch.inflight.lock().remove(self.key);
+        self.orch.cache.lock().inflight.remove(self.key);
         *lock_unpoisoned(&self.cell.state) = CellState::Abandoned;
         self.cell.ready.notify_all();
     }
 }
 
-/// A deadline-bounded request ([`Orchestrator::measure_deadline`]) ran out
-/// of wall-clock time before a result was available. Distinct from every
+/// A deadline-bounded request ([`Orchestrator::measure_deadline`], or one
+/// item of [`Orchestrator::sweep_deadline`]) ran out of wall-clock time
+/// before a result was available. Distinct from every
 /// [`MeasureError`]: the measurement itself neither ran nor failed, so
 /// nothing is cached and a later request can still succeed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -438,162 +422,64 @@ impl fmt::Display for DeadlineExceeded {
 
 impl std::error::Error for DeadlineExceeded {}
 
-/// How many shards [`Orchestrator::new`] splits the measurement cache
-/// into. Sweep workers and `biaslab serve` worker threads publish
-/// concurrently; sharding keeps their map accesses from serializing on
-/// one lock while the cheap FIFO bookkeeping stays global.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
-/// The measurement cache with an optional FIFO capacity bound, split
-/// into N shards keyed by the [`MeasureKey::digest`].
+/// Everything the orchestrator's one cache lock guards: the records,
+/// their FIFO insertion order, the capacity bound and the in-flight
+/// cells. Keeping them under one lock means a requester sees either a
+/// cached record or an in-flight cell for a key, never a gap between
+/// them, with no lock order to get wrong. The lock is held only for map
+/// bookkeeping, never across a simulation.
 ///
-/// Record storage is per-shard (`shards[digest % N]`), so concurrent
-/// lookups and publishes to different keys do not contend. The capacity
-/// policy stays **global**: one insertion-order queue and one cap in
-/// `meta`, exactly the semantics the unsharded cache had — eviction is
-/// oldest-record-first across the whole cache, never per shard, so
-/// `BIASLAB_CACHE_CAP` means the same number of records at any shard
-/// count (a pinned regression test holds eviction counts identical for
-/// 1, 2 and 8 shards on a deterministic workload).
-///
-/// Lock order is shard → meta → (victim shards), with each lock released
-/// before the next class is taken — an insert never holds its shard lock
-/// while removing a victim, so two shards are never held at once.
 /// Correctness never depends on retention: [`Orchestrator::measure`] and
 /// [`Orchestrator::sweep`] hand results back directly, so an evicted
 /// record only costs a re-simulation if it is requested again.
-#[derive(Debug)]
-struct ShardedCache {
-    shards: Vec<Mutex<HashMap<MeasureKey, Result<Measurement, MeasureError>>>>,
-    meta: Mutex<CacheMeta>,
-}
-
-/// The global part of the capacity policy (see [`ShardedCache`]).
 #[derive(Debug, Default)]
-struct CacheMeta {
-    /// Insertion order of every key across all shards (FIFO eviction
-    /// queue).
+struct Cache {
+    records: HashMap<MeasureKey, Result<Measurement, MeasureError>>,
+    /// Insertion order of every record (the FIFO eviction queue).
     order: VecDeque<MeasureKey>,
-    /// Total records across all shards. Tracked here so eviction never
-    /// has to lock every shard to count.
-    len: usize,
     /// Maximum records to retain; `None` is unbounded.
     cap: Option<usize>,
+    /// Keys a single-flight leader is currently simulating. Concurrent
+    /// requesters of the same key wait on the leader's cell instead of
+    /// re-simulating.
+    inflight: HashMap<MeasureKey, Arc<InflightCell>>,
 }
 
-impl CacheMeta {
-    /// Pops oldest keys until the cap is respected. The caller removes
-    /// the returned victims from their shards after releasing this lock.
-    fn pop_over_cap(&mut self) -> Vec<MeasureKey> {
+impl Cache {
+    /// Inserts a record, evicting oldest-first while over the cap, and
+    /// returns the evicted keys so the caller can account for each one
+    /// after releasing the lock. Replacing an existing key keeps its
+    /// original insertion-order entry.
+    fn insert(
+        &mut self,
+        key: MeasureKey,
+        value: Result<Measurement, MeasureError>,
+    ) -> Vec<MeasureKey> {
+        use std::collections::hash_map::Entry;
+        match self.records.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let _ = slot.insert(value);
+                return Vec::new();
+            }
+            Entry::Vacant(slot) => {
+                self.order.push_back(slot.key().clone());
+                slot.insert(value);
+            }
+        }
+        self.evict_over_cap()
+    }
+
+    /// Drops oldest records until the cap is respected.
+    fn evict_over_cap(&mut self) -> Vec<MeasureKey> {
         let mut victims = Vec::new();
-        while self.cap.is_some_and(|cap| self.len > cap) {
+        while self.cap.is_some_and(|cap| self.records.len() > cap) {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
-            self.len -= 1;
+            self.records.remove(&oldest);
             victims.push(oldest);
         }
         victims
-    }
-}
-
-impl Default for ShardedCache {
-    fn default() -> ShardedCache {
-        ShardedCache::new(DEFAULT_CACHE_SHARDS)
-    }
-}
-
-impl ShardedCache {
-    fn new(shards: usize) -> ShardedCache {
-        ShardedCache {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
-            meta: Mutex::default(),
-        }
-    }
-
-    fn shard(
-        &self,
-        key: &MeasureKey,
-    ) -> &Mutex<HashMap<MeasureKey, Result<Measurement, MeasureError>>> {
-        &self.shards[(key.digest() as usize) % self.shards.len()]
-    }
-
-    fn get(&self, key: &MeasureKey) -> Option<Result<Measurement, MeasureError>> {
-        self.shard(key).lock().get(key).cloned()
-    }
-
-    fn contains_key(&self, key: &MeasureKey) -> bool {
-        self.shard(key).lock().contains_key(key)
-    }
-
-    fn len(&self) -> usize {
-        self.meta.lock().len
-    }
-
-    fn cap(&self) -> Option<usize> {
-        self.meta.lock().cap
-    }
-
-    fn set_cap(&self, cap: Option<usize>) -> Vec<MeasureKey> {
-        let victims = {
-            let mut meta = self.meta.lock();
-            meta.cap = cap;
-            meta.pop_over_cap()
-        };
-        self.remove_victims(&victims);
-        victims
-    }
-
-    /// Inserts a record, evicting oldest-first while over the cap. Returns
-    /// the evicted keys (empty in the common case — no allocation) so the
-    /// caller can account for each one. Replacing an existing key keeps
-    /// its original insertion-order entry, as the unsharded cache did.
-    fn insert(&self, key: MeasureKey, value: Result<Measurement, MeasureError>) -> Vec<MeasureKey> {
-        use std::collections::hash_map::Entry;
-        let ordered = {
-            let mut shard = self.shard(&key).lock();
-            match shard.entry(key) {
-                Entry::Occupied(mut slot) => {
-                    let _ = slot.insert(value);
-                    return Vec::new();
-                }
-                Entry::Vacant(slot) => {
-                    let ordered = slot.key().clone();
-                    slot.insert(value);
-                    ordered
-                }
-            }
-        };
-        let victims = {
-            let mut meta = self.meta.lock();
-            meta.order.push_back(ordered);
-            meta.len += 1;
-            meta.pop_over_cap()
-        };
-        self.remove_victims(&victims);
-        victims
-    }
-
-    /// Removes evicted keys from their shards (meta already dropped them).
-    fn remove_victims(&self, victims: &[MeasureKey]) {
-        for v in victims {
-            self.shard(v).lock().remove(v);
-        }
-    }
-
-    /// The persistence lines of every successful record, shard by shard
-    /// (the caller sorts, so shard iteration order does not matter).
-    fn record_lines(&self) -> Vec<String> {
-        let mut lines = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            lines.extend(
-                shard
-                    .iter()
-                    .filter_map(|(k, r)| r.as_ref().ok().map(|m| record_line(k, m))),
-            );
-        }
-        lines
     }
 }
 
@@ -609,9 +495,7 @@ impl Orchestrator {
     ///
     /// Its cache cap comes from `BIASLAB_CACHE_CAP` at first use: a
     /// positive integer caps the in-memory record count, anything else
-    /// (or the variable being unset) leaves it unbounded. The cache
-    /// shard count comes from `BIASLAB_CACHE_SHARDS` the same way
-    /// (default [`DEFAULT_CACHE_SHARDS`]).
+    /// (or the variable being unset) leaves it unbounded.
     #[must_use]
     pub fn global() -> &'static Orchestrator {
         static GLOBAL: OnceLock<Orchestrator> = OnceLock::new();
@@ -619,17 +503,11 @@ impl Orchestrator {
     }
 
     /// A fresh orchestrator configured from the environment:
-    /// `BIASLAB_CACHE_SHARDS` picks the shard count (default
-    /// [`DEFAULT_CACHE_SHARDS`]), `BIASLAB_CACHE_CAP` bounds the cache.
-    /// [`Orchestrator::global`] and the serve daemon both start here.
+    /// `BIASLAB_CACHE_CAP` bounds the cache. [`Orchestrator::global`] and
+    /// the serve daemon both start here.
     #[must_use]
     pub fn from_env() -> Orchestrator {
-        let shards = std::env::var("BIASLAB_CACHE_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CACHE_SHARDS);
-        let orch = Orchestrator::with_cache_shards(shards);
+        let orch = Orchestrator::new();
         let cap = std::env::var("BIASLAB_CACHE_CAP")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -642,20 +520,18 @@ impl Orchestrator {
     /// unbounded, the default). Shrinking below the current size evicts
     /// oldest-first immediately.
     pub fn set_cache_cap(&self, cap: Option<usize>) {
-        let evicted = self.cache.set_cap(cap);
+        let evicted = {
+            let mut cache = self.cache.lock();
+            cache.cap = cap;
+            cache.evict_over_cap()
+        };
         self.note_evicted(&evicted);
     }
 
     /// The configured cache cap (`None` is unbounded).
     #[must_use]
     pub fn cache_cap(&self) -> Option<usize> {
-        self.cache.cap()
-    }
-
-    /// How many shards the measurement cache is split into.
-    #[must_use]
-    pub fn cache_shards(&self) -> usize {
-        self.cache.shards.len()
+        self.cache.lock().cap
     }
 
     /// The shared harness for a benchmark, or `None` for an unknown name.
@@ -708,11 +584,9 @@ impl Orchestrator {
         setup: &ExperimentSetup,
         size: InputSize,
     ) -> Result<Measurement, MeasureError> {
-        match self.measure_deadline(harness, setup, size, None) {
-            Ok(r) => r,
-            // With no deadline the request can only complete or unwind.
-            Err(DeadlineExceeded) => unreachable!("deadline error without a deadline"),
-        }
+        // With no deadline the request can only complete or unwind.
+        self.measure_deadline(harness, setup, size, None)
+            .unwrap_or_else(|DeadlineExceeded| unreachable!("no deadline"))
     }
 
     /// [`Orchestrator::measure`] bounded by a wall-clock deadline.
@@ -738,19 +612,19 @@ impl Orchestrator {
         deadline: Option<Instant>,
     ) -> Result<Result<Measurement, MeasureError>, DeadlineExceeded> {
         let key = MeasureKey::new(harness.benchmark().name(), setup, size);
-        if !telemetry::enabled() {
-            return self.measure_request(harness, setup, size, key, deadline).0;
+        let span = telemetry::enabled()
+            .then(|| telemetry::Span::open("measure", &key.bench).with_key(key.digest()));
+        let (r, outcome) = self.measure_request(harness, setup, size, &key, deadline, true);
+        if let Some(span) = span {
+            span.with_outcome(outcome).close();
         }
-        let span = telemetry::Span::open("measure", &key.bench).with_key(key.digest());
-        let (r, outcome) = self.measure_request(harness, setup, size, key, deadline);
-        span.with_outcome(outcome).close();
         r
     }
 
     /// The single-flight measurement protocol behind
-    /// [`Orchestrator::measure`]. Lock order is inflight → cache shard →
-    /// cache meta; [`Orchestrator::sweep`] takes cache locks alone, so
-    /// the order is acyclic.
+    /// [`Orchestrator::measure`] and every [`Orchestrator::sweep`] worker.
+    /// With `count` set, the request counts one hit or miss (a sweep
+    /// counts its requests in its lookup pass instead).
     ///
     /// The protocol is a loop because a leader can die: a waiter woken on
     /// an `Abandoned` cell goes around again and — finding neither a
@@ -766,8 +640,9 @@ impl Orchestrator {
         harness: &Harness,
         setup: &ExperimentSetup,
         size: InputSize,
-        key: MeasureKey,
+        key: &MeasureKey,
         deadline: Option<Instant>,
+        count: bool,
     ) -> (
         Result<Result<Measurement, MeasureError>, DeadlineExceeded>,
         CacheOutcome,
@@ -778,24 +653,24 @@ impl Orchestrator {
             Lead(Arc<InflightCell>),
         }
         let mut noted: Option<CacheOutcome> = None;
-        let mut note_once = |outcome: CacheOutcome| match noted {
-            Some(first) => first,
-            None => {
-                noted = Some(outcome);
-                self.note(outcome, &key);
+        let mut note_once = |outcome: CacheOutcome| {
+            *noted.get_or_insert_with(|| {
+                if count {
+                    self.note(outcome, key);
+                }
                 outcome
-            }
+            })
         };
         loop {
             let role = {
-                let mut inflight = self.inflight.lock();
-                if let Some(r) = self.cache.get(&key) {
-                    Role::Done(r)
-                } else if let Some(cell) = inflight.get(&key) {
+                let mut cache = self.cache.lock();
+                if let Some(r) = cache.records.get(key) {
+                    Role::Done(r.clone())
+                } else if let Some(cell) = cache.inflight.get(key) {
                     Role::Wait(cell.clone())
                 } else {
                     let cell = Arc::new(InflightCell::default());
-                    inflight.insert(key.clone(), cell.clone());
+                    cache.inflight.insert(key.clone(), cell.clone());
                     Role::Lead(cell)
                 }
             };
@@ -830,7 +705,7 @@ impl Orchestrator {
                     let outcome = note_once(CacheOutcome::Miss);
                     let mut guard = LeaderGuard {
                         orch: self,
-                        key: &key,
+                        key,
                         cell: &cell,
                         armed: true,
                     };
@@ -868,14 +743,14 @@ impl Orchestrator {
                         }
                     };
                     // Publish to the cache and retire the in-flight entry
-                    // under the inflight lock: a new requester sees either
+                    // in one critical section: a new requester sees either
                     // the cached record or the in-flight cell, never a gap
-                    // between them.
+                    // between them. This is the only place a measured
+                    // result enters the cache.
                     let evicted = {
-                        let mut inflight = self.inflight.lock();
-                        let evicted = self.cache.insert(key.clone(), r.clone());
-                        inflight.remove(&key);
-                        evicted
+                        let mut cache = self.cache.lock();
+                        cache.inflight.remove(key);
+                        cache.insert(key.clone(), r.clone())
                     };
                     guard.armed = false;
                     self.note_evicted(&evicted);
@@ -888,8 +763,8 @@ impl Orchestrator {
     }
 
     /// Runs one simulation with the watchdog and the orchestrator's
-    /// simulated/busy accounting (shared by the single-flight leader and
-    /// sweep workers; each call counts as one simulation).
+    /// simulated/busy accounting. Only the single-flight leader calls it;
+    /// each call counts as one simulation.
     ///
     /// The watchdog converts a runaway simulation — the machine's
     /// instruction budget exhausting ([`RunError::Budget`]), or an
@@ -936,9 +811,12 @@ impl Orchestrator {
     /// Measures many setups, preserving request order.
     ///
     /// Cached setups are recalled; the rest are deduplicated and distributed
-    /// over a work-stealing worker pool (so duplicate requests within one
-    /// sweep simulate exactly once). Results are per-setup so one failing
-    /// setup does not poison a sweep.
+    /// over a work-stealing worker pool. Each worker takes its key through
+    /// the same single-flight protocol as [`Orchestrator::measure`], so
+    /// duplicate requests within one sweep simulate exactly once, and a
+    /// key another caller is already simulating is waited for, not
+    /// re-simulated. Results are per-setup so one failing setup does not
+    /// poison a sweep.
     #[must_use]
     pub fn sweep(
         &self,
@@ -946,122 +824,125 @@ impl Orchestrator {
         setups: &[ExperimentSetup],
         size: InputSize,
     ) -> Vec<Result<Measurement, MeasureError>> {
+        self.sweep_deadline(harness, setups, size, None)
+            .into_iter()
+            // With no deadline every item can only complete or unwind.
+            .map(|r| r.unwrap_or_else(|DeadlineExceeded| unreachable!("no deadline")))
+            .collect()
+    }
+
+    /// [`Orchestrator::sweep`] bounded by a wall-clock deadline, which
+    /// every worker enforces per item exactly as
+    /// [`Orchestrator::measure_deadline`] does for one request: cached
+    /// setups come back `Ok` whenever the deadline passed, uncached ones
+    /// the deadline beat come back `Err(DeadlineExceeded)` without
+    /// simulating, and nothing of them is cached.
+    #[must_use]
+    pub fn sweep_deadline(
+        &self,
+        harness: &Harness,
+        setups: &[ExperimentSetup],
+        size: InputSize,
+        deadline: Option<Instant>,
+    ) -> Vec<Result<Result<Measurement, MeasureError>, DeadlineExceeded>> {
         let sweep_start = Instant::now();
         self.sweeps.add(1);
         let traced = telemetry::enabled();
-        let sweep_span = traced.then(|| telemetry::Span::open("sweep", harness.benchmark().name()));
         let bench = harness.benchmark().name();
+        let sweep_span = traced.then(|| telemetry::Span::open("sweep", bench));
         let keys: Vec<MeasureKey> = setups
             .iter()
             .map(|s| MeasureKey::new(bench, s, size))
             .collect();
 
-        // Split requests into cached and to-simulate. Results are
-        // collected directly (`out` / the work slots below), never
-        // re-read from the cache, so a capacity bound evicting mid-sweep
-        // cannot lose a requested measurement.
-        let mut work: Vec<(MeasureKey, ExperimentSetup)> = Vec::new();
-        let mut out: Vec<Option<Result<Measurement, MeasureError>>> =
-            Vec::with_capacity(keys.len());
-        // For each uncached request, `(request index, work index)`.
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut claimed: HashMap<&MeasureKey, usize> = HashMap::new();
-            for (i, (key, setup)) in keys.iter().zip(setups).enumerate() {
-                if let Some(r) = self.cache.get(key) {
-                    self.note(CacheOutcome::Hit, key);
-                    out.push(Some(r));
-                } else {
-                    self.note(CacheOutcome::Miss, key);
-                    let wi = *claimed.entry(key).or_insert_with(|| {
-                        work.push((key.clone(), setup.clone()));
-                        work.len() - 1
-                    });
-                    pending.push((i, wi));
-                    out.push(None);
+        // Lookup pass: one hit or miss per request; the first request of
+        // each uncached key becomes work. Results are collected directly,
+        // never re-read from the cache, so a capacity bound evicting
+        // mid-sweep cannot lose a requested measurement.
+        let hits: Vec<Option<Result<Measurement, MeasureError>>> = {
+            let cache = self.cache.lock();
+            keys.iter().map(|k| cache.records.get(k).cloned()).collect()
+        };
+        let mut work: Vec<(&MeasureKey, &ExperimentSetup)> = Vec::new();
+        let mut claimed: HashSet<&MeasureKey> = HashSet::new();
+        for ((key, setup), hit) in keys.iter().zip(setups).zip(&hits) {
+            if hit.is_some() {
+                self.note(CacheOutcome::Hit, key);
+            } else {
+                self.note(CacheOutcome::Miss, key);
+                if claimed.insert(key) {
+                    work.push((key, setup));
                 }
             }
         }
 
-        if !work.is_empty() {
-            // Pre-warm compilation serially: `Harness::compiled` serializes
-            // on a lock anyway, and warming here keeps workers measuring.
-            let mut warmed: Vec<OptLevel> = work.iter().map(|(k, _)| k.opt).collect();
-            warmed.sort_unstable();
-            warmed.dedup();
-            for level in warmed {
-                let _ = harness.compiled(level);
-            }
-
-            let threads = std::thread::available_parallelism()
-                .map_or(4, |n| n.get())
+        // Pre-warm compilation serially: `Harness::compiled` serializes
+        // on a lock anyway, and warming here keeps workers measuring.
+        let mut warmed: Vec<OptLevel> = work.iter().map(|(k, _)| k.opt).collect();
+        warmed.sort_unstable();
+        warmed.dedup();
+        for level in warmed {
+            let _ = harness.compiled(level);
+        }
+        // An all-hit sweep spawns no worker and skips the parallelism
+        // query, which std documents as potentially expensive (on Linux it
+        // consults cgroup quotas).
+        let threads = match work.len() {
+            0 => 0,
+            n => std::thread::available_parallelism()
+                .map_or(4, |p| p.get())
                 .min(16)
-                .min(work.len());
-            let slots: Vec<Mutex<Option<Result<Measurement, MeasureError>>>> =
-                (0..work.len()).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            // Sweep workers are fresh threads: propagate the caller's
-            // experiment scope and tag each with a 1-based worker id so
-            // trace spans say which worker simulated what.
-            let caller_scope = if traced {
-                telemetry::scope()
-            } else {
-                String::new()
-            };
-            crossbeam::scope(|scope| {
-                let work = &work;
-                let slots = &slots;
-                let next = &next;
-                let caller_scope = &caller_scope;
-                for w in 0..threads {
-                    let wid = w as u64 + 1;
+                .min(n),
+        };
+        let next = AtomicUsize::new(0);
+        // Sweep workers are fresh threads: propagate the caller's
+        // experiment scope and tag each with a 1-based worker id so trace
+        // spans say which worker simulated what.
+        let caller_scope = traced.then(telemetry::scope).unwrap_or_default();
+        let measured: HashMap<&MeasureKey, _> = crossbeam::scope(|scope| {
+            let workers: Vec<_> = (1..=threads as u64)
+                .map(|wid| {
+                    let (work, next, caller_scope) = (&work, &next, &caller_scope);
                     scope.spawn(move |_| {
                         if traced {
                             telemetry::set_worker(wid);
                             telemetry::set_scope(caller_scope);
                         }
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= work.len() {
-                                break;
-                            }
+                        let mut done = Vec::new();
+                        while let Some(&(key, setup)) =
+                            work.get(next.fetch_add(1, Ordering::Relaxed))
+                        {
                             if faults::active() {
                                 faults::delay(site::WORKER_DELAY);
                             }
-                            let r = if traced {
-                                let span = telemetry::Span::open("measure", &work[i].0.bench)
-                                    .with_key(work[i].0.digest())
-                                    .with_outcome(CacheOutcome::Miss);
-                                let r = self.simulate_one(harness, &work[i].1, size);
+                            let span = traced.then(|| {
+                                telemetry::Span::open("measure", &key.bench)
+                                    .with_key(key.digest())
+                                    .with_outcome(CacheOutcome::Miss)
+                            });
+                            // The lookup pass already counted this request.
+                            let (r, _) =
+                                self.measure_request(harness, setup, size, key, deadline, false);
+                            if let Some(span) = span {
                                 span.close();
-                                r
-                            } else {
-                                self.simulate_one(harness, &work[i].1, size)
-                            };
-                            *slots[i].lock() = Some(r);
+                            }
+                            done.push((key, r));
                         }
-                    });
-                }
-            })
-            .expect("sweep worker panicked");
-
-            let results: Vec<Result<Measurement, MeasureError>> = slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("every index visited"))
+                        done
+                    })
+                })
                 .collect();
-            for (i, wi) in pending {
-                out[i] = Some(results[wi].clone());
-            }
-            let mut evicted = Vec::new();
-            for ((key, _), result) in work.into_iter().zip(results) {
-                evicted.extend(self.cache.insert(key, result));
-            }
-            self.note_evicted(&evicted);
-        }
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("sweep worker panicked"))
+                .collect()
+        })
+        .expect("sweep worker panicked");
 
-        let out = out
-            .into_iter()
-            .map(|r| r.expect("cached or measured above"))
+        let out = keys
+            .iter()
+            .zip(hits)
+            .map(|(key, hit)| hit.map_or_else(|| measured[key].clone(), Ok))
             .collect();
         self.sweep_wall_us
             .add(sweep_start.elapsed().as_micros() as u64);
@@ -1085,7 +966,7 @@ impl Orchestrator {
             evictions: self.evictions.get(),
             sweep_wall_us: self.sweep_wall_us.get(),
             busy_us: self.busy_us.get(),
-            cached: self.cache.len() as u64,
+            cached: self.cache.lock().records.len() as u64,
         }
     }
 
@@ -1094,7 +975,10 @@ impl Orchestrator {
     #[must_use]
     pub fn metrics(&self) -> Vec<(String, u64)> {
         let mut out = self.metrics.snapshot();
-        out.push(("orch.cached".to_owned(), self.cache.len() as u64));
+        out.push((
+            "orch.cached".to_owned(),
+            self.cache.lock().records.len() as u64,
+        ));
         out.sort();
         out
     }
@@ -1109,8 +993,18 @@ impl Orchestrator {
     /// Propagates I/O errors from writing or renaming. Callers that want
     /// retry and graceful degradation use [`Orchestrator::persist`].
     pub fn save(&self, path: &Path) -> std::io::Result<usize> {
-        // Deterministic file order: sort by the record line itself.
-        let mut lines: Vec<String> = self.cache.record_lines();
+        // Clone the successful records under the lock and format them
+        // outside it; sort by the record line itself for a deterministic
+        // file order.
+        let records: Vec<(MeasureKey, Measurement)> = {
+            let cache = self.cache.lock();
+            cache
+                .records
+                .iter()
+                .filter_map(|(k, r)| Some((k.clone(), r.as_ref().ok()?.clone())))
+                .collect()
+        };
+        let mut lines: Vec<String> = records.iter().map(|(k, m)| record_line(k, m)).collect();
         lines.sort_unstable();
         jsonl::write_atomic(path, |f| {
             for line in &lines {
@@ -1207,8 +1101,9 @@ impl Orchestrator {
                     pruned += 1;
                 }
                 RecordVerdict::Ok(key, m) => {
-                    if !self.cache.contains_key(&key) {
-                        evicted.extend(self.cache.insert(key, Ok(*m)));
+                    let mut cache = self.cache.lock();
+                    if !cache.records.contains_key(&key) {
+                        evicted.extend(cache.insert(key, Ok(*m)));
                         restored += 1;
                     }
                 }
@@ -1810,38 +1705,70 @@ mod tests {
         assert_eq!(orch.stats().evictions, 3);
     }
 
-    /// The sharded split is a concurrency knob, not a policy change: on a
-    /// deterministic workload the cap, the eviction count and the
-    /// oldest-first victim choice are identical at every shard count
-    /// (including the degenerate single-shard cache, which is the old
-    /// unsharded semantics verbatim).
+    /// Sweeps and `measure` share one single-flight protocol: two sweeps
+    /// racing over the same keys, plus a `measure` of one of them, run
+    /// each simulation exactly once and agree on every result.
     #[test]
-    fn sharding_preserves_global_cap_semantics() {
-        let setups = env_setups(6);
-        let mut evictions = Vec::new();
-        for shards in [1usize, 2, 8] {
-            let orch = Orchestrator::with_cache_shards(shards);
-            assert_eq!(orch.cache_shards(), shards);
-            orch.set_cache_cap(Some(2));
-            let h = orch.harness("hmmer").expect("known benchmark");
-            for s in &setups {
-                let _ = orch.measure(&h, s, InputSize::Test);
+    fn overlapping_sweeps_and_measure_simulate_each_key_once() {
+        let orch = Orchestrator::new();
+        let h = orch.harness("hmmer").expect("known benchmark");
+        let setups = env_setups(4);
+        let barrier = std::sync::Barrier::new(3);
+        let (a, b) = std::thread::scope(|s| {
+            let sweep = || {
+                barrier.wait();
+                orch.sweep(&h, &setups, InputSize::Test)
+            };
+            let a = s.spawn(sweep);
+            let b = s.spawn(sweep);
+            barrier.wait();
+            orch.measure(&h, &setups[2], InputSize::Test)
+                .expect("measures");
+            (a.join().expect("sweep a"), b.join().expect("sweep b"))
+        });
+        let stats = orch.stats();
+        assert_eq!(stats.simulated, 4, "one simulation per key");
+        assert_eq!(stats.hits + stats.misses, 9, "one count per request");
+        let counters = |rs: &[Result<Measurement, MeasureError>]| -> Vec<Counters> {
+            rs.iter()
+                .map(|r| r.as_ref().expect("ok").counters)
+                .collect()
+        };
+        assert_eq!(counters(&a), counters(&b));
+    }
+
+    #[test]
+    fn expired_sweep_deadline_recalls_cached_items_and_simulates_nothing() {
+        let orch = Orchestrator::new();
+        let h = orch.harness("hmmer").expect("known benchmark");
+        let setups = env_setups(4);
+        let cached = orch
+            .measure(&h, &setups[1], InputSize::Test)
+            .expect("measures");
+        let results = orch.sweep_deadline(&h, &setups, InputSize::Test, Some(Instant::now()));
+        assert_eq!(results.len(), 4);
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Ok(m) if i == 1 => assert_eq!(m.as_ref().expect("ok").counters, cached.counters),
+                Err(DeadlineExceeded) if i != 1 => {}
+                other => panic!("item {i}: {other:?}"),
             }
-            let stats = orch.stats();
-            assert_eq!(stats.cached, 2, "cap enforced across {shards} shard(s)");
-            evictions.push(stats.evictions);
-            // The newest record is retained at any shard count…
-            let _ = orch.measure(&h, &setups[5], InputSize::Test);
-            assert_eq!(orch.stats().simulated, 6, "{shards} shard(s)");
-            // …and the globally-oldest was the victim, so it re-simulates.
-            let _ = orch.measure(&h, &setups[0], InputSize::Test);
-            assert_eq!(orch.stats().simulated, 7, "{shards} shard(s)");
         }
         assert_eq!(
-            evictions,
-            vec![4, 4, 4],
-            "per-shard split must not change eviction counts"
+            orch.stats().simulated,
+            1,
+            "an expired deadline burns nothing"
         );
+        assert!(
+            orch.cache.lock().inflight.is_empty(),
+            "no in-flight cell is left behind"
+        );
+        // The abandoned keys are free for the next request.
+        assert!(orch
+            .sweep(&h, &setups, InputSize::Test)
+            .iter()
+            .all(Result::is_ok));
+        assert_eq!(orch.stats().simulated, 4, "each remaining key once");
     }
 
     #[test]

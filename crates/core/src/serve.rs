@@ -32,6 +32,9 @@
 //! as a typed `deadline` response; SIGTERM / `shutdown {"mode":"drain"}`
 //! finishes in-flight work before stopping; and sweeps write a crc-sealed
 //! journal so a daemon killed mid-sweep resumes instead of re-simulating.
+//! A sweep has one execution path: the items its journal does not replay
+//! go through one [`Orchestrator::sweep_deadline`], parallel and
+//! single-flight, with any deadline enforced per item.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -83,7 +86,9 @@ const MAX_ENV_BYTES: u64 = (STACK_MAX / 2) as u64;
 
 /// `true` when `bytes` is an environment size a request may carry:
 /// `0` (keep the default) or within the loader's representable range.
-fn env_in_range(bytes: u64) -> bool {
+/// The CLI's `run --env` accepts exactly the same sizes.
+#[must_use]
+pub fn env_in_range(bytes: u64) -> bool {
     bytes == 0 || (MIN_ENV_BYTES..=MAX_ENV_BYTES).contains(&bytes)
 }
 
@@ -1835,7 +1840,6 @@ impl SweepJournal {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_sweep(
     shared: &Shared,
     out: &ConnOut,
@@ -1877,36 +1881,22 @@ fn run_sweep(
         None => (None, HashMap::new()),
     };
 
+    // The items no journal replays go through one orchestrator sweep:
+    // parallel, single-flight, and with the deadline (if any) enforced
+    // per item. An item the deadline beat stays out of `fresh`.
     let missing: Vec<usize> = (0..total)
         .filter(|i| !replayed.contains_key(&(*i as u64)))
         .collect();
     let mut fresh: HashMap<usize, ItemPayload> = HashMap::new();
-    if deadline.is_none() {
-        // No deadline: the orchestrator's work-stealing parallel sweep.
-        if !missing.is_empty() {
-            let missing_setups: Vec<ExperimentSetup> =
-                missing.iter().map(|&i| setups[i].clone()).collect();
-            let results = shared.orch.sweep(&harness, &missing_setups, spec.size);
-            for (&i, r) in missing.iter().zip(results.iter()) {
+    if !missing.is_empty() {
+        let missing_setups: Vec<ExperimentSetup> =
+            missing.iter().map(|&i| setups[i].clone()).collect();
+        let results = shared
+            .orch
+            .sweep_deadline(&harness, &missing_setups, spec.size, deadline);
+        for (&i, r) in missing.iter().zip(&results) {
+            if let Ok(r) = r {
                 fresh.insert(i, ItemPayload::from_result(r));
-            }
-        }
-    } else {
-        // Deadline-bounded: item at a time, re-checking the same
-        // remaining-time arithmetic between items so an expiring sweep
-        // keeps every item it completed.
-        for &i in &missing {
-            if expired(deadline) {
-                break;
-            }
-            match shared
-                .orch
-                .measure_deadline(&harness, &setups[i], spec.size, deadline)
-            {
-                Ok(r) => {
-                    fresh.insert(i, ItemPayload::from_result(&r));
-                }
-                Err(DeadlineExceeded) => break,
             }
         }
     }
