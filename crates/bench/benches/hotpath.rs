@@ -1,12 +1,9 @@
-//! Micro-benchmarks of the measure path's hot loops: paged-memory access,
-//! cache/TLB way scans, the simulator with and without attribution, and a
-//! cold orchestrator sweep. `scripts/bench.sh` records these per PR so the
-//! perf trajectory is visible; `simulate` throughput is the number every
-//! figure's wall time hangs on.
+//! Micro-benchmarks of the simulator's hot loops: paged-memory access,
+//! cache way scans, and the simulator with and without attribution.
+//! `scripts/bench.sh` runs this executable for the parent commit and the
+//! change in alternating rounds and guards `simulate-unprofiled`, the
+//! number every simulated measurement's time hangs on.
 
-use biaslab_core::setup::ExperimentSetup;
-use biaslab_core::telemetry;
-use biaslab_core::Orchestrator;
 use biaslab_toolchain::codegen::compile;
 use biaslab_toolchain::link::Linker;
 use biaslab_toolchain::load::{Environment, Loader};
@@ -14,8 +11,8 @@ use biaslab_toolchain::mem::PagedMem;
 use biaslab_toolchain::opt::{optimize, OptLevel};
 use biaslab_uarch::cache::{Cache, CacheConfig};
 use biaslab_uarch::{Machine, MachineConfig};
-use biaslab_workloads::{benchmark_by_name, InputSize};
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use biaslab_workloads::benchmark_by_name;
+use criterion::{criterion_group, criterion_main, Criterion};
 
 fn configured() -> Criterion {
     // The harness reports the fastest of `sample_size` iterations; 150
@@ -112,8 +109,8 @@ fn bench_machine(c: &mut Criterion) {
         })
     });
 
-    // Block-cache behaviour over one run, for `scripts/bench.sh` to record
-    // beside the timings (`stat` lines are counts, not microseconds).
+    // Block-cache behaviour over one run, printed beside the timings
+    // (`stat` lines are counts, not microseconds).
     let process = Loader::new().load(&exe, &env, &[2]).expect("loads");
     let mut machine = Machine::new(MachineConfig::core2());
     machine.run(&exe, process).expect("runs");
@@ -129,68 +126,9 @@ fn bench_machine(c: &mut Criterion) {
     }
 }
 
-fn bench_sweep(c: &mut Criterion) {
-    // A cold cross-setup sweep on a fresh orchestrator: the macro number
-    // behind every figure (compile + link + load + simulate × setups).
-    let mut group = c.benchmark_group("orchestrator");
-    group.sample_size(5);
-    group.bench_function("cold-sweep-8", |b| {
-        b.iter(|| {
-            let orch = Orchestrator::new();
-            let h = orch.harness("hmmer").expect("known");
-            let base = ExperimentSetup::default_on(MachineConfig::core2(), OptLevel::O2);
-            let setups: Vec<ExperimentSetup> = (0..8)
-                .map(|i| base.with_env(Environment::of_total_size(64 * i + 64)))
-                .collect();
-            std::hint::black_box(orch.sweep(&h, &setups, InputSize::Test))
-        })
-    });
-    group.finish();
-}
-
-fn bench_telemetry(c: &mut Criterion) {
-    // The same cold measurement with tracing off and on: the gap between
-    // the two numbers is the whole cost of `--trace`, which the design
-    // promises stays in the noise (one relaxed flag load when off, a few
-    // buffered events per measurement when on). Each iteration gets a
-    // fresh orchestrator via `iter_batched` so every measure is a cold
-    // miss rather than a cache hit.
-    let mut group = c.benchmark_group("telemetry");
-    group.sample_size(10);
-    let fresh = || {
-        let orch = Orchestrator::new();
-        let setup = ExperimentSetup::default_on(MachineConfig::core2(), OptLevel::O2);
-        (orch, setup)
-    };
-    let measure = |(orch, setup): (Orchestrator, ExperimentSetup)| {
-        let h = orch.harness("hmmer").expect("known");
-        std::hint::black_box(orch.measure(&h, &setup, InputSize::Test).expect("measures"))
-    };
-
-    group.bench_function("measure-untraced", |b| {
-        telemetry::disable();
-        b.iter_batched(fresh, measure, BatchSize::SmallInput);
-    });
-
-    group.bench_function("measure-traced", |b| {
-        telemetry::enable();
-        b.iter_batched(
-            || {
-                let _ = telemetry::drain();
-                fresh()
-            },
-            measure,
-            BatchSize::SmallInput,
-        );
-        telemetry::disable();
-        let _ = telemetry::drain();
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_mem, bench_cache, bench_machine, bench_sweep, bench_telemetry
+    targets = bench_mem, bench_cache, bench_machine
 }
 criterion_main!(benches);

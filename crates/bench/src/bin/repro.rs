@@ -44,65 +44,34 @@ use std::process::ExitCode;
 use biaslab_bench::{parallel, run_experiment, Effort, EXPERIMENTS};
 use biaslab_core::{faults, telemetry, Orchestrator};
 
+/// Usage text shown on parse errors, before the experiment list.
+const USAGE: &str = "\
+usage: repro <experiment-id | all | list> [--effort quick|full | --quick] [--no-resume]
+             [--jobs N | --serial] [--trace | --trace-profile] [--faults <spec>]
+env: BIASLAB_FAULTS=<spec> installs a fault schedule like --faults
+     (e.g. seed=7,save.io=0.5,leader.panic=@1)";
+
+/// Every flag `repro` accepts, and whether it takes a value. Anything else
+/// on the command line is a usage error, so a misspelled flag never runs
+/// with a silent default.
+const FLAGS: &[(&str, bool)] = &[
+    ("--effort", true),
+    ("--quick", false),
+    ("--no-resume", false),
+    ("--jobs", true),
+    ("--serial", false),
+    ("--trace", false),
+    ("--trace-profile", false),
+    ("--faults", true),
+];
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: repro <experiment-id | all | list> [--effort quick|full] [--no-resume] \
-         [--jobs N | --serial] [--trace | --trace-profile] [--faults <spec>]"
-    );
-    eprintln!(
-        "env: BIASLAB_FAULTS=<spec> installs a fault schedule like --faults \
-         (e.g. seed=7,save.io=0.5,leader.panic=@1)"
-    );
+    eprintln!("{USAGE}");
     eprintln!("experiments:");
     for e in EXPERIMENTS {
         eprintln!("  {:12} {}", e.id, e.title);
     }
     ExitCode::FAILURE
-}
-
-/// Parses `--quick` / `--effort quick|full` (the last one given wins).
-fn parse_effort(args: &[String]) -> Option<Effort> {
-    let mut effort = Effort::Full;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => effort = Effort::Quick,
-            "--effort" => match it.next().map(String::as_str) {
-                Some("quick") => effort = Effort::Quick,
-                Some("full") => effort = Effort::Full,
-                other => {
-                    eprintln!("--effort takes `quick` or `full`, got {other:?}");
-                    return None;
-                }
-            },
-            _ => {}
-        }
-    }
-    Some(effort)
-}
-
-/// Installs the fault schedule from `--faults <spec>` (the last one given
-/// wins), falling back to `BIASLAB_FAULTS` when the flag is absent.
-fn install_faults(args: &[String]) -> Result<(), String> {
-    let mut flag_spec = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--faults" {
-            match it.next() {
-                Some(s) => flag_spec = Some(s.clone()),
-                None => {
-                    return Err("--faults takes a spec, e.g. seed=7,save.io=0.5".to_string());
-                }
-            }
-        }
-    }
-    match flag_spec {
-        Some(s) => {
-            faults::install(&faults::FaultSpec::parse(&s)?);
-            Ok(())
-        }
-        None => faults::install_from_env().map(|_| ()),
-    }
 }
 
 /// How `repro all` schedules experiments.
@@ -114,25 +83,80 @@ enum Mode {
     Parallel(usize),
 }
 
-/// Parses `--serial` / `--jobs N` (the last one given wins; the default is
-/// one worker per available core).
-fn parse_mode(args: &[String]) -> Option<Mode> {
-    let mut mode = Mode::Parallel(std::thread::available_parallelism().map_or(1, |n| n.get()));
+/// A parsed command line. Where flags conflict (`--quick` and `--effort`,
+/// `--serial` and `--jobs`, a repeated flag) the last one given wins.
+struct Options {
+    /// An experiment id, `all` or `list`.
+    target: String,
+    effort: Effort,
+    /// One worker per available core unless `--jobs` or `--serial` says
+    /// otherwise.
+    mode: Mode,
+    resume: bool,
+    trace: bool,
+    trace_profiles: bool,
+    /// `--faults <spec>`; without it `BIASLAB_FAULTS` applies.
+    faults: Option<String>,
+}
+
+/// Scans the arguments once against [`FLAGS`].
+fn parse(args: &[String]) -> Result<Options, String> {
+    let mut o = Options {
+        target: String::new(),
+        effort: Effort::Full,
+        mode: Mode::Parallel(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        resume: true,
+        trace: false,
+        trace_profiles: false,
+        faults: None,
+    };
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--serial" => mode = Mode::Serial,
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => mode = Mode::Parallel(n),
-                _ => {
-                    eprintln!("--jobs takes a positive integer");
-                    return None;
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            if !o.target.is_empty() {
+                return Err(format!("unexpected argument `{arg}` after `{}`", o.target));
+            }
+            o.target = arg.clone();
+            continue;
+        }
+        let &(flag, takes_value) = FLAGS
+            .iter()
+            .find(|(flag, _)| flag == arg)
+            .ok_or_else(|| format!("unknown option `{arg}`"))?;
+        let value = if takes_value {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} takes a value"))?
+                .as_str()
+        } else {
+            ""
+        };
+        match flag {
+            "--effort" => {
+                o.effort = match value {
+                    "quick" => Effort::Quick,
+                    "full" => Effort::Full,
+                    other => {
+                        return Err(format!("--effort takes `quick` or `full`, got `{other}`"))
+                    }
                 }
+            }
+            "--quick" => o.effort = Effort::Quick,
+            "--no-resume" => o.resume = false,
+            "--jobs" => match value.parse::<usize>() {
+                Ok(n) if n >= 1 => o.mode = Mode::Parallel(n),
+                _ => return Err("--jobs takes a positive integer".to_owned()),
             },
-            _ => {}
+            "--serial" => o.mode = Mode::Serial,
+            "--trace" => o.trace = true,
+            "--trace-profile" => o.trace_profiles = true,
+            _ => o.faults = Some(value.to_owned()),
         }
     }
-    Some(mode)
+    if o.target.is_empty() {
+        return Err("missing experiment id, `all` or `list`".to_owned());
+    }
+    Ok(o)
 }
 
 fn results_dir() -> PathBuf {
@@ -193,39 +217,28 @@ fn run_one(id: &str, title: &str, effort: Effort, persist: bool) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(effort) = parse_effort(&args) else {
-        return usage();
+    let o = match parse(&args) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("{e}\n");
+            return usage();
+        }
     };
-    let Some(mode) = parse_mode(&args) else {
-        return usage();
+    let installed = match &o.faults {
+        Some(spec) => faults::FaultSpec::parse(spec).map(|spec| faults::install(&spec)),
+        None => faults::install_from_env().map(|_| ()),
     };
-    let resume = !args.iter().any(|a| a == "--no-resume");
-    if let Err(e) = install_faults(&args) {
+    if let Err(e) = installed {
         eprintln!("invalid fault spec: {e}\n");
         return usage();
     }
-    let trace_profiles = args.iter().any(|a| a == "--trace-profile");
-    if trace_profiles || args.iter().any(|a| a == "--trace") {
+    if o.trace || o.trace_profiles {
         telemetry::enable();
-        if trace_profiles {
+        if o.trace_profiles {
             telemetry::enable_profiles();
         }
     }
-    let mut flag_value_next = false;
-    let targets: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            let is_flag_value = std::mem::replace(
-                &mut flag_value_next,
-                **a == "--effort" || **a == "--jobs" || **a == "--faults",
-            );
-            !a.starts_with("--") && !is_flag_value
-        })
-        .collect();
-
-    let Some(&target) = targets.first() else {
-        return usage();
-    };
+    let (target, effort, resume) = (o.target.as_str(), o.effort, o.resume);
 
     if target != "list" && resume {
         let path = results_path();
@@ -236,7 +249,7 @@ fn main() -> ExitCode {
         }
     }
 
-    match target.as_str() {
+    match target {
         "list" => {
             for e in EXPERIMENTS {
                 println!("{:12} {}", e.id, e.title);
@@ -244,7 +257,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "all" => {
-            let code = match mode {
+            let code = match o.mode {
                 Mode::Serial => {
                     for e in EXPERIMENTS {
                         parallel::write_banner(&mut std::io::stdout(), e.id, e.title)
@@ -308,5 +321,21 @@ fn main() -> ExitCode {
             export_trace(id, effort);
             ExitCode::SUCCESS
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_flag_is_in_the_usage_and_every_usage_flag_is_parsed() {
+        let parsed: std::collections::BTreeSet<&str> =
+            FLAGS.iter().map(|&(flag, _)| flag).collect();
+        let listed: std::collections::BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        assert_eq!(parsed, listed);
     }
 }

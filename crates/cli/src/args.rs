@@ -37,18 +37,17 @@ commands:
                                crash-recoverable sweep journals
   client <op> [<benchmark>]    one-shot daemon request; op is ping,
                                stats, shutdown, measure or sweep
-  loadgen                      drive a daemon with randomized-setup
-                               requests from concurrent connections and
-                               report throughput, latency percentiles
-                               and cache effectiveness
   survey                       print the 133-paper literature survey
 
-options (run/disasm/audit/analyze):
+setup options (run and client take all five; disasm and ir take --opt,
+audit --machine and --size, analyze and lint --machine):
   --opt <O0|O1|O2|O3>          optimization level       [default O2]
   --machine <name>             pentium4 | core2 | o3cpu [default core2]
   --env <bytes>                environment size         [default 0]
   --order <spec>               default|reversed|alpha|rand:<seed>
   --size <test|ref>            input size               [default test]
+
+options (run/analyze/lint):
   --profile                    (run) print a per-function profile
   --explain                    (analyze) per-level image facts
   --json                       (lint) machine-readable JSONL findings
@@ -59,7 +58,7 @@ options (trace):
   --summary                    full report (the default)
   --flame                      merged profiles, folded-stacks form
 
-options (serve/client/loadgen):
+options (serve/client):
   --addr <a>                   unix:<path> | tcp:<host:port>
                                [default unix:/tmp/biaslab.sock]
   --workers <n>                (serve) worker-pool threads   [default 4]
@@ -76,9 +75,6 @@ options (serve/client/loadgen):
                                finish in-flight work first [default now]
   --envs <a,b,..>              (client sweep) env-size grid in bytes
   --attempts <n>               (client) retry budget         [default 4]
-  --clients <n>                (loadgen) concurrent clients  [default 8]
-  --requests <n>               (loadgen) requests per client [default 50]
-  --seed <n>                   (loadgen) master seed         [default 1]
 
 environment:
   BIASLAB_CACHE_CAP=<n>        cap the in-memory measurement cache at n
@@ -154,17 +150,6 @@ pub enum Command {
     },
     /// `biaslab client <op> [<bench>] --addr <addr> …`
     Client(ClientArgs),
-    /// `biaslab loadgen --addr <addr> …`
-    Loadgen {
-        /// Daemon endpoint.
-        addr: String,
-        /// Concurrent client connections.
-        clients: usize,
-        /// Requests per client.
-        requests: usize,
-        /// Master seed for the randomized setups.
-        seed: u64,
-    },
     /// `biaslab trace <file> [--summary|--flame]`
     Trace {
         /// Path to a trace JSONL file written by `repro ... --trace`.
@@ -221,68 +206,165 @@ pub struct RunArgs {
     pub profile: bool,
 }
 
+/// A flag a command accepts, and whether it takes a value.
+type Flag = (&'static str, bool);
+
+/// Every command with the most positional arguments it takes and the
+/// flags it accepts. Anything else on its command line is a usage error,
+/// so a misspelled flag never runs with a silent default.
+const COMMANDS: &[(&str, usize, &[Flag])] = &[
+    ("list", 0, &[]),
+    ("machines", 0, &[]),
+    ("survey", 0, &[]),
+    (
+        "run",
+        1,
+        &[
+            ("--opt", true),
+            ("--machine", true),
+            ("--env", true),
+            ("--order", true),
+            ("--size", true),
+            ("--profile", false),
+        ],
+    ),
+    ("disasm", 1, &[("--opt", true)]),
+    ("ir", 1, &[("--opt", true)]),
+    ("audit", 1, &[("--machine", true), ("--size", true)]),
+    ("analyze", 1, &[("--machine", true), ("--explain", false)]),
+    (
+        "lint",
+        1,
+        &[("--machine", true), ("--json", false), ("--deny", true)],
+    ),
+    ("trace", 1, &[("--summary", false), ("--flame", false)]),
+    (
+        "serve",
+        0,
+        &[
+            ("--addr", true),
+            ("--workers", true),
+            ("--queue", true),
+            ("--drain-timeout", true),
+        ],
+    ),
+    (
+        "client",
+        2,
+        &[
+            ("--addr", true),
+            ("--machine", true),
+            ("--opt", true),
+            ("--order", true),
+            ("--env", true),
+            ("--size", true),
+            ("--budget", true),
+            ("--id", true),
+            ("--envs", true),
+            ("--attempts", true),
+            ("--deadline", true),
+            ("--mode", true),
+        ],
+    ),
+];
+
+/// One command line, scanned once against its command's flag table.
+struct Scan<'a> {
+    positional: Vec<&'a str>,
+    /// Each flag given, in order, with its value (`""` for a switch).
+    flags: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Scan<'a> {
+    fn new(cmd: &str, args: &'a [String]) -> Result<Scan<'a>, String> {
+        let &(_, max_positional, table) = COMMANDS
+            .iter()
+            .find(|(name, _, _)| *name == cmd)
+            .ok_or_else(|| format!("unknown command `{cmd}`"))?;
+        let mut scan = Scan {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                if scan.positional.len() == max_positional {
+                    return Err(format!("unexpected argument `{arg}` for `{cmd}`"));
+                }
+                scan.positional.push(arg);
+                continue;
+            }
+            let &(flag, takes_value) = table
+                .iter()
+                .find(|(flag, _)| flag == arg)
+                .ok_or_else(|| format!("unknown option `{arg}` for `{cmd}`"))?;
+            let value = if takes_value {
+                it.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} takes a value"))?
+            } else {
+                ""
+            };
+            scan.flags.push((flag, value));
+        }
+        Ok(scan)
+    }
+
+    /// The value of `flag`; when it is given more than once, the last.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn num(&self, flag: &str, default: u64) -> Result<u64, String> {
+        self.get(flag)
+            .map(|v| v.parse::<u64>().map_err(|_| format!("bad {flag} `{v}`")))
+            .transpose()
+            .map(|n| n.unwrap_or(default))
+    }
+
+    fn machine(&self) -> Result<String, String> {
+        let machine = self.get("--machine").unwrap_or("core2");
+        parse_machine(machine)?; // validate early
+        Ok(machine.to_owned())
+    }
+
+    fn addr(&self) -> Result<String, String> {
+        let addr = self.get("--addr").unwrap_or("unix:/tmp/biaslab.sock");
+        biaslab_core::serve::Addr::parse(addr)?; // validate early
+        Ok(addr.to_owned())
+    }
+}
+
 /// Parses an argv (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let mut it = argv.iter();
-    let cmd = it.next().ok_or("missing command")?;
-    match cmd.as_str() {
+    let (cmd, rest) = argv.split_first().ok_or("missing command")?;
+    let cmd = cmd.as_str();
+    let a = Scan::new(cmd, rest)?;
+    let first = a.positional.first().map(|s| (*s).to_owned());
+    match cmd {
         "list" => Ok(Command::List),
         "machines" => Ok(Command::Machines),
         "survey" => Ok(Command::Survey),
-        "trace" => {
-            let rest: Vec<&String> = it.collect();
-            let file = rest
-                .iter()
-                .find(|a| !a.starts_with("--"))
-                .ok_or("missing trace file path")?
-                .to_string();
-            if let Some(bad) = rest
-                .iter()
-                .find(|a| a.starts_with("--") && !matches!(a.as_str(), "--summary" | "--flame"))
-            {
-                return Err(format!("unknown trace option `{bad}`"));
-            }
-            Ok(Command::Trace {
-                file,
-                flame: rest.iter().any(|a| a.as_str() == "--flame"),
-            })
-        }
-        "serve" | "loadgen" => {
-            let rest: Vec<&String> = it.collect();
-            let get = |flag: &str| -> Option<&str> {
-                rest.iter()
-                    .position(|a| a.as_str() == flag)
-                    .and_then(|i| rest.get(i + 1))
-                    .map(|s| s.as_str())
-            };
-            let addr = get("--addr").unwrap_or("unix:/tmp/biaslab.sock").to_owned();
-            biaslab_core::serve::Addr::parse(&addr)?; // validate early
-            let num = |flag: &str, default: u64| -> Result<u64, String> {
-                get(flag)
-                    .map(|v| v.parse::<u64>().map_err(|_| format!("bad {flag} `{v}`")))
-                    .transpose()
-                    .map(|n| n.unwrap_or(default))
-            };
-            if cmd == "serve" {
-                Ok(Command::Serve {
-                    addr,
-                    workers: num("--workers", 4)? as usize,
-                    queue_depth: num("--queue", 64)? as usize,
-                    drain_timeout_ms: num("--drain-timeout", 5000)?,
-                })
-            } else {
-                Ok(Command::Loadgen {
-                    addr,
-                    clients: num("--clients", 8)? as usize,
-                    requests: num("--requests", 50)? as usize,
-                    seed: num("--seed", 1)?,
-                })
-            }
-        }
+        "trace" => Ok(Command::Trace {
+            file: first.ok_or("missing trace file path")?,
+            flame: a.has("--flame"),
+        }),
+        "serve" => Ok(Command::Serve {
+            addr: a.addr()?,
+            workers: a.num("--workers", 4)? as usize,
+            queue_depth: a.num("--queue", 64)? as usize,
+            drain_timeout_ms: a.num("--drain-timeout", 5000)?,
+        }),
         "client" => {
-            let rest: Vec<&String> = it.collect();
-            let mut positional = rest.iter().filter(|a| !a.starts_with("--"));
-            let op = positional.next().ok_or("missing client op")?.to_string();
+            let op = first.ok_or("missing client op")?;
             if !matches!(
                 op.as_str(),
                 "ping" | "stats" | "shutdown" | "measure" | "sweep"
@@ -291,31 +373,19 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "unknown client op `{op}` (ping, stats, shutdown, measure, sweep)"
                 ));
             }
-            let get = |flag: &str| -> Option<&str> {
-                rest.iter()
-                    .position(|a| a.as_str() == flag)
-                    .and_then(|i| rest.get(i + 1))
-                    .map(|s| s.as_str())
+            let addr = a.addr()?;
+            let bench = match (op.as_str(), a.positional.get(1)) {
+                ("measure" | "sweep", Some(bench)) => (*bench).to_owned(),
+                ("measure" | "sweep", None) => {
+                    return Err(format!("client {op} needs a benchmark name"))
+                }
+                (_, Some(extra)) => {
+                    return Err(format!("unexpected argument `{extra}` for `client {op}`"))
+                }
+                (_, None) => String::new(),
             };
-            let addr = get("--addr").unwrap_or("unix:/tmp/biaslab.sock").to_owned();
-            biaslab_core::serve::Addr::parse(&addr)?; // validate early
-            let bench = if matches!(op.as_str(), "measure" | "sweep") {
-                positional
-                    .next()
-                    .ok_or(format!("client {op} needs a benchmark name"))?
-                    .to_string()
-            } else {
-                String::new()
-            };
-            let num = |flag: &str, default: u64| -> Result<u64, String> {
-                get(flag)
-                    .map(|v| v.parse::<u64>().map_err(|_| format!("bad {flag} `{v}`")))
-                    .transpose()
-                    .map(|n| n.unwrap_or(default))
-            };
-            let machine = get("--machine").unwrap_or("core2").to_owned();
-            parse_machine(&machine)?; // validate early
-            let envs = match get("--envs") {
+            let machine = a.machine()?;
+            let envs = match a.get("--envs") {
                 None => Vec::new(),
                 Some(list) => list
                     .split(',')
@@ -325,7 +395,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     })
                     .collect::<Result<Vec<u64>, String>>()?,
             };
-            let drain = match get("--mode") {
+            let drain = match a.get("--mode") {
                 None | Some("now") => false,
                 Some("drain") => true,
                 Some(other) => return Err(format!("unknown --mode `{other}` (now, drain)")),
@@ -335,51 +405,42 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 op,
                 bench,
                 machine,
-                opt: parse_opt(get("--opt").unwrap_or("O2"))?,
-                order: parse_order(get("--order").unwrap_or("default"))?,
-                env_bytes: num("--env", 0)?,
-                size: parse_size(get("--size").unwrap_or("test"))?,
-                budget: num("--budget", 0)?,
-                id: num("--id", 1)?,
+                opt: parse_opt(a.get("--opt").unwrap_or("O2"))?,
+                order: parse_order(a.get("--order").unwrap_or("default"))?,
+                env_bytes: a.num("--env", 0)?,
+                size: parse_size(a.get("--size").unwrap_or("test"))?,
+                budget: a.num("--budget", 0)?,
+                id: a.num("--id", 1)?,
                 envs,
-                attempts: u32::try_from(num("--attempts", 4)?)
+                attempts: u32::try_from(a.num("--attempts", 4)?)
                     .map_err(|e| format!("bad --attempts: {e}"))?,
-                deadline_ms: num("--deadline", 0)?,
+                deadline_ms: a.num("--deadline", 0)?,
                 drain,
             }))
         }
-        "run" | "disasm" | "audit" | "ir" | "analyze" | "lint" => {
-            let rest: Vec<&String> = it.collect();
-            let bench = rest
-                .iter()
-                .find(|a| !a.starts_with("--"))
-                .ok_or("missing benchmark name")?
-                .to_string();
-            let get = |flag: &str| -> Option<&str> {
-                rest.iter()
-                    .position(|a| a.as_str() == flag)
-                    .and_then(|i| rest.get(i + 1))
-                    .map(|s| s.as_str())
-            };
-            let opt = parse_opt(get("--opt").unwrap_or("O2"))?;
-            let machine = get("--machine").unwrap_or("core2").to_owned();
-            parse_machine(&machine)?; // validate early
-            let size = parse_size(get("--size").unwrap_or("test"))?;
-            match cmd.as_str() {
-                "disasm" => Ok(Command::Disasm { bench, opt }),
-                "ir" => Ok(Command::Ir { bench, opt }),
+        _ => {
+            let bench = first.ok_or("missing benchmark name")?;
+            match cmd {
+                "disasm" => Ok(Command::Disasm {
+                    bench,
+                    opt: parse_opt(a.get("--opt").unwrap_or("O2"))?,
+                }),
+                "ir" => Ok(Command::Ir {
+                    bench,
+                    opt: parse_opt(a.get("--opt").unwrap_or("O2"))?,
+                }),
                 "audit" => Ok(Command::Audit {
                     bench,
-                    machine,
-                    size,
+                    machine: a.machine()?,
+                    size: parse_size(a.get("--size").unwrap_or("test"))?,
                 }),
                 "analyze" => Ok(Command::Analyze {
                     bench,
-                    machine,
-                    explain: rest.iter().any(|a| a.as_str() == "--explain"),
+                    machine: a.machine()?,
+                    explain: a.has("--explain"),
                 }),
                 "lint" => {
-                    let deny = get("--deny").map(str::to_owned);
+                    let deny = a.get("--deny").map(str::to_owned);
                     if let Some(class) = &deny {
                         if biaslab_analyze::FindingClass::parse(class).is_none() {
                             return Err(format!(
@@ -392,23 +453,22 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     }
                     Ok(Command::Lint {
                         bench,
-                        machine,
-                        json: rest.iter().any(|a| a.as_str() == "--json"),
+                        machine: a.machine()?,
+                        json: a.has("--json"),
                         deny,
                     })
                 }
                 _ => Ok(Command::Run(RunArgs {
                     bench,
-                    opt,
-                    machine,
-                    env_bytes: get("--env").map(parse_env).transpose()?.unwrap_or(0),
-                    order: parse_order(get("--order").unwrap_or("default"))?,
-                    size,
-                    profile: rest.iter().any(|a| a.as_str() == "--profile"),
+                    opt: parse_opt(a.get("--opt").unwrap_or("O2"))?,
+                    machine: a.machine()?,
+                    env_bytes: a.get("--env").map(parse_env).transpose()?.unwrap_or(0),
+                    order: parse_order(a.get("--order").unwrap_or("default"))?,
+                    size: parse_size(a.get("--size").unwrap_or("test"))?,
+                    profile: a.has("--profile"),
                 })),
             }
         }
-        other => Err(format!("unknown command `{other}`")),
     }
 }
 
@@ -535,6 +595,34 @@ mod tests {
             assert_eq!(a.env_bytes, good);
         }
         assert!(parse(&[]).is_err());
+        // A misspelled flag, a flag missing its value and an argument the
+        // command does not take are usage errors, never silent defaults.
+        for bad in [
+            "run hmmer --evn 4096",
+            "run hmmer --env",
+            "run hmmer --machine pentium4 --optt O3",
+            "run hmmer extra",
+            "serve --worker 1",
+            "client stats --idd 5",
+        ] {
+            assert!(parse(&argv(bad)).is_err(), "`{bad}` must be rejected");
+        }
+    }
+
+    #[test]
+    fn every_flag_is_in_the_usage_and_every_usage_flag_is_parsed() {
+        let parsed: std::collections::BTreeSet<&str> = COMMANDS
+            .iter()
+            .flat_map(|(_, _, flags)| flags.iter().map(|&(flag, _)| flag))
+            .collect();
+        // Flags in backticks belong to other programs (`repro ... --trace`).
+        let listed: std::collections::BTreeSet<&str> = USAGE
+            .split('`')
+            .step_by(2)
+            .flat_map(|text| text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        assert_eq!(parsed, listed);
     }
 
     #[test]

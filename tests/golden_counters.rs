@@ -66,6 +66,18 @@ fn counters_match_golden_values() {
                 let m = h.measure(&setup, InputSize::Test).unwrap_or_else(|e| {
                     panic!("{}/{}/{opt}: {e}", h.benchmark().name(), machine.name)
                 });
+                let c = &m.counters;
+                assert_eq!(
+                    c.cycles,
+                    c.instructions
+                        + c.stall_frontend
+                        + c.stall_memory
+                        + c.stall_branch
+                        + c.stall_compute,
+                    "{}/{}/{opt}: stall classes must sum to cycles - instructions",
+                    h.benchmark().name(),
+                    machine.name
+                );
                 let fields = counter_fields(&m.counters).map(|v| v.to_string()).join(",");
                 writeln!(
                     actual,

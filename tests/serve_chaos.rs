@@ -202,7 +202,8 @@ fn one_shot_trigger_replays_exactly() {
 /// Worker panics under load: the pool shrinks and recovers through the
 /// supervisor, every victim client gets exactly one typed `panic`
 /// terminal (no lost or duplicated responses, no failed exchanges), the
-/// respawn counter moves, and health returns to `ok` at full strength.
+/// respawn counter moves, health returns to `ok` at full strength, and the
+/// recovered pool then serves a fault-free load without a failure.
 #[test]
 fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
     let _guard = faults::scoped(&spec("seed=1"));
@@ -292,7 +293,7 @@ fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
 
     // The daemon's own accounting agrees: panics were observed and every
     // one of them was answered by a respawn.
-    let mut client = Client::new(addr);
+    let mut client = Client::new(addr.clone());
     let ex = client
         .request(&encode_control(999, "stats"))
         .expect("stats answered");
@@ -304,6 +305,33 @@ fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
         stat("serve.worker.respawn"),
         "every panic within budget is matched by a respawn"
     );
+
+    // With the schedule lifted, the recovered pool serves a full load:
+    // every exchange succeeds with an `ok` response byte-identical to the
+    // direct path.
+    faults::install(&spec("seed=1"));
+    std::thread::scope(|scope| {
+        for c in 0..4 {
+            let addr = addr.clone();
+            let pool = &pool;
+            let expected = &expected;
+            scope.spawn(move || {
+                let mut client = Client::new(addr);
+                for r in 0..10 {
+                    let i = (c + r) % pool.len();
+                    let ex = client
+                        .request(&encode_measure(i as u64, &pool[i]))
+                        .expect("the recovered pool answers every request");
+                    assert_eq!(serve::line_status(ex.terminal()), Some("ok"));
+                    assert_eq!(
+                        ex.terminal(),
+                        expected[i],
+                        "responses after recovery match the direct path"
+                    );
+                }
+            });
+        }
+    });
     assert_eq!(server.queue_len(), 0, "admission queue drained");
     server.shutdown();
 }

@@ -17,12 +17,13 @@ use biaslab_core::serve::{
     self, encode_measure, encode_response, encode_sweep, encode_sweep_done, encode_sweep_item,
     validate_response_line, Addr, Client, MeasureSpec, Server, ServerConfig,
 };
+use biaslab_core::setup::LinkOrder;
 use biaslab_core::Orchestrator;
 use biaslab_toolchain::OptLevel;
 use biaslab_workloads::InputSize;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn temp_sock(tag: &str) -> Addr {
     let dir = std::env::temp_dir();
@@ -31,6 +32,33 @@ fn temp_sock(tag: &str) -> Addr {
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_schema.txt")
+}
+
+/// Draws a randomized measurement spec from a small key space, so repeated
+/// draws exercise both cache misses and hits.
+fn random_spec(rng: &mut StdRng) -> MeasureSpec {
+    const BENCHES: &[&str] = &["hmmer", "milc", "mcf", "libquantum"];
+    const MACHINES: &[&str] = &["core2", "pentium4", "o3cpu"];
+    const ENVS: &[u64] = &[0, 64, 128, 612];
+    MeasureSpec {
+        bench: BENCHES[rng.gen_range(0..BENCHES.len())].to_owned(),
+        machine: MACHINES[rng.gen_range(0..MACHINES.len())].to_owned(),
+        opt: if rng.gen::<bool>() {
+            OptLevel::O2
+        } else {
+            OptLevel::O3
+        },
+        order: if rng.gen::<bool>() {
+            LinkOrder::Default
+        } else {
+            LinkOrder::Random(rng.gen_range(0..4u64))
+        },
+        text_offset: 0,
+        stack_shift: 0,
+        env: ENVS[rng.gen_range(0..ENVS.len())],
+        size: InputSize::Test,
+        budget: 0,
+    }
 }
 
 /// Computes the direct-path response bytes for one measure request.
@@ -76,10 +104,10 @@ fn concurrent_clients_match_direct_path_byte_for_byte() {
     )
     .expect("server starts");
 
-    // A shared pool of randomized setups (drawn from the same generator
-    // loadgen uses), issued by every client in a client-specific order.
+    // A shared pool of randomized setups, issued by every client in a
+    // client-specific order.
     let mut rng = StdRng::seed_from_u64(0xd1ff);
-    let pool: Vec<MeasureSpec> = (0..12).map(|_| serve::random_spec(&mut rng)).collect();
+    let pool: Vec<MeasureSpec> = (0..12).map(|_| random_spec(&mut rng)).collect();
 
     const CLIENTS: usize = 8;
     let responses: Vec<Vec<(u64, String)>> = std::thread::scope(|scope| {
