@@ -1,12 +1,13 @@
 //! Convenience drivers: run the whole static pipeline for a benchmark.
 //!
-//! Everything here goes through `Harness::executable`, which compiles
-//! and links but never loads or runs — the orchestrator's `simulated`
-//! counter is untouched by construction, and the zero-simulation test
-//! in `tests/static_vs_dynamic.rs` pins that.
+//! Everything here goes through `Harness::optimized` and
+//! `Harness::executable`, which optimize, compile and link (once per
+//! harness and level) but never load or run — the orchestrator's
+//! `simulated` counter is untouched by construction, and the
+//! zero-simulation test in `tests/static_vs_dynamic.rs` pins that.
 
 use biaslab_core::{Harness, LinkOrder, Orchestrator};
-use biaslab_toolchain::opt::{optimize, OptLevel};
+use biaslab_toolchain::opt::OptLevel;
 use biaslab_uarch::MachineConfig;
 
 use crate::hotness::ModuleHotness;
@@ -52,7 +53,7 @@ pub fn analyze_harness(
 
     let mut levels = Vec::with_capacity(LEVELS.len());
     for level in LEVELS {
-        let optimized = optimize(bench.module(), level);
+        let optimized = harness.optimized(level);
         let hot = ModuleHotness::of(&optimized, bench.entry(), level);
 
         let link = |order: &[usize], offset: u32| {
@@ -121,9 +122,8 @@ pub fn analyze_benchmark(
 ///
 /// Returns the first analysis failure.
 pub fn rank_suite(machine: &MachineConfig) -> Result<Vec<SensitivityReport>, String> {
-    let mut reports: Vec<SensitivityReport> = biaslab_workloads::suite()
-        .iter()
-        .map(|b| analyze_benchmark(b.name(), machine))
+    let mut reports: Vec<SensitivityReport> = biaslab_workloads::benchmark_names()
+        .map(|name| analyze_benchmark(name, machine))
         .collect::<Result<_, _>>()?;
     reports.sort_by(|a, b| {
         b.predicted_spread
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn ranking_is_sorted_and_complete() {
         let ranked = rank_suite(&MachineConfig::o3cpu()).expect("ranks");
-        assert_eq!(ranked.len(), biaslab_workloads::suite().len());
+        assert_eq!(ranked.len(), biaslab_workloads::benchmark_names().count());
         for w in ranked.windows(2) {
             assert!(w[0].predicted_spread >= w[1].predicted_spread);
         }

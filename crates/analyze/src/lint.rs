@@ -39,7 +39,7 @@ use biaslab_toolchain::dataflow::Lattice;
 use biaslab_toolchain::ir::{Op, Terminator};
 use biaslab_toolchain::link::{Executable, Linker};
 use biaslab_toolchain::obj::CompiledModule;
-use biaslab_toolchain::opt::{optimize, OptLevel};
+use biaslab_toolchain::opt::OptLevel;
 use biaslab_uarch::MachineConfig;
 
 use crate::driver::{env_grid, LEVELS, OFFSETS, ORDERS};
@@ -910,7 +910,7 @@ pub fn lint_harness(harness: &Harness, machine: &MachineConfig) -> Result<LintRe
     let mut findings = Vec::new();
     let (mut passes_run, mut functions_analyzed) = (0u64, 0u64);
     for level in LEVELS {
-        let optimized = optimize(bench.module(), level);
+        let optimized = harness.optimized(level);
         let hot = ModuleHotness::of(&optimized, bench.entry(), level);
         let pm = PassManager::new(&optimized, level);
         let cm = harness.compiled(level);
@@ -1003,9 +1003,8 @@ pub fn lint_benchmark(bench: &str, machine: &MachineConfig) -> Result<LintReport
 ///
 /// Returns the first lint failure.
 pub fn lint_suite(machine: &MachineConfig) -> Result<Vec<LintReport>, String> {
-    biaslab_workloads::suite()
-        .iter()
-        .map(|b| lint_benchmark(b.name(), machine))
+    biaslab_workloads::benchmark_names()
+        .map(|name| lint_benchmark(name, machine))
         .collect()
 }
 
@@ -1158,6 +1157,6 @@ mod tests {
                 headers += 1;
             }
         }
-        assert_eq!(headers, biaslab_workloads::suite().len());
+        assert_eq!(headers, biaslab_workloads::benchmark_names().count());
     }
 }

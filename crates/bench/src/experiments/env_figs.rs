@@ -7,7 +7,7 @@ use biaslab_core::report::{render_series, sparkline, Table};
 use biaslab_core::stats::ViolinSummary;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::MachineConfig;
-use biaslab_workloads::suite;
+use biaslab_workloads::benchmark_names;
 
 use super::{base_setup, env_points, harness, Effort};
 
@@ -149,9 +149,8 @@ pub(crate) fn fig4(effort: Effort) -> String {
         "bias%",
         "flips",
     ]);
-    for b in suite() {
-        let name = b.name();
-        let h = biaslab_core::harness::Harness::new(b);
+    for name in benchmark_names() {
+        let h = harness(name);
         let base = base_setup(MachineConfig::core2(), OptLevel::O2);
         let setups: Vec<_> = envs.iter().map(|e| base.with_env(e.clone())).collect();
         let report = sweep_factor(

@@ -212,9 +212,9 @@ pub(crate) fn ext_lint(effort: Effort) -> String {
     for machine in machines {
         let mut tally: Tally = BTreeMap::new();
         let mut examples: Vec<String> = Vec::new();
-        for bench in biaslab_workloads::suite() {
-            let report = lint_benchmark(bench.name(), &machine).expect("suite lints");
-            let harness = orch.harness(bench.name()).expect("suite benchmark");
+        for name in biaslab_workloads::benchmark_names() {
+            let report = lint_benchmark(name, &machine).expect("suite lints");
+            let harness = orch.harness(name).expect("suite benchmark");
             let mut base_cache: BTreeMap<&'static str, Counters> = BTreeMap::new();
             for finding in &report.findings {
                 let class = finding.class.name();
@@ -230,7 +230,7 @@ pub(crate) fn ext_lint(effort: Effort) -> String {
                 if !confirmed && examples.len() < 3 {
                     examples.push(format!(
                         "  refuted: {}/{} {} — {} ({})",
-                        bench.name(),
+                        name,
                         finding.level.name(),
                         class,
                         finding.function,

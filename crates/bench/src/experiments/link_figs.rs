@@ -8,7 +8,7 @@ use biaslab_core::setup::LinkOrder;
 use biaslab_core::stats::Summary;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::MachineConfig;
-use biaslab_workloads::suite;
+use biaslab_workloads::benchmark_names;
 
 use super::{base_setup, harness, Effort};
 
@@ -83,9 +83,8 @@ pub(crate) fn fig6(effort: Effort) -> String {
         "bias%",
         "flips",
     ]);
-    for b in suite() {
-        let name = b.name();
-        let h = biaslab_core::harness::Harness::new(b);
+    for name in benchmark_names() {
+        let h = harness(name);
         let base = base_setup(MachineConfig::core2(), OptLevel::O2);
         let setups: Vec<_> = all_orders
             .iter()

@@ -6,9 +6,9 @@ use biaslab_core::report::Table;
 use biaslab_survey::{corpus, tabulate};
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::MachineConfig;
-use biaslab_workloads::{suite, InputSize};
+use biaslab_workloads::{benchmark_names, InputSize};
 
-use super::Effort;
+use super::{harness, Effort};
 
 /// Table 1 ®: the experimental setup — machines, optimization levels and
 /// benchmarks — generated from the registries rather than hard-coded.
@@ -47,7 +47,9 @@ pub(crate) fn table1(_effort: Effort) -> String {
     );
 
     let mut benches = Table::new(vec!["benchmark", "behaviour", "functions", "ref-IR-ops"]);
-    for b in suite() {
+    for name in benchmark_names() {
+        let h = harness(name);
+        let b = h.benchmark();
         let expected = b.expected(InputSize::Ref);
         benches.row(vec![
             b.name().to_owned(),

@@ -214,6 +214,17 @@ impl FaultSpec {
         &self.entries
     }
 
+    /// Whether this schedule fires `site` on its `hit`-th hit (0-based):
+    /// the fire-set an installed copy follows, as a pure function of the
+    /// spec. An unscheduled site never fires.
+    #[must_use]
+    pub fn fires(&self, site: &str, hit: u64) -> bool {
+        self.entries
+            .iter()
+            .find(|(s, _)| *s == site)
+            .is_some_and(|&(s, trigger)| decides(self.seed, s, trigger, hit))
+    }
+
     /// Adds (or replaces) one site's trigger — the programmatic spelling
     /// of a spec entry.
     #[must_use]
@@ -526,6 +537,19 @@ mod tests {
                 .expect("marker")
                 .recoverable
         );
+    }
+
+    #[test]
+    fn a_spec_reports_the_fire_set_it_installs() {
+        let spec = FaultSpec::parse("seed=9,save.io=0.3,load.io=@4").expect("parses");
+        for hit in 0..256 {
+            assert_eq!(
+                spec.fires(site::SAVE_IO, hit),
+                decides(9, site::SAVE_IO, Trigger::Prob(0.3), hit)
+            );
+            assert_eq!(spec.fires(site::LOAD_IO, hit), hit == 3);
+            assert!(!spec.fires(site::SAVE_SHORT, hit), "unscheduled");
+        }
     }
 
     /// The decisions for a site's first `hits` hits. Checked on the pure

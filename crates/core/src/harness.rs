@@ -4,8 +4,10 @@
 //! Every measurement is **verified**: the run's checksum and return value
 //! must match the IR interpreter's reference outcome, so an experiment can
 //! never silently measure a miscompiled program. Compilation is cached per
-//! optimization level and linking per (level, order, offset), since sweeps
-//! re-measure the same binary under hundreds of environments.
+//! optimization level (and so is the optimized IR, once a static analyzer
+//! asks for it), and linking per (level, order, offset), since sweeps
+//! re-measure the same binary under hundreds of environments. The cached
+//! layouts of a level share one data image.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -14,8 +16,9 @@ use std::sync::{Arc, OnceLock};
 use biaslab_toolchain::codegen;
 use biaslab_toolchain::link::{Executable, LinkError, Linker};
 use biaslab_toolchain::load::{LoadError, Loader, Process};
+use biaslab_toolchain::obj::CompiledModule;
 use biaslab_toolchain::opt;
-use biaslab_toolchain::OptLevel;
+use biaslab_toolchain::{Module, OptLevel};
 use biaslab_uarch::{Counters, Machine, RunError, RunResult};
 use biaslab_workloads::{Benchmark, InputSize};
 use parking_lot::Mutex;
@@ -145,7 +148,11 @@ type LinkCell = Arc<OnceLock<Result<Arc<Executable>, LinkError>>>;
 #[derive(Debug)]
 pub struct Harness {
     bench: Benchmark,
-    compiled: Mutex<HashMap<OptLevel, Arc<biaslab_toolchain::obj::CompiledModule>>>,
+    compiled: Mutex<HashMap<OptLevel, Arc<CompiledModule>>>,
+    // Kept only once a static analyzer asks for it: a measurement needs
+    // the compiled module alone, and the IR holds a copy of every
+    // global's initial data.
+    optimized: Mutex<HashMap<OptLevel, Arc<Module>>>,
     // Each entry is a once-cell so concurrent first requests for the same
     // (level, order, offset) link exactly once: the map lock is held only to
     // fetch the cell, never across the link itself.
@@ -159,6 +166,7 @@ impl Harness {
         Harness {
             bench,
             compiled: Mutex::new(HashMap::new()),
+            optimized: Mutex::new(HashMap::new()),
             linked: Mutex::new(HashMap::new()),
         }
     }
@@ -169,16 +177,32 @@ impl Harness {
         &self.bench
     }
 
-    /// The (cached) compiled module at an optimization level.
+    /// The (cached) compiled module at an optimization level, compiled
+    /// from [`Harness::optimized`]'s IR when that is already cached.
     #[must_use]
-    pub fn compiled(&self, level: OptLevel) -> Arc<biaslab_toolchain::obj::CompiledModule> {
-        let mut cache = self.compiled.lock();
-        cache
+    pub fn compiled(&self, level: OptLevel) -> Arc<CompiledModule> {
+        self.compiled
+            .lock()
             .entry(level)
             .or_insert_with(|| {
-                let optimized = opt::optimize(self.bench.module(), level);
+                let cached = self.optimized.lock().get(&level).cloned();
+                let optimized =
+                    cached.unwrap_or_else(|| Arc::new(opt::optimize(self.bench.module(), level)));
                 Arc::new(codegen::compile(&optimized, level))
             })
+            .clone()
+    }
+
+    /// The (cached) optimized IR at an optimization level, equal to
+    /// `opt::optimize(self.benchmark().module(), level)`: the static
+    /// analyzers read it for every machine, and a later
+    /// [`Harness::compiled`] compiles it.
+    #[must_use]
+    pub fn optimized(&self, level: OptLevel) -> Arc<Module> {
+        self.optimized
+            .lock()
+            .entry(level)
+            .or_insert_with(|| Arc::new(opt::optimize(self.bench.module(), level)))
             .clone()
     }
 
@@ -210,11 +234,19 @@ impl Harness {
         let cell = self.linked.lock().entry(key).or_default().clone();
         cell.get_or_init(|| {
             let cm = self.compiled(level);
-            Linker::new()
+            let mut exe = Linker::new()
                 .object_order(order.to_vec())
                 .text_offset(text_offset)
-                .link(&cm, self.bench.entry())
-                .map(Arc::new)
+                .link(&cm, self.bench.entry())?;
+            // Layouts differ in text only, so every cached layout at a
+            // level shares the declaration-order executable's data image.
+            let declared: Vec<usize> = (0..cm.objects.len()).collect();
+            if (order, text_offset) != (declared.as_slice(), 0) {
+                if let Ok(base) = self.executable(level, &declared, 0) {
+                    exe.share_data_with(&base);
+                }
+            }
+            Ok(Arc::new(exe))
         })
         .clone()
     }
@@ -405,6 +437,39 @@ mod tests {
         let e1 = h.executable(OptLevel::O2, &order, 0).unwrap();
         let e2 = h.executable(OptLevel::O2, &order, 0).unwrap();
         assert!(Arc::ptr_eq(&e1, &e2));
+    }
+
+    #[test]
+    fn optimized_ir_is_what_optimize_returns_and_is_shared() {
+        for name in biaslab_workloads::benchmark_names() {
+            let h = harness(name);
+            for level in [OptLevel::O2, OptLevel::O3] {
+                let ir = h.optimized(level);
+                assert_eq!(
+                    *ir,
+                    opt::optimize(h.benchmark().module(), level),
+                    "{name} at {level}"
+                );
+                assert!(Arc::ptr_eq(&ir, &h.optimized(level)));
+            }
+        }
+    }
+
+    #[test]
+    fn cached_layouts_share_one_data_image_per_level() {
+        let h = harness("lbm");
+        let declared: Vec<usize> = (0..h.object_names().len()).collect();
+        let reversed: Vec<usize> = declared.iter().rev().copied().collect();
+        for level in [OptLevel::O2, OptLevel::O3] {
+            let base = h.executable(level, &declared, 0).unwrap();
+            for (order, offset) in [(&reversed, 0), (&declared, 40), (&reversed, 12)] {
+                let exe = h.executable(level, order, offset).unwrap();
+                assert!(
+                    std::ptr::eq(exe.data(), base.data()),
+                    "{level} {order:?}+{offset}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   across a simulation;
 //! - **persistence**: records round-trip through a JSON-lines file under
 //!   `results/`, so an interrupted `repro all` resumes instead of
-//!   restarting;
+//!   restarting; an unchanged cache is not rewritten;
 //! - **instrumentation**: hit/miss/simulation counts and wall/busy time,
 //!   reported per experiment (on stderr — experiment stdout is
 //!   byte-identical to the serial path).
@@ -49,7 +49,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::Instant;
@@ -57,7 +57,7 @@ use std::time::Instant;
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::{Counters, MachineConfig, RunError};
-use biaslab_workloads::{benchmark_by_name, InputSize};
+use biaslab_workloads::{benchmark_by_name, benchmark_names, InputSize};
 use parking_lot::Mutex;
 
 use crate::faults::{self, site};
@@ -330,6 +330,10 @@ pub struct Orchestrator {
     /// Set once [`Orchestrator::persist`] gives up on the results file:
     /// later calls skip I/O entirely (in-memory-only operation).
     degraded: AtomicBool,
+    /// The results file the cache last matched: the path last saved or
+    /// cleanly loaded, with the cache's change count at that moment.
+    /// Held across each whole save, so saves never interleave.
+    persisted: Mutex<Option<(PathBuf, u64)>>,
 }
 
 impl Default for Orchestrator {
@@ -353,6 +357,7 @@ impl Default for Orchestrator {
             watchdog_quarantined: metrics.counter("orch.watchdog_quarantined"),
             persist_degraded: metrics.counter("orch.persist_degraded"),
             degraded: AtomicBool::new(false),
+            persisted: Mutex::default(),
             metrics,
         }
     }
@@ -443,6 +448,9 @@ struct Cache {
     /// requesters of the same key wait on the leader's cell instead of
     /// re-simulating.
     inflight: HashMap<MeasureKey, Arc<InflightCell>>,
+    /// Records added, replaced or evicted so far: equal counts mean equal
+    /// contents, which is how [`Orchestrator::persist`] skips a rewrite.
+    changes: u64,
 }
 
 impl Cache {
@@ -456,6 +464,7 @@ impl Cache {
         value: Result<Measurement, MeasureError>,
     ) -> Vec<MeasureKey> {
         use std::collections::hash_map::Entry;
+        self.changes += 1;
         match self.records.entry(key) {
             Entry::Occupied(mut slot) => {
                 let _ = slot.insert(value);
@@ -477,6 +486,7 @@ impl Cache {
                 break;
             };
             self.records.remove(&oldest);
+            self.changes += 1;
             victims.push(oldest);
         }
         victims
@@ -536,7 +546,9 @@ impl Orchestrator {
 
     /// The shared harness for a benchmark, or `None` for an unknown name.
     /// One harness per benchmark means compile and link caches are shared
-    /// by every experiment in the process.
+    /// by every experiment in the process. The first request for a name
+    /// builds that one benchmark; an unknown name builds nothing and
+    /// caches nothing.
     #[must_use]
     pub fn harness(&self, name: &str) -> Option<Arc<Harness>> {
         let mut reg = self.harnesses.lock();
@@ -545,7 +557,7 @@ impl Orchestrator {
         }
         let h = Arc::new(Harness::new(benchmark_by_name(name)?));
         reg.insert(name.to_owned(), h.clone());
-        Some(h.clone())
+        Some(h)
     }
 
     /// Counts (and, when tracing, emits) one cache interaction.
@@ -993,20 +1005,22 @@ impl Orchestrator {
     /// Propagates I/O errors from writing or renaming. Callers that want
     /// retry and graceful degradation use [`Orchestrator::persist`].
     pub fn save(&self, path: &Path) -> std::io::Result<usize> {
+        let mut persisted = self.persisted.lock();
         // Clone the successful records under the lock and format them
         // outside it; sort by the record line itself for a deterministic
         // file order.
-        let records: Vec<(MeasureKey, Measurement)> = {
+        let (records, changes): (Vec<(MeasureKey, Measurement)>, u64) = {
             let cache = self.cache.lock();
-            cache
+            let records = cache
                 .records
                 .iter()
                 .filter_map(|(k, r)| Some((k.clone(), r.as_ref().ok()?.clone())))
-                .collect()
+                .collect();
+            (records, cache.changes)
         };
         let mut lines: Vec<String> = records.iter().map(|(k, m)| record_line(k, m)).collect();
         lines.sort_unstable();
-        jsonl::write_atomic(path, |f| {
+        let written = jsonl::write_atomic(path, |f| {
             for line in &lines {
                 if faults::active() {
                     if let Some(e) = faults::io_error(site::SAVE_IO) {
@@ -1025,7 +1039,9 @@ impl Orchestrator {
                 writeln!(f, "{line}")?;
             }
             Ok(lines.len())
-        })
+        })?;
+        *persisted = Some((path.to_owned(), changes));
+        Ok(written)
     }
 
     /// [`Orchestrator::save`] with transient-failure handling: up to three
@@ -1036,9 +1052,17 @@ impl Orchestrator {
     /// degraded. Measurements are never lost to a persistence failure:
     /// results flow to callers directly, the file is only a resume
     /// accelerator.
+    ///
+    /// An unchanged cache is not rewritten: when `path` is the file last
+    /// saved or cleanly loaded, it still exists, and no record has been
+    /// added, replaced or evicted since, the call writes nothing and
+    /// returns the count a write would have.
     pub fn persist(&self, path: &Path) -> usize {
         if self.degraded.load(Ordering::Relaxed) {
             return 0;
+        }
+        if let Some(n) = self.unchanged_on_disk(path) {
+            return n;
         }
         match jsonl::retry_io(|| self.save(path)) {
             Ok(n) => n,
@@ -1053,6 +1077,18 @@ impl Orchestrator {
                 0
             }
         }
+    }
+
+    /// The number of records a save would write, if `path` already holds
+    /// exactly them (see [`Orchestrator::persist`]).
+    fn unchanged_on_disk(&self, path: &Path) -> Option<usize> {
+        let persisted = self.persisted.lock();
+        let (saved, changes) = persisted.as_ref()?;
+        if saved != path || !path.exists() {
+            return None;
+        }
+        let cache = self.cache.lock();
+        (cache.changes == *changes).then(|| cache.records.values().filter(|r| r.is_ok()).count())
     }
 
     /// Whether [`Orchestrator::persist`] has degraded to in-memory-only
@@ -1076,6 +1112,12 @@ impl Orchestrator {
     /// zero. Transient read errors are retried (three attempts, short
     /// backoff) before propagating.
     ///
+    /// Loading into an empty cache a file whose every line restores a
+    /// record leaves the cache matching the file, so the next
+    /// [`Orchestrator::persist`] to it writes nothing. A file with any
+    /// pruned, quarantined or duplicate line is rewritten clean at the
+    /// next persist.
+    ///
     /// # Errors
     ///
     /// Propagates I/O errors other than the file not existing; the caller
@@ -1091,25 +1133,36 @@ impl Orchestrator {
         let Some(text) = read else {
             return Ok(0);
         };
-        let mut restored = 0usize;
         let mut pruned = 0u64;
         let mut quarantined = 0u64;
-        let mut evicted = Vec::new();
+        let mut lines = 0usize;
+        let mut parsed = Vec::new();
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            lines += 1;
             match parse_record(line) {
-                RecordVerdict::Ok(key, _) if benchmark_by_name(&key.bench).is_none() => {
+                RecordVerdict::Ok(key, _) if !benchmark_names().any(|b| b == key.bench) => {
                     pruned += 1;
                 }
-                RecordVerdict::Ok(key, m) => {
-                    let mut cache = self.cache.lock();
-                    if !cache.records.contains_key(&key) {
-                        evicted.extend(cache.insert(key, Ok(*m)));
-                        restored += 1;
-                    }
-                }
+                RecordVerdict::Ok(key, m) => parsed.push((key, m)),
                 RecordVerdict::Foreign => pruned += 1,
                 RecordVerdict::Corrupt => quarantined += 1,
             }
+        }
+        let mut restored = 0usize;
+        let mut evicted = Vec::new();
+        let matches_file = {
+            let mut cache = self.cache.lock();
+            let was_empty = cache.records.is_empty();
+            for (key, m) in parsed {
+                if !cache.records.contains_key(&key) {
+                    evicted.extend(cache.insert(key, Ok(*m)));
+                    restored += 1;
+                }
+            }
+            (was_empty && restored == lines && evicted.is_empty()).then_some(cache.changes)
+        };
+        if let Some(changes) = matches_file {
+            *self.persisted.lock() = Some((path.to_owned(), changes));
         }
         self.note_evicted(&evicted);
         self.loaded.add(restored as u64);
@@ -1533,6 +1586,90 @@ mod tests {
         assert_eq!(stats.pruned, 2, "v1 + unknown bench");
         assert_eq!(stats.quarantined, 2, "truncated + crc mismatch");
         assert!(format!("{stats}").contains("2 pruned, 2 quarantined"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unknown_benchmark_gets_no_harness_and_caches_nothing() {
+        let orch = Orchestrator::new();
+        assert!(orch.harness("nonesuch").is_none());
+        assert!(orch.harnesses.lock().is_empty());
+        let h = orch.harness("hmmer").expect("known benchmark");
+        assert!(Arc::ptr_eq(&h, &orch.harness("hmmer").expect("cached")));
+        assert_eq!(orch.harnesses.lock().len(), 1);
+    }
+
+    /// The file's identity: a rewrite renames a fresh temp file over it,
+    /// so the inode changes even when the bytes and mtime do not.
+    fn file_state(path: &Path) -> (Vec<u8>, std::time::SystemTime, u64) {
+        use std::os::unix::fs::MetadataExt as _;
+        let meta = std::fs::metadata(path).expect("results file exists");
+        let bytes = std::fs::read(path).expect("read back");
+        (bytes, meta.modified().expect("mtime"), meta.ino())
+    }
+
+    #[test]
+    fn persisting_an_unchanged_cache_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("biaslab-unchanged-{}", std::process::id()));
+        let path = dir.join("measurements.jsonl");
+        let orch = Orchestrator::new();
+        let h = orch.harness("hmmer").expect("known benchmark");
+        let setups = env_setups(3);
+        let _ = orch.sweep(&h, &setups[..2], InputSize::Test);
+        assert_eq!(orch.persist(&path), 2);
+        let saved = file_state(&path);
+        assert_eq!(orch.persist(&path), 2, "nothing changed since the save");
+        assert_eq!(file_state(&path), saved);
+
+        // A resumed run: load, serve every request from the cache, persist.
+        let resumed = Orchestrator::new();
+        assert_eq!(resumed.load(&path).expect("load"), 2);
+        let _ = resumed.sweep(&h, &setups[..2], InputSize::Test);
+        assert_eq!(resumed.stats().simulated, 0);
+        assert_eq!(resumed.persist(&path), 2, "the count a write would return");
+        assert_eq!(file_state(&path), saved, "bytes, mtime and inode untouched");
+
+        // A new record makes the next persist write.
+        let _ = resumed.sweep(&h, &setups, InputSize::Test);
+        assert_eq!(resumed.persist(&path), 3);
+        assert_ne!(file_state(&path).2, saved.2, "rewritten");
+        // So does an eviction.
+        resumed.set_cache_cap(Some(1));
+        assert_eq!(resumed.persist(&path), 1);
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(text.lines().count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_file_is_rewritten_clean_and_other_paths_still_write() {
+        let dir = std::env::temp_dir().join(format!("biaslab-rewrite-{}", std::process::id()));
+        let path = dir.join("measurements.jsonl");
+        let orch = Orchestrator::new();
+        let h = orch.harness("milc").expect("known benchmark");
+        let _ = orch.sweep(&h, &env_setups(2), InputSize::Test);
+        assert_eq!(orch.save(&path).expect("save"), 2);
+        let clean = std::fs::read(&path).expect("read back");
+
+        // A crashed writer's torn tail: quarantined on load, and the next
+        // persist compacts the file even though no record changed.
+        let mut torn = clean.clone();
+        torn.extend_from_slice(&clean[..clean.len() / 3]);
+        std::fs::write(&path, &torn).expect("tear");
+        let fresh = Orchestrator::new();
+        assert_eq!(fresh.load(&path).expect("load"), 2);
+        assert_eq!(fresh.stats().quarantined, 1);
+        assert_eq!(fresh.persist(&path), 2);
+        assert_eq!(std::fs::read(&path).expect("read back"), clean);
+
+        // Another path is written even though the cache matches `path`…
+        let other = dir.join("other.jsonl");
+        assert_eq!(fresh.persist(&other), 2);
+        assert_eq!(std::fs::read(&other).expect("read other"), clean);
+        // …and so is a matched file that has since disappeared.
+        std::fs::remove_file(&other).expect("remove");
+        assert_eq!(fresh.persist(&other), 2);
+        assert_eq!(std::fs::read(&other).expect("read other"), clean);
         std::fs::remove_dir_all(&dir).ok();
     }
 

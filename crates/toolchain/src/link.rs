@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use biaslab_isa::{Inst, Reg};
 use serde::{Deserialize, Serialize};
@@ -39,7 +40,7 @@ pub struct Executable {
     text_base: u32,
     insts: Vec<Inst>,
     data_base: u32,
-    data: Vec<u8>,
+    data: Arc<Vec<u8>>,
     gp: u32,
     entry: u32,
     symbols: Vec<Symbol>,
@@ -92,6 +93,16 @@ impl Executable {
     #[must_use]
     pub fn data(&self) -> &[u8] {
         &self.data
+    }
+
+    /// Makes this executable share `other`'s data image when the two hold
+    /// the same bytes, as every executable linked from one compiled module
+    /// does: the image depends on the module's globals, never on the
+    /// layout. A cache of many layouts then keeps one copy.
+    pub fn share_data_with(&mut self, other: &Executable) {
+        if self.data == other.data {
+            self.data = Arc::clone(&other.data);
+        }
     }
 
     /// The global-pointer value the ABI expects in `gp`.
@@ -425,7 +436,7 @@ impl Linker {
             text_base,
             insts,
             data_base: crate::layout::DATA_BASE,
-            data,
+            data: Arc::new(data),
             gp: GP_VALUE,
             entry: text_base,
             symbols,
@@ -744,6 +755,26 @@ mod tests {
             pc = next;
         }
         panic!("functional stub did not halt");
+    }
+
+    #[test]
+    fn layouts_of_one_module_can_share_their_data_image() {
+        let cm = compiled(OptLevel::O2);
+        let base = Linker::new().link(&cm, "main").unwrap();
+        let mut moved = Linker::new().text_offset(64).link(&cm, "main").unwrap();
+        let bytes = moved.data().to_vec();
+        assert!(!std::ptr::eq(moved.data(), base.data()));
+        moved.share_data_with(&base);
+        assert!(std::ptr::eq(moved.data(), base.data()));
+        assert_eq!(moved.data(), bytes.as_slice());
+
+        // A different image is never shared.
+        let mut other = cm.clone();
+        other.globals[0].init = vec![9; 8];
+        let mut foreign = Linker::new().link(&other, "main").unwrap();
+        foreign.share_data_with(&base);
+        assert!(!std::ptr::eq(foreign.data(), base.data()));
+        assert_ne!(foreign.data(), base.data());
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! instruction; [`Benchmark::expected`] computes the reference outcome with
 //! the IR interpreter, and the suite's differential tests assert that every
 //! optimization level on every machine reproduces it exactly.
+//!
+//! The suite is a static registry: each entry holds a name, a description,
+//! a kernel constructor and the Test and Ref inputs. Building a
+//! [`Benchmark`] runs its constructor, so the three entry points cost in
+//! proportion to what they return: [`benchmark_names`] builds nothing,
+//! [`benchmark_by_name`] builds one benchmark and [`suite`] builds all
+//! twelve.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,4 +40,4 @@ mod kernels;
 mod suite;
 pub mod util;
 
-pub use suite::{benchmark_by_name, suite, Benchmark, Expected, InputSize};
+pub use suite::{benchmark_by_name, benchmark_names, suite, Benchmark, Expected, InputSize};

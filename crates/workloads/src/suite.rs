@@ -31,46 +31,135 @@ pub struct Expected {
     pub ir_ops: u64,
 }
 
+/// One registry entry: what a benchmark is, without building it. The
+/// kernel constructor runs only when a [`Benchmark`] is built.
+#[derive(Debug)]
+struct Entry {
+    name: &'static str,
+    description: &'static str,
+    kernel: fn() -> Module,
+    test_args: &'static [u64],
+    ref_args: &'static [u64],
+}
+
+impl Entry {
+    fn build(&'static self) -> Benchmark {
+        Benchmark {
+            spec: self,
+            module: (self.kernel)(),
+            expected: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
+/// The twelve benchmarks, in the paper's listing order.
+static REGISTRY: [Entry; 12] = [
+    Entry {
+        name: "perlbench",
+        description: "hash table + bytecode-dispatch interpreter",
+        kernel: kernels::perlbench,
+        test_args: &[8],
+        ref_args: &[90],
+    },
+    Entry {
+        name: "bzip2",
+        description: "counting sort + move-to-front transform",
+        kernel: kernels::bzip2,
+        test_args: &[1],
+        ref_args: &[3],
+    },
+    Entry {
+        name: "gcc",
+        description: "expression-tree construction and constant folding",
+        kernel: kernels::gcc,
+        test_args: &[2],
+        ref_args: &[14],
+    },
+    Entry {
+        name: "mcf",
+        description: "pointer-chasing cost relaxation over a network",
+        kernel: kernels::mcf,
+        test_args: &[2],
+        ref_args: &[10],
+    },
+    Entry {
+        name: "milc",
+        description: "fixed-point lattice arithmetic",
+        kernel: kernels::milc,
+        test_args: &[1],
+        ref_args: &[5],
+    },
+    Entry {
+        name: "gobmk",
+        description: "board scanning with recursive flood fill",
+        kernel: kernels::gobmk,
+        test_args: &[1],
+        ref_args: &[13],
+    },
+    Entry {
+        name: "hmmer",
+        description: "dynamic-programming matrix fill on stack rows",
+        kernel: kernels::hmmer,
+        test_args: &[5],
+        ref_args: &[48],
+    },
+    Entry {
+        name: "sjeng",
+        description: "recursive game search + transposition table",
+        kernel: kernels::sjeng,
+        test_args: &[1],
+        ref_args: &[8],
+    },
+    Entry {
+        name: "libquantum",
+        description: "streaming bit manipulation over a register file",
+        kernel: kernels::libquantum,
+        test_args: &[1],
+        ref_args: &[3],
+    },
+    Entry {
+        name: "h264ref",
+        description: "sum-of-absolute-differences motion search",
+        kernel: kernels::h264ref,
+        test_args: &[1],
+        ref_args: &[2],
+    },
+    Entry {
+        name: "lbm",
+        description: "double-buffered stencil relaxation",
+        kernel: kernels::lbm,
+        test_args: &[1],
+        ref_args: &[4],
+    },
+    Entry {
+        name: "sphinx3",
+        description: "dot-product scoring against an active list",
+        kernel: kernels::sphinx3,
+        test_args: &[1],
+        ref_args: &[6],
+    },
+];
+
 /// One miniature SPEC benchmark: an IR module plus its inputs and
 /// (lazily computed) expected outcomes.
 #[derive(Debug)]
 pub struct Benchmark {
-    name: &'static str,
-    description: &'static str,
+    spec: &'static Entry,
     module: Module,
-    test_args: Vec<u64>,
-    ref_args: Vec<u64>,
     expected: Mutex<HashMap<InputSize, Expected>>,
 }
 
 impl Benchmark {
-    fn new(
-        name: &'static str,
-        description: &'static str,
-        module: Module,
-        test_args: Vec<u64>,
-        ref_args: Vec<u64>,
-    ) -> Benchmark {
-        Benchmark {
-            name,
-            description,
-            module,
-            test_args,
-            ref_args,
-            expected: Mutex::new(HashMap::new()),
-        }
-    }
-
     /// The SPEC-style benchmark name, e.g. `"perlbench"`.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        self.name
+        self.spec.name
     }
 
     /// One-line description of the modelled behaviour.
     #[must_use]
     pub fn description(&self) -> &'static str {
-        self.description
+        self.spec.description
     }
 
     /// The benchmark's IR module.
@@ -87,10 +176,10 @@ impl Benchmark {
 
     /// The entry arguments for the given input size.
     #[must_use]
-    pub fn args(&self, size: InputSize) -> &[u64] {
+    pub fn args(&self, size: InputSize) -> &'static [u64] {
         match size {
-            InputSize::Test => &self.test_args,
-            InputSize::Ref => &self.ref_args,
+            InputSize::Test => self.spec.test_args,
+            InputSize::Ref => self.spec.ref_args,
         }
     }
 
@@ -110,7 +199,7 @@ impl Benchmark {
         let mut interp = Interpreter::new(&self.module);
         let out = interp
             .call_by_name(self.entry(), self.args(size))
-            .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", self.name));
+            .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", self.name()));
         let e = Expected {
             checksum: out.checksum,
             return_value: out.return_value.unwrap_or(0),
@@ -124,96 +213,46 @@ impl Benchmark {
 /// Builds the full 12-benchmark suite, in the paper's listing order.
 #[must_use]
 pub fn suite() -> Vec<Benchmark> {
-    vec![
-        Benchmark::new(
-            "perlbench",
-            "hash table + bytecode-dispatch interpreter",
-            kernels::perlbench(),
-            vec![8],
-            vec![90],
-        ),
-        Benchmark::new(
-            "bzip2",
-            "counting sort + move-to-front transform",
-            kernels::bzip2(),
-            vec![1],
-            vec![3],
-        ),
-        Benchmark::new(
-            "gcc",
-            "expression-tree construction and constant folding",
-            kernels::gcc(),
-            vec![2],
-            vec![14],
-        ),
-        Benchmark::new(
-            "mcf",
-            "pointer-chasing cost relaxation over a network",
-            kernels::mcf(),
-            vec![2],
-            vec![10],
-        ),
-        Benchmark::new(
-            "milc",
-            "fixed-point lattice arithmetic",
-            kernels::milc(),
-            vec![1],
-            vec![5],
-        ),
-        Benchmark::new(
-            "gobmk",
-            "board scanning with recursive flood fill",
-            kernels::gobmk(),
-            vec![1],
-            vec![13],
-        ),
-        Benchmark::new(
-            "hmmer",
-            "dynamic-programming matrix fill on stack rows",
-            kernels::hmmer(),
-            vec![5],
-            vec![48],
-        ),
-        Benchmark::new(
-            "sjeng",
-            "recursive game search + transposition table",
-            kernels::sjeng(),
-            vec![1],
-            vec![8],
-        ),
-        Benchmark::new(
-            "libquantum",
-            "streaming bit manipulation over a register file",
-            kernels::libquantum(),
-            vec![1],
-            vec![3],
-        ),
-        Benchmark::new(
-            "h264ref",
-            "sum-of-absolute-differences motion search",
-            kernels::h264ref(),
-            vec![1],
-            vec![2],
-        ),
-        Benchmark::new(
-            "lbm",
-            "double-buffered stencil relaxation",
-            kernels::lbm(),
-            vec![1],
-            vec![4],
-        ),
-        Benchmark::new(
-            "sphinx3",
-            "dot-product scoring against an active list",
-            kernels::sphinx3(),
-            vec![1],
-            vec![6],
-        ),
-    ]
+    REGISTRY.iter().map(Entry::build).collect()
 }
 
-/// Looks up one benchmark by name.
+/// The suite's benchmark names, in [`suite`] order. Builds nothing: use
+/// it to check or enumerate names.
+pub fn benchmark_names() -> impl Iterator<Item = &'static str> {
+    REGISTRY.iter().map(|e| e.name)
+}
+
+/// Looks up one benchmark by name, building only that benchmark.
 #[must_use]
 pub fn benchmark_by_name(name: &str) -> Option<Benchmark> {
-    suite().into_iter().find(|b| b.name() == name)
+    REGISTRY.iter().find(|e| e.name == name).map(Entry::build)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_lookups_and_suite_agree() {
+        let suite = suite();
+        let names: Vec<&str> = benchmark_names().collect();
+        assert_eq!(names, suite.iter().map(Benchmark::name).collect::<Vec<_>>());
+        for b in &suite {
+            let one = benchmark_by_name(b.name()).expect("registered name");
+            assert_eq!(one.name(), b.name());
+            assert_eq!(one.description(), b.description());
+            for size in [InputSize::Test, InputSize::Ref] {
+                assert_eq!(one.args(size), b.args(size));
+            }
+            assert_eq!(one.module(), b.module());
+        }
+    }
+
+    #[test]
+    fn unknown_names_are_not_in_the_registry() {
+        for name in ["nonesuch", "", "Hmmer", "hmmer "] {
+            assert!(benchmark_by_name(name).is_none(), "{name:?}");
+            assert!(!benchmark_names().any(|n| n == name), "{name:?}");
+        }
+    }
 }

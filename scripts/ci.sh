@@ -60,11 +60,18 @@ cmp "$tmp/plain.out" "$tmp/chaos.out" \
 leaked="$(find "$tmp/chaos-results" "$tmp/plain-results" -name '*.tmp' 2>/dev/null || true)"
 [ -z "$leaked" ] || { echo "FATAL: leaked tmp files: $leaked" >&2; exit 1; }
 
-echo "==> resume smoke (repro all resumed from the results file is byte-identical)"
+echo "==> resume smoke (a resumed repro all is byte-identical, simulates nothing, writes nothing)"
+results="$tmp/plain-results/measurements.jsonl"
+cp "$results" "$tmp/before.jsonl"
+mtime="$(stat -c %y "$results")"
 BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort quick \
-    2>/dev/null > "$tmp/resumed.out"
+    2>"$tmp/resumed.err" > "$tmp/resumed.out"
 cmp "$tmp/plain.out" "$tmp/resumed.out" \
     || { echo "FATAL: resumed stdout differs from cold stdout" >&2; exit 1; }
+grep -q '^\[repro\] totals: cache [0-9]* hit / 0 miss (0 simulated,' "$tmp/resumed.err" \
+    || { echo "FATAL: the resumed run measured again: $(grep totals "$tmp/resumed.err")" >&2; exit 1; }
+cmp "$tmp/before.jsonl" "$results" && [ "$(stat -c %y "$results")" = "$mtime" ] \
+    || { echo "FATAL: the resumed run rewrote $results" >&2; exit 1; }
 
 echo "==> serve smoke (daemon boot, canned transcript, chaos schedule)"
 sock="$tmp/serve.sock"

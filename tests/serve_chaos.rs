@@ -23,10 +23,10 @@ use biaslab_core::Orchestrator;
 use biaslab_toolchain::OptLevel;
 use biaslab_workloads::InputSize;
 
-/// The seeded socket-fault schedules under test. Probabilities are low
-/// enough that an 8-attempt retry budget makes exchange failure
-/// vanishingly unlikely, high enough that every site fires many times
-/// over a run.
+/// The seeded socket-fault schedules under test. Probabilities are high
+/// enough that every site fires many times over a run; each client's
+/// retry budget comes from the schedule ([`retry_budget`]), so no
+/// exchange can run out of attempts.
 const SCHEDULES: &[(&str, &str)] = &[
     ("accept-flaky", "seed=101,serve.accept=0.25"),
     (
@@ -41,6 +41,47 @@ const SCHEDULES: &[(&str, &str)] = &[
 
 fn spec(s: &str) -> FaultSpec {
     FaultSpec::parse(s).expect("test specs parse")
+}
+
+/// The sites whose fault fails the attempt that hits it: an accept
+/// fault drops the new connection, a drop or short write tears the
+/// response. A slow client only delays its attempt. An attempt hits
+/// each of these sites at most once: accept once per connection, which
+/// a client opens only for its first attempt and after a failure, and
+/// drop and short write once per response line.
+const FAILING_SITES: [&str; 3] = [
+    faults::site::SERVE_ACCEPT,
+    faults::site::SERVE_DROP,
+    faults::site::SERVE_WRITE_SHORT,
+];
+
+/// A per-client attempt budget that no exchange can exhaust under
+/// `schedule`, whatever order the clients' attempts take hit indices in.
+///
+/// Let `fires(a)` count the schedule's fires among the first `a` hits of
+/// each failing site. Every attempt but an exchange's first follows a
+/// failed attempt, and every failure spends a fire, so a run of
+/// `exchanges` exchanges makes at most `a*` attempts, the least fixed
+/// point of `a = exchanges + fires(a)`. The whole run then fails at
+/// most `a* - exchanges` attempts, and one more attempt always
+/// succeeds.
+fn retry_budget(schedule: &FaultSpec, exchanges: u64) -> u32 {
+    let fires = |attempts: u64| -> u64 {
+        let fired = |site: &str| {
+            (0..attempts)
+                .filter(|&hit| schedule.fires(site, hit))
+                .count()
+        };
+        FAILING_SITES.iter().map(|site| fired(site) as u64).sum()
+    };
+    let mut attempts = exchanges;
+    loop {
+        let next = exchanges + fires(attempts);
+        if next == attempts {
+            return u32::try_from(attempts - exchanges + 1).expect("a small budget");
+        }
+        attempts = next;
+    }
 }
 
 fn temp_sock(tag: &str) -> Addr {
@@ -93,8 +134,20 @@ fn seeded_socket_schedules_never_tear_or_wedge() {
         })
         .collect();
 
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 3;
+    let exchanges = (CLIENTS * ROUNDS * pool.len()) as u64;
     for (name, schedule) in SCHEDULES {
-        faults::install(&spec(schedule));
+        let schedule = spec(schedule);
+        // A fault is certain, not just likely: accept is hit at least
+        // once per client, and drop once per exchange.
+        assert!(
+            (0..CLIENTS as u64).any(|hit| schedule.fires(faults::site::SERVE_ACCEPT, hit))
+                || (0..exchanges).any(|hit| schedule.fires(faults::site::SERVE_DROP, hit)),
+            "schedule {name} may fire no fault"
+        );
+        let attempts = retry_budget(&schedule, exchanges);
+        faults::install(&schedule);
         let addr = temp_sock(name);
         let server = Server::start(
             &ServerConfig::new(addr.clone()),
@@ -102,8 +155,6 @@ fn seeded_socket_schedules_never_tear_or_wedge() {
         )
         .expect("server starts");
 
-        const CLIENTS: usize = 4;
-        const ROUNDS: usize = 3;
         let retries: u64 = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..CLIENTS)
                 .map(|_| {
@@ -111,7 +162,7 @@ fn seeded_socket_schedules_never_tear_or_wedge() {
                     let pool = &pool;
                     let expected = &expected;
                     scope.spawn(move || {
-                        let mut client = Client::new(addr).with_attempts(8);
+                        let mut client = Client::new(addr).with_attempts(attempts);
                         let mut retries = 0u64;
                         for _ in 0..ROUNDS {
                             for (i, s) in pool.iter().enumerate() {
