@@ -303,7 +303,11 @@ fn main() -> ExitCode {
                     }
                 }
             };
-            eprintln!("[repro] totals: {}", Orchestrator::global().stats());
+            eprintln!(
+                "[repro] totals: {}, {} reference interpretation(s)",
+                Orchestrator::global().stats(),
+                biaslab_workloads::reference_interpretations()
+            );
             export_trace("all", effort);
             code
         }

@@ -159,8 +159,10 @@ pub(crate) fn abl_machine(effort: Effort) -> String {
 
 /// `abl-warmup`: cold-start vs steady-state measurement — how much of a
 /// run is warm-up transient, and does warm-up change the O3 conclusion?
+/// Cold cycles come from the default setup, warm ones from the same setup
+/// with two warm-up runs (the third run on one machine), both measured
+/// and cached through the orchestrator.
 pub(crate) fn abl_warmup(effort: Effort) -> String {
-    use biaslab_core::harness::CachePolicy;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -181,11 +183,13 @@ pub(crate) fn abl_warmup(effort: Effort) -> String {
         let mut speedups = Vec::new();
         for level in [OptLevel::O2, OptLevel::O3] {
             let setup = base_setup(MachineConfig::core2(), level);
-            let reps = h
-                .measure_repeated(&setup, effort.input(), 3, CachePolicy::Warm)
-                .expect("repetitions run");
-            let cold = reps[0].counters.cycles;
-            let warm = reps[2].counters.cycles;
+            let setups = [setup.clone(), setup.with_warmup_runs(2)];
+            let cycles: Vec<u64> = biaslab_core::Orchestrator::global()
+                .sweep(&h, &setups, effort.input())
+                .into_iter()
+                .map(|r| r.expect("repetitions run").cycles())
+                .collect();
+            let (cold, warm) = (cycles[0], cycles[1]);
             if level == OptLevel::O2 {
                 row.push(format!("{cold}"));
                 row.push(format!("{warm}"));

@@ -5,9 +5,12 @@
 //! the paper's fig9/fig10 toolkit; this experiment closes the loop the
 //! way Russo & Zou prescribe — every statically-flagged hazard gets the
 //! targeted experiment it pre-registered. For each finding the remedy
-//! is applied via toolchain layout ablations (`Linker::pad_symbol`,
-//! `Linker::align_symbol`, a pinned link order, or compensating loader
-//! stack shifts) and the predicted counter is measured in simulation.
+//! is applied as a setup factor (a symbol layout, which the harness
+//! links through `Linker::pad_symbol` or `Linker::align_symbol`, a pinned
+//! link order, or compensating loader stack shifts) and the predicted
+//! counter is measured in simulation. Every validation run, remedied or
+//! not, goes through `Orchestrator::measure` or `Orchestrator::sweep`,
+//! so it is verified, cached and persisted like any other measurement.
 //! The per-class *precision* — the fraction of findings whose remedy
 //! moves the metric in the predicted direction — is the evidence that
 //! lint output is diagnosis, not opinion.
@@ -23,12 +26,10 @@ use std::fmt::Write as _;
 use biaslab_analyze::lint::order_token;
 use biaslab_analyze::{lint_benchmark, Finding, FindingClass, Remedy};
 use biaslab_core::report::Table;
-use biaslab_core::setup::LinkOrder;
-use biaslab_core::{ExperimentSetup, Harness, Orchestrator};
-use biaslab_toolchain::link::Linker;
-use biaslab_toolchain::load::{Environment, Loader};
+use biaslab_core::{ExperimentSetup, Harness, Orchestrator, SymbolLayout};
+use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
-use biaslab_uarch::{Counters, Machine, MachineConfig};
+use biaslab_uarch::MachineConfig;
 use biaslab_workloads::InputSize;
 
 use super::Effort;
@@ -43,36 +44,28 @@ fn env_points(effort: Effort) -> Vec<u32> {
     (0..n).map(|i| i * 176).collect()
 }
 
-/// Runs one measurement with a layout ablation applied at link time —
-/// the uncached path the orchestrator has no key for, mirroring the
-/// CLI's `--profile` pipeline. Verifies the checksum so a remedy can
-/// never silently change behavior.
-fn run_ablated(
+/// Whether a symbol-layout remedy lowers fetches below the default
+/// layout's, both measured through the orchestrator (the default setup is
+/// usually already cached by another finding or experiment). The harness
+/// verifies every run, so a remedy can never silently change behavior.
+fn layout_lowers_fetches(
+    orch: &Orchestrator,
     harness: &Harness,
-    level: OptLevel,
-    machine: &MachineConfig,
+    base: &ExperimentSetup,
+    layout: SymbolLayout,
     size: InputSize,
-    ablate: impl FnOnce(Linker) -> Linker,
-) -> Counters {
-    let names = harness.object_names();
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let order = LinkOrder::Default.resolve(&name_refs);
-    let cm = harness.compiled(level);
-    let exe = ablate(Linker::new().object_order(order))
-        .link(&cm, harness.benchmark().entry())
-        .expect("ablated link");
-    let process = Loader::new()
-        .load(&exe, &Environment::new(), harness.benchmark().args(size))
-        .expect("load");
-    let result = Machine::new(machine.clone())
-        .run(&exe, process)
-        .expect("run");
-    let expected = harness.benchmark().expected(size);
-    assert_eq!(
-        result.checksum, expected.checksum,
-        "a layout remedy must not change program behavior"
-    );
-    result.counters
+) -> bool {
+    let setups = [base.clone(), base.with_symbol_layout(layout)];
+    let fetches: Vec<u64> = orch
+        .sweep(harness, &setups, size)
+        .into_iter()
+        .map(|r| {
+            r.expect("a layout remedy must not change program behavior")
+                .counters
+                .fetches
+        })
+        .collect();
+    fetches[1] < fetches[0]
 }
 
 /// Cycle range over the environment grid, optionally with the
@@ -124,33 +117,38 @@ fn validate(
     machine: &MachineConfig,
     finding: &Finding,
     effort: Effort,
-    base_cache: &mut BTreeMap<&'static str, Counters>,
 ) -> Option<bool> {
     let size = effort.input();
     let level = finding.level;
+    let base_setup = ExperimentSetup::default_on(machine.clone(), level);
     match &finding.remedy {
         Remedy::Pad { symbol, bytes } => {
-            let base = base_cache
-                .entry(level.name())
-                .or_insert_with(|| run_ablated(harness, level, machine, size, |l| l))
-                .fetches;
-            let remedied = run_ablated(harness, level, machine, size, |l| {
-                l.pad_symbol(symbol, *bytes)
-            });
-            Some(remedied.fetches < base)
+            let layout = SymbolLayout::Pad {
+                symbol: symbol.clone(),
+                bytes: *bytes,
+            };
+            Some(layout_lowers_fetches(
+                orch,
+                harness,
+                &base_setup,
+                layout,
+                size,
+            ))
         }
         Remedy::Align { symbol, align } => {
-            let base = base_cache
-                .entry(level.name())
-                .or_insert_with(|| run_ablated(harness, level, machine, size, |l| l))
-                .fetches;
-            let remedied = run_ablated(harness, level, machine, size, |l| {
-                l.align_symbol(symbol, *align)
-            });
-            Some(remedied.fetches < base)
+            let layout = SymbolLayout::Align {
+                symbol: symbol.clone(),
+                align: *align,
+            };
+            Some(layout_lowers_fetches(
+                orch,
+                harness,
+                &base_setup,
+                layout,
+                size,
+            ))
         }
         Remedy::LinkOrderPin { order } => {
-            let base_setup = ExperimentSetup::default_on(machine.clone(), level);
             let mut pinned_setup = base_setup.clone();
             pinned_setup.link_order = *order;
             let base = orch
@@ -215,14 +213,11 @@ pub(crate) fn ext_lint(effort: Effort) -> String {
         for name in biaslab_workloads::benchmark_names() {
             let report = lint_benchmark(name, &machine).expect("suite lints");
             let harness = orch.harness(name).expect("suite benchmark");
-            let mut base_cache: BTreeMap<&'static str, Counters> = BTreeMap::new();
             for finding in &report.findings {
                 let class = finding.class.name();
                 let t = tally.entry(class).or_default();
                 t.0 += 1;
-                let Some(confirmed) =
-                    validate(orch, &harness, &machine, finding, effort, &mut base_cache)
-                else {
+                let Some(confirmed) = validate(orch, &harness, &machine, finding, effort) else {
                     continue;
                 };
                 t.1 += 1;

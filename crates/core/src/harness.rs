@@ -5,9 +5,17 @@
 //! must match the IR interpreter's reference outcome, so an experiment can
 //! never silently measure a miscompiled program. Compilation is cached per
 //! optimization level (and so is the optimized IR, once a static analyzer
-//! asks for it), and linking per (level, order, offset), since sweeps
-//! re-measure the same binary under hundreds of environments. The cached
-//! layouts of a level share one data image.
+//! asks for it), and linking per (level, order, offset, symbol layout),
+//! since sweeps re-measure the same binary under hundreds of environments.
+//! The cached layouts of a level share one data image.
+//!
+//! A setup's warm-up runs ([`ExperimentSetup::warmup_runs`]) run on the
+//! measured run's machine, each verified, so a warm measurement is one
+//! deterministic function of its setup like any other and the orchestrator
+//! caches it under its key. Reference outcomes are identified by a digest
+//! of the module and arguments they were computed from, which is how the
+//! orchestrator seeds a new harness with a persisted outcome instead of
+//! interpreting it again.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,10 +28,11 @@ use biaslab_toolchain::obj::CompiledModule;
 use biaslab_toolchain::opt;
 use biaslab_toolchain::{Module, OptLevel};
 use biaslab_uarch::{Counters, Machine, RunError, RunResult};
-use biaslab_workloads::{Benchmark, InputSize};
+use biaslab_workloads::{Benchmark, Expected, InputSize};
 use parking_lot::Mutex;
 
-use crate::setup::ExperimentSetup;
+use crate::jsonl::{fnv64, fnv64_extend};
+use crate::setup::{ExperimentSetup, SymbolLayout};
 use crate::telemetry;
 
 /// One verified measurement.
@@ -43,19 +52,6 @@ impl Measurement {
     pub fn cycles(&self) -> u64 {
         self.counters.cycles
     }
-}
-
-/// Whether repeated measurements reuse microarchitectural state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Every repetition starts on a cold machine (the harness default):
-    /// repetitions are bit-identical, because the simulator is
-    /// deterministic.
-    Cold,
-    /// Repetitions share one machine: the first run warms the caches and
-    /// predictors for the rest — the "discard the first iteration"
-    /// methodology debate, reproducible on demand.
-    Warm,
 }
 
 /// Measurement failure.
@@ -124,7 +120,7 @@ impl From<RunError> for MeasureError {
     }
 }
 
-type LinkKey = (OptLevel, Vec<usize>, u32);
+type LinkKey = (OptLevel, Vec<usize>, u32, Option<SymbolLayout>);
 /// A once-initialized link outcome; see the `linked` field.
 type LinkCell = Arc<OnceLock<Result<Arc<Executable>, LinkError>>>;
 
@@ -154,9 +150,11 @@ pub struct Harness {
     // global's initial data.
     optimized: Mutex<HashMap<OptLevel, Arc<Module>>>,
     // Each entry is a once-cell so concurrent first requests for the same
-    // (level, order, offset) link exactly once: the map lock is held only to
-    // fetch the cell, never across the link itself.
+    // (level, order, offset, layout) link exactly once: the map lock is held
+    // only to fetch the cell, never across the link itself.
     linked: Mutex<HashMap<LinkKey, LinkCell>>,
+    // FNV-64 of the module's text and initial data, once asked for.
+    module_digest: OnceLock<u64>,
 }
 
 impl Harness {
@@ -168,6 +166,7 @@ impl Harness {
             compiled: Mutex::new(HashMap::new()),
             optimized: Mutex::new(HashMap::new()),
             linked: Mutex::new(HashMap::new()),
+            module_digest: OnceLock::new(),
         }
     }
 
@@ -230,18 +229,35 @@ impl Harness {
         order: &[usize],
         text_offset: u32,
     ) -> Result<Arc<Executable>, LinkError> {
-        let key = (level, order.to_vec(), text_offset);
+        self.layout(level, order, text_offset, None)
+    }
+
+    /// [`Harness::executable`] with an optional symbol-layout remedy
+    /// applied through [`Linker::pad_symbol`] or [`Linker::align_symbol`].
+    fn layout(
+        &self,
+        level: OptLevel,
+        order: &[usize],
+        text_offset: u32,
+        symbol_layout: Option<&SymbolLayout>,
+    ) -> Result<Arc<Executable>, LinkError> {
+        let key = (level, order.to_vec(), text_offset, symbol_layout.cloned());
         let cell = self.linked.lock().entry(key).or_default().clone();
         cell.get_or_init(|| {
             let cm = self.compiled(level);
-            let mut exe = Linker::new()
+            let linker = Linker::new()
                 .object_order(order.to_vec())
-                .text_offset(text_offset)
-                .link(&cm, self.bench.entry())?;
+                .text_offset(text_offset);
+            let linker = match symbol_layout {
+                None => linker,
+                Some(SymbolLayout::Pad { symbol, bytes }) => linker.pad_symbol(symbol, *bytes),
+                Some(SymbolLayout::Align { symbol, align }) => linker.align_symbol(symbol, *align),
+            };
+            let mut exe = linker.link(&cm, self.bench.entry())?;
             // Layouts differ in text only, so every cached layout at a
             // level shares the declaration-order executable's data image.
             let declared: Vec<usize> = (0..cm.objects.len()).collect();
-            if (order, text_offset) != (declared.as_slice(), 0) {
+            if (order, text_offset, symbol_layout) != (declared.as_slice(), 0, None) {
                 if let Ok(base) = self.executable(level, &declared, 0) {
                     exe.share_data_with(&base);
                 }
@@ -251,21 +267,73 @@ impl Harness {
         .clone()
     }
 
+    /// The digest a reference outcome at `size` is persisted under: FNV-64
+    /// over the module's text, every global's initial data and the entry
+    /// arguments, so an outcome computed from another build's kernel or
+    /// inputs never passes for this one. The module part is computed once.
+    #[must_use]
+    pub(crate) fn reference_digest(&self, size: InputSize) -> u64 {
+        let module = *self.module_digest.get_or_init(|| {
+            let module = self.bench.module();
+            // The text names each global but omits its initial data.
+            module
+                .globals
+                .iter()
+                .fold(fnv64(&module.to_string()), |h, g| {
+                    let h = fnv64_extend(h, &(g.init.len() as u64).to_le_bytes());
+                    fnv64_extend(h, &g.init)
+                })
+        });
+        fnv64(&format!(
+            "reference module={module:016x} entry={} args={:?}",
+            self.bench.entry(),
+            self.bench.args(size)
+        ))
+    }
+
+    /// Seeds the benchmark's reference outcome at `size` with one computed
+    /// earlier, if `digest` is this harness's [`Harness::reference_digest`];
+    /// returns whether it matched. A later verification then reads the
+    /// seeded outcome instead of interpreting.
+    pub(crate) fn seed_reference(&self, size: InputSize, digest: u64, expected: Expected) -> bool {
+        let matches = digest == self.reference_digest(size);
+        if matches {
+            self.bench.seed_expected(size, expected);
+        }
+        matches
+    }
+
+    /// The reference outcomes the benchmark holds, seeded or interpreted,
+    /// each with its [`Harness::reference_digest`].
+    #[must_use]
+    pub(crate) fn references(&self) -> Vec<(InputSize, u64, Expected)> {
+        [InputSize::Test, InputSize::Ref]
+            .into_iter()
+            .filter_map(|size| {
+                let e = self.bench.held_expected(size)?;
+                Some((size, self.reference_digest(size), e))
+            })
+            .collect()
+    }
+
     /// Takes one verified measurement under `setup`: compile → link → load
-    /// → run → stat, on a fresh (cold) machine.
+    /// → run → stat, on a fresh (cold) machine — or, with
+    /// [`ExperimentSetup::warmup_runs`] set, on one that has already run
+    /// that many verified runs of the same executable, each on a freshly
+    /// loaded process.
     ///
     /// With [`telemetry`] enabled every stage runs inside a phase span,
     /// under the span already open on this thread (the orchestrator's
     /// request span) or else under a `measure` span of its own; with
-    /// profiles enabled as well, the run is profiled and its per-function
-    /// attribution attached to the `run` span. With telemetry off each
-    /// stage costs one relaxed atomic load. Counters are bit-identical
-    /// either way.
+    /// profiles enabled as well, the measured run is profiled and its
+    /// per-function attribution attached to the `run` span. With telemetry
+    /// off each stage costs one relaxed atomic load. Counters are
+    /// bit-identical either way.
     ///
     /// # Errors
     ///
-    /// Returns a [`MeasureError`] if any stage fails or the result does not
-    /// match the reference outcome.
+    /// Returns a [`MeasureError`] if any stage fails or the result of any
+    /// run does not match the reference outcome.
     pub fn measure(
         &self,
         setup: &ExperimentSetup,
@@ -278,9 +346,18 @@ impl Harness {
         let stages = || {
             telemetry::in_span("compile", bench, |_| self.compiled(setup.opt));
             let exe = telemetry::in_span("link", bench, |_| self.link(setup))?;
+            let new_machine = || Machine::new(setup.machine.clone());
+            let mut warmed = None;
+            for _ in 0..setup.warmup_runs {
+                let process = telemetry::in_span("load", bench, |_| self.load(&exe, setup, size))?;
+                let result = telemetry::in_span("run", bench, |_| {
+                    warmed.get_or_insert_with(new_machine).run(&exe, process)
+                })?;
+                telemetry::in_span("stat", bench, |_| self.verify(setup, size, &result))?;
+            }
             let process = telemetry::in_span("load", bench, |_| self.load(&exe, setup, size))?;
             let (machine, result) = telemetry::in_span("run", bench, |span| {
-                let mut machine = Machine::new(setup.machine.clone());
+                let mut machine = warmed.unwrap_or_else(new_machine);
                 // `span` is 0 unless tracing is on: profiles need both.
                 let result = if span != 0 && telemetry::profiles_enabled() {
                     machine
@@ -295,6 +372,8 @@ impl Harness {
                 (machine, result)
             });
             let result = result?;
+            // The machine (and so its block cache) lives across the
+            // warm-up runs; one export covers them all.
             Self::export_block_stats(&machine);
             telemetry::in_span("stat", bench, |_| self.verify(setup, size, &result))
         };
@@ -304,47 +383,18 @@ impl Harness {
         stages()
     }
 
-    /// Takes `reps` measurements under one setup, cold or warm (see
-    /// [`CachePolicy`]). Every repetition is verified.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`MeasureError`] encountered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reps == 0`.
-    pub fn measure_repeated(
-        &self,
-        setup: &ExperimentSetup,
-        size: InputSize,
-        reps: usize,
-        policy: CachePolicy,
-    ) -> Result<Vec<Measurement>, MeasureError> {
-        assert!(reps > 0, "at least one repetition");
-        let exe = self.link(setup)?;
-        let mut machine = Machine::new(setup.machine.clone());
-        let mut out = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            if policy == CachePolicy::Cold {
-                machine.reset();
-            }
-            let result = machine.run(&exe, self.load(&exe, setup, size)?)?;
-            out.push(self.verify(setup, size, &result)?);
-        }
-        // The machine (and so its block cache) lives across repetitions;
-        // one export covers the whole series.
-        Self::export_block_stats(&machine);
-        Ok(out)
-    }
-
-    /// The (cached) executable for `setup`'s level, link order and text
-    /// offset.
+    /// The (cached) executable for `setup`'s level, link order, text
+    /// offset and symbol layout.
     fn link(&self, setup: &ExperimentSetup) -> Result<Arc<Executable>, LinkError> {
         let names = self.object_names();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let order = setup.link_order.resolve(&name_refs);
-        self.executable(setup.opt, &order, setup.text_offset)
+        self.layout(
+            setup.opt,
+            &order,
+            setup.text_offset,
+            setup.symbol_layout.as_ref(),
+        )
     }
 
     /// Loads a fresh process for `exe` under `setup`'s environment and
@@ -521,16 +571,19 @@ mod tests {
     fn cold_repetitions_are_identical_and_warm_ones_are_faster() {
         let h = harness("milc");
         let setup = ExperimentSetup::default_on(MachineConfig::core2(), OptLevel::O2);
-        let cold = h
-            .measure_repeated(&setup, InputSize::Test, 3, CachePolicy::Cold)
-            .unwrap();
+        let cold: Vec<Measurement> = (0..3)
+            .map(|_| h.measure(&setup, InputSize::Test).unwrap())
+            .collect();
         assert!(cold.windows(2).all(|w| w[0].counters == w[1].counters));
-        let warm = h
-            .measure_repeated(&setup, InputSize::Test, 3, CachePolicy::Warm)
-            .unwrap();
+        let warm: Vec<Measurement> = (0..3)
+            .map(|k| {
+                h.measure(&setup.with_warmup_runs(k), InputSize::Test)
+                    .unwrap()
+            })
+            .collect();
         assert_eq!(
             warm[0].counters, cold[0].counters,
-            "first warm rep is a cold run"
+            "no warm-up runs is a cold run"
         );
         assert!(
             warm[1].counters.cycles < warm[0].counters.cycles,
@@ -542,5 +595,49 @@ mod tests {
             warm[1].checksum, warm[0].checksum,
             "warmth never changes results"
         );
+    }
+
+    #[test]
+    fn symbol_layouts_link_their_own_executable() {
+        let h = harness("hmmer");
+        let base = ExperimentSetup::default_on(MachineConfig::o3cpu(), OptLevel::O2);
+        let padded = base.with_symbol_layout(SymbolLayout::Pad {
+            symbol: "main".to_owned(),
+            bytes: 12,
+        });
+        let a = h.link(&base).unwrap();
+        let b = h.link(&padded).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&b, &h.link(&padded).unwrap()));
+        assert!(std::ptr::eq(a.data(), b.data()), "one data image per level");
+        assert_eq!(
+            b.symbol("main").unwrap().addr,
+            a.symbol("main").unwrap().addr + 12
+        );
+        let m = h.measure(&padded, InputSize::Test).unwrap();
+        assert_eq!(
+            m.checksum,
+            h.measure(&base, InputSize::Test).unwrap().checksum
+        );
+    }
+
+    #[test]
+    fn reference_digests_tell_sizes_and_modules_apart_and_seed_only_on_a_match() {
+        let h = harness("mcf");
+        let test = h.reference_digest(InputSize::Test);
+        assert_eq!(test, h.reference_digest(InputSize::Test));
+        assert_ne!(test, h.reference_digest(InputSize::Ref));
+        assert_ne!(test, harness("milc").reference_digest(InputSize::Test));
+        let bogus = Expected {
+            checksum: 1,
+            return_value: 2,
+            ir_ops: 3,
+        };
+        assert!(h.references().is_empty());
+        assert!(!h.seed_reference(InputSize::Test, test ^ 1, bogus));
+        assert!(h.references().is_empty(), "a foreign digest seeds nothing");
+        assert!(h.seed_reference(InputSize::Test, test, bogus));
+        assert_eq!(h.references(), vec![(InputSize::Test, test, bogus)]);
+        assert_eq!(h.benchmark().expected(InputSize::Test), bogus);
     }
 }

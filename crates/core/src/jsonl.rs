@@ -19,8 +19,13 @@ use crate::faults;
 /// config, environment, measurement keys) into ids, and the seal's crc.
 #[must_use]
 pub(crate) fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
+    fnv64_extend(0xcbf2_9ce4_8422_2325, s.as_bytes())
+}
+
+/// Continues an FNV-1a digest `h` over more bytes.
+#[must_use]
+pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -261,14 +266,15 @@ mod tests {
     use std::io::Write as _;
 
     use biaslab_toolchain::OptLevel;
-    use biaslab_workloads::InputSize;
+    use biaslab_workloads::{Expected, InputSize};
     use proptest::prelude::*;
     use proptest::sample::select;
 
     use super::*;
     use crate::harness::{MeasureError, Measurement};
     use crate::orchestrator::{
-        counters_from_vec, parse_record, record_line, MeasureKey, RecordVerdict, RECORD_FIELDS,
+        counters_from_vec, parse_record, record_line, reference_line, MeasureKey, RecordVerdict,
+        ReferenceRecord, RECORD_FIELDS, REFERENCE_FIELDS,
     };
     use crate::serve::{
         encode_deadline, encode_draining, encode_error, encode_ok, encode_request, encode_response,
@@ -516,6 +522,7 @@ mod tests {
             link_order in select(orders()),
             (text_offset, stack_shift) in (any::<u32>(), any::<u32>()),
             size in select(vec![InputSize::Test, InputSize::Ref]),
+            (warmup_runs, symbol_layout) in (any::<u32>(), any::<u64>()),
             setup in "[a-zA-Z0-9/=.,:() -]{0,40}",
             counters in prop::collection::vec(any::<u64>(), 22..23),
             checksum in any::<u64>(),
@@ -523,6 +530,7 @@ mod tests {
         ) {
             let key = MeasureKey {
                 bench, machine, opt, link_order, text_offset, stack_shift, env, size,
+                warmup_runs, symbol_layout,
             };
             let m = Measurement {
                 setup,
@@ -540,6 +548,29 @@ mod tests {
                 (m.setup, m.counters, m.checksum)
             );
             check_laws(&line, true, byte, |l| format!("{:?}", parse_record(l)));
+        }
+
+        #[test]
+        fn prop_reference_lines_obey_the_codec_laws(
+            bench in "[a-z0-9_]{1,10}",
+            size in select(vec![InputSize::Test, InputSize::Ref]),
+            (digest, checksum, return_value, ir_ops) in
+                (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            byte in any::<u8>(),
+        ) {
+            let expected = Expected { checksum, return_value, ir_ops };
+            let line = reference_line(&bench, size, digest, &expected);
+            prop_assert_eq!(keys(&line), REFERENCE_FIELDS);
+            let RecordVerdict::Reference(back) = parse_record(&line) else {
+                panic!("reference did not parse back: {line}");
+            };
+            prop_assert_eq!(back, ReferenceRecord { bench, size, digest, expected });
+            check_laws(&line, true, byte, |l| format!("{:?}", parse_record(l)));
+            // A torn line is quarantined, never read as a record or foreign.
+            for cut in 1..line.len() {
+                prop_assert!(matches!(parse_record(&line[..cut]), RecordVerdict::Corrupt)
+                    || !line[..cut].starts_with("{\"v\":4"));
+            }
         }
 
         #[test]

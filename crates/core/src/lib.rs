@@ -74,6 +74,6 @@ pub mod telemetry;
 pub mod trace_report;
 
 pub use bias::BiasReport;
-pub use harness::{CachePolicy, Harness, MeasureError, Measurement};
+pub use harness::{Harness, MeasureError, Measurement};
 pub use orchestrator::{MeasureKey, Orchestrator, OrchestratorStats};
-pub use setup::{ExperimentSetup, LinkOrder};
+pub use setup::{ExperimentSetup, LinkOrder, SymbolLayout};

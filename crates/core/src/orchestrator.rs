@@ -10,7 +10,7 @@
 //! - a **process-wide cache** of verified measurements, keyed by every
 //!   timing-relevant setup factor (benchmark, machine configuration,
 //!   optimization level, link order, text offset, stack shift, environment,
-//!   input size);
+//!   input size, warm-up runs, symbol layout);
 //! - **one measurement protocol**: [`Orchestrator::measure`] and every
 //!   worker of [`Orchestrator::sweep`] take a key through the same
 //!   single-flight leader/waiter loop, so the cache never runs the same
@@ -26,7 +26,12 @@
 //!   across a simulation;
 //! - **persistence**: records round-trip through a JSON-lines file under
 //!   `results/`, so an interrupted `repro all` resumes instead of
-//!   restarting; an unchanged cache is not rewritten;
+//!   restarting; an unchanged cache is not rewritten. The same file holds
+//!   one line per reference outcome a run interpreted, keyed by
+//!   benchmark, input size and a digest of the module and arguments it
+//!   was computed from, and each new harness is seeded from them, so a
+//!   resumed run neither simulates nor interprets what an earlier run
+//!   already did;
 //! - **instrumentation**: hit/miss/simulation counts and wall/busy time,
 //!   reported per experiment (on stderr — experiment stdout is
 //!   byte-identical to the serial path).
@@ -40,12 +45,12 @@
 //! adding a field to [`MachineConfig`] without extending the digest is a
 //! compile error. Equal digests from unequal configs are astronomically
 //! unlikely, and each cached [`Measurement`] still carries its
-//! human-readable setup summary as a cross-check. Warm-cache repetition
-//! studies
-//! ([`Harness::measure_repeated`] with [`crate::harness::CachePolicy::Warm`])
-//! never go through the cache: their later repetitions depend on machine
-//! state, not just the setup.
+//! human-readable setup summary as a cross-check. Warm-up runs and symbol
+//! layouts are setup factors like the others: a warm measurement runs its
+//! warm-up runs on the measured run's machine, so it too is a
+//! deterministic function of its key.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::Write as _;
@@ -57,13 +62,13 @@ use std::time::Instant;
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::{Counters, MachineConfig, RunError};
-use biaslab_workloads::{benchmark_by_name, benchmark_names, InputSize};
+use biaslab_workloads::{benchmark_by_name, benchmark_names, Expected, InputSize};
 use parking_lot::Mutex;
 
 use crate::faults::{self, site};
 use crate::harness::{Harness, MeasureError, Measurement};
 use crate::jsonl::{self, fnv64};
-use crate::setup::{ExperimentSetup, LinkOrder};
+use crate::setup::{ExperimentSetup, LinkOrder, SymbolLayout};
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use crate::telemetry::{self, CacheOutcome, Counter, MetricsRegistry};
 
@@ -146,6 +151,21 @@ pub fn env_digest(e: &Environment) -> u64 {
     fnv64(&canon)
 }
 
+/// Content-addresses a symbol-layout remedy for the cache key: FNV-64 over
+/// a canonical rendering of the remedy, or 0 for none.
+#[must_use]
+pub fn layout_digest(l: Option<&SymbolLayout>) -> u64 {
+    match l {
+        None => 0,
+        Some(SymbolLayout::Pad { symbol, bytes }) => {
+            fnv64(&format!("layout pad symbol={symbol} bytes={bytes}"))
+        }
+        Some(SymbolLayout::Align { symbol, align }) => {
+            fnv64(&format!("layout align symbol={symbol} align={align}"))
+        }
+    }
+}
+
 /// The cache key: every factor that can influence a measurement.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MeasureKey {
@@ -165,6 +185,10 @@ pub struct MeasureKey {
     pub env: u64,
     /// Input size.
     pub size: InputSize,
+    /// Warm-up runs before the measured run.
+    pub warmup_runs: u32,
+    /// [`layout_digest`] of the symbol-layout remedy (0 for none).
+    pub symbol_layout: u64,
 }
 
 impl MeasureKey {
@@ -180,13 +204,17 @@ impl MeasureKey {
             stack_shift: setup.stack_shift,
             env: env_digest(&setup.env),
             size,
+            warmup_runs: setup.warmup_runs,
+            symbol_layout: layout_digest(setup.symbol_layout.as_ref()),
         }
     }
 
     /// A stable FNV-64 digest of the whole key — the `key` field telemetry
     /// events and spans carry, so a trace can correlate every cache
     /// interaction with the measurement it was about without embedding
-    /// eight setup fields per event.
+    /// ten setup fields per event. Warm-up runs and a symbol layout extend
+    /// the digested text only when set, so a key without them digests as
+    /// it did before they existed.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let MeasureKey {
@@ -198,13 +226,22 @@ impl MeasureKey {
             stack_shift,
             env,
             size,
+            warmup_runs,
+            symbol_layout,
         } = self;
-        fnv64(&format!(
+        let mut canon = format!(
             "key bench={bench} machine={machine:016x} opt={opt} order={} \
              text_offset={text_offset} stack_shift={stack_shift} env={env:016x} size={}",
             order_str(*link_order),
             size_str(*size),
-        ))
+        );
+        if *warmup_runs != 0 {
+            canon.push_str(&format!(" warmup={warmup_runs}"));
+        }
+        if *symbol_layout != 0 {
+            canon.push_str(&format!(" layout={symbol_layout:016x}"));
+        }
+        fnv64(&canon)
     }
 }
 
@@ -331,10 +368,23 @@ pub struct Orchestrator {
     /// later calls skip I/O entirely (in-memory-only operation).
     degraded: AtomicBool,
     /// The results file the cache last matched: the path last saved or
-    /// cleanly loaded, with the cache's change count at that moment.
-    /// Held across each whole save, so saves never interleave.
-    persisted: Mutex<Option<(PathBuf, u64)>>,
+    /// cleanly loaded, with the cache's change count and the number of
+    /// reference outcomes held at that moment. Held across each whole
+    /// save, so saves never interleave.
+    persisted: Mutex<Option<Persisted>>,
 }
+
+/// What [`Orchestrator::persist`] compares to skip an unchanged write.
+#[derive(Debug)]
+struct Persisted {
+    path: PathBuf,
+    changes: u64,
+    references: usize,
+}
+
+/// A reference outcome keyed by benchmark and input size, with the
+/// [`Harness::reference_digest`] it was computed under.
+type References = HashMap<(String, InputSize), (u64, Expected)>;
 
 impl Default for Orchestrator {
     fn default() -> Orchestrator {
@@ -448,8 +498,13 @@ struct Cache {
     /// requesters of the same key wait on the leader's cell instead of
     /// re-simulating.
     inflight: HashMap<MeasureKey, Arc<InflightCell>>,
-    /// Records added, replaced or evicted so far: equal counts mean equal
-    /// contents, which is how [`Orchestrator::persist`] skips a rewrite.
+    /// Reference outcomes read from a results file and not yet found
+    /// stale; a new harness is seeded from them.
+    references: References,
+    /// Records added, replaced or evicted and loaded references dropped so
+    /// far: with the count of reference outcomes held (which otherwise
+    /// only grows), equal counts mean equal contents, which is how
+    /// [`Orchestrator::persist`] skips a rewrite.
     changes: u64,
 }
 
@@ -463,7 +518,6 @@ impl Cache {
         key: MeasureKey,
         value: Result<Measurement, MeasureError>,
     ) -> Vec<MeasureKey> {
-        use std::collections::hash_map::Entry;
         self.changes += 1;
         match self.records.entry(key) {
             Entry::Occupied(mut slot) => {
@@ -547,8 +601,9 @@ impl Orchestrator {
     /// The shared harness for a benchmark, or `None` for an unknown name.
     /// One harness per benchmark means compile and link caches are shared
     /// by every experiment in the process. The first request for a name
-    /// builds that one benchmark; an unknown name builds nothing and
-    /// caches nothing.
+    /// builds that one benchmark and seeds it with the reference outcomes
+    /// [`Orchestrator::load`] read for it; an unknown name builds nothing
+    /// and caches nothing.
     #[must_use]
     pub fn harness(&self, name: &str) -> Option<Arc<Harness>> {
         let mut reg = self.harnesses.lock();
@@ -556,8 +611,49 @@ impl Orchestrator {
             return Some(h.clone());
         }
         let h = Arc::new(Harness::new(benchmark_by_name(name)?));
+        self.seed(&h);
         reg.insert(name.to_owned(), h.clone());
         Some(h)
+    }
+
+    /// Seeds `h`'s benchmark with the loaded reference outcomes for it. A
+    /// loaded outcome whose digest is not the harness's own was computed
+    /// from another kernel or input: it is dropped and counted as pruned,
+    /// and the benchmark interprets again when asked.
+    fn seed(&self, h: &Harness) {
+        for size in [InputSize::Test, InputSize::Ref] {
+            let key = (h.benchmark().name().to_owned(), size);
+            let Some((digest, e)) = self.cache.lock().references.get(&key).copied() else {
+                continue;
+            };
+            if h.seed_reference(size, digest, e) {
+                continue;
+            }
+            let mut cache = self.cache.lock();
+            if cache
+                .references
+                .get(&key)
+                .is_some_and(|&(d, _)| d == digest)
+            {
+                cache.references.remove(&key);
+                cache.changes += 1;
+                self.pruned.add(1);
+            }
+        }
+    }
+
+    /// Every reference outcome the process holds: those loaded and not
+    /// found stale, and those each registered harness holds, seeded or
+    /// interpreted.
+    fn held_references(&self) -> References {
+        let harnesses: Vec<Arc<Harness>> = self.harnesses.lock().values().cloned().collect();
+        let mut held = self.cache.lock().references.clone();
+        for h in harnesses {
+            for (size, digest, e) in h.references() {
+                held.insert((h.benchmark().name().to_owned(), size), (digest, e));
+            }
+        }
+        held
     }
 
     /// Counts (and, when tracing, emits) one cache interaction.
@@ -995,10 +1091,12 @@ impl Orchestrator {
         out
     }
 
-    /// Persists every successful cached measurement as one sealed JSON
-    /// line (see the module docs), sorted, through
-    /// `jsonl::write_atomic`: a crash leaves either the complete old file
-    /// or the complete new one, and a failed write leaks no temp file.
+    /// Persists every successful cached measurement, and every reference
+    /// outcome the process holds, as one sealed JSON line each (see the
+    /// module docs), sorted, through `jsonl::write_atomic`: a crash leaves
+    /// either the complete old file or the complete new one, and a failed
+    /// write leaks no temp file. Returns the number of measurement records
+    /// written.
     ///
     /// # Errors
     ///
@@ -1018,9 +1116,15 @@ impl Orchestrator {
                 .collect();
             (records, cache.changes)
         };
+        let references = self.held_references();
         let mut lines: Vec<String> = records.iter().map(|(k, m)| record_line(k, m)).collect();
+        lines.extend(
+            references
+                .iter()
+                .map(|((bench, size), (digest, e))| reference_line(bench, *size, *digest, e)),
+        );
         lines.sort_unstable();
-        let written = jsonl::write_atomic(path, |f| {
+        jsonl::write_atomic(path, |f| {
             for line in &lines {
                 if faults::active() {
                     if let Some(e) = faults::io_error(site::SAVE_IO) {
@@ -1038,10 +1142,14 @@ impl Orchestrator {
                 }
                 writeln!(f, "{line}")?;
             }
-            Ok(lines.len())
+            Ok(())
         })?;
-        *persisted = Some((path.to_owned(), changes));
-        Ok(written)
+        *persisted = Some(Persisted {
+            path: path.to_owned(),
+            changes,
+            references: references.len(),
+        });
+        Ok(records.len())
     }
 
     /// [`Orchestrator::save`] with transient-failure handling: up to three
@@ -1054,9 +1162,10 @@ impl Orchestrator {
     /// accelerator.
     ///
     /// An unchanged cache is not rewritten: when `path` is the file last
-    /// saved or cleanly loaded, it still exists, and no record has been
-    /// added, replaced or evicted since, the call writes nothing and
-    /// returns the count a write would have.
+    /// saved or cleanly loaded, it still exists, no record has been
+    /// added, replaced or evicted since and no reference outcome has been
+    /// interpreted or dropped, the call writes nothing and returns the
+    /// count a write would have.
     pub fn persist(&self, path: &Path) -> usize {
         if self.degraded.load(Ordering::Relaxed) {
             return 0;
@@ -1083,12 +1192,16 @@ impl Orchestrator {
     /// exactly them (see [`Orchestrator::persist`]).
     fn unchanged_on_disk(&self, path: &Path) -> Option<usize> {
         let persisted = self.persisted.lock();
-        let (saved, changes) = persisted.as_ref()?;
-        if saved != path || !path.exists() {
+        let saved = persisted.as_ref()?;
+        if saved.path != path || !path.exists() {
+            return None;
+        }
+        if self.held_references().len() != saved.references {
             return None;
         }
         let cache = self.cache.lock();
-        (cache.changes == *changes).then(|| cache.records.values().filter(|r| r.is_ok()).count())
+        (cache.changes == saved.changes)
+            .then(|| cache.records.values().filter(|r| r.is_ok()).count())
     }
 
     /// Whether [`Orchestrator::persist`] has degraded to in-memory-only
@@ -1098,22 +1211,27 @@ impl Orchestrator {
         self.degraded.load(Ordering::Relaxed)
     }
 
-    /// Restores measurements persisted by [`Orchestrator::save`].
+    /// Restores measurements and reference outcomes persisted by
+    /// [`Orchestrator::save`]. Reference outcomes seed each harness built
+    /// from then on (and any already built) whose module and arguments
+    /// they were computed from.
     ///
-    /// Bad records are dropped, counted, and never fatal, in two classes:
+    /// Bad lines are dropped, counted, and never fatal, in two classes:
     /// **pruned** ([`OrchestratorStats::pruned`]) — foreign record
-    /// versions and benchmarks this build does not know, the ordinary
+    /// versions, benchmarks this build does not know, and reference
+    /// outcomes whose digest a harness does not match, the ordinary
     /// staleness of a file written by an older build; **quarantined**
-    /// ([`OrchestratorStats::quarantined`]) — current-version records
-    /// that are torn or corrupt (truncated mid-line, checksum mismatch),
-    /// the signature of a crashed writer. Either way the affected key
-    /// just re-simulates. Already-cached keys are left untouched.
-    /// Returns how many records were restored; a missing file restores
-    /// zero. Transient read errors are retried (three attempts, short
-    /// backoff) before propagating.
+    /// ([`OrchestratorStats::quarantined`]) — current-version lines that
+    /// are torn or corrupt (truncated mid-line, checksum mismatch), the
+    /// signature of a crashed writer. Either way the affected key just
+    /// re-simulates, or the outcome is interpreted again. Already-cached
+    /// keys and outcomes are left untouched. Returns how many measurement
+    /// records were restored (reference lines are not counted); a missing
+    /// file restores zero. Transient read errors are retried (three
+    /// attempts, short backoff) before propagating.
     ///
-    /// Loading into an empty cache a file whose every line restores a
-    /// record leaves the cache matching the file, so the next
+    /// Loading into an empty orchestrator a file whose every line restores
+    /// a record or an outcome leaves it matching the file, so the next
     /// [`Orchestrator::persist`] to it writes nothing. A file with any
     /// pruned, quarantined or duplicate line is rewritten clean at the
     /// next persist.
@@ -1137,32 +1255,50 @@ impl Orchestrator {
         let mut quarantined = 0u64;
         let mut lines = 0usize;
         let mut parsed = Vec::new();
+        let mut references = Vec::new();
+        let known = |bench: &str| benchmark_names().any(|b| b == bench);
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             lines += 1;
             match parse_record(line) {
-                RecordVerdict::Ok(key, _) if !benchmark_names().any(|b| b == key.bench) => {
+                RecordVerdict::Ok(key, m) if known(&key.bench) => parsed.push((key, m)),
+                RecordVerdict::Reference(r) if known(&r.bench) => references.push(r),
+                RecordVerdict::Ok(..) | RecordVerdict::Reference(_) | RecordVerdict::Foreign => {
                     pruned += 1;
                 }
-                RecordVerdict::Ok(key, m) => parsed.push((key, m)),
-                RecordVerdict::Foreign => pruned += 1,
                 RecordVerdict::Corrupt => quarantined += 1,
             }
         }
         let mut restored = 0usize;
+        let mut seeded = 0usize;
         let mut evicted = Vec::new();
         let matches_file = {
             let mut cache = self.cache.lock();
-            let was_empty = cache.records.is_empty();
+            let was_empty = cache.records.is_empty() && cache.references.is_empty();
             for (key, m) in parsed {
                 if !cache.records.contains_key(&key) {
                     evicted.extend(cache.insert(key, Ok(*m)));
                     restored += 1;
                 }
             }
-            (was_empty && restored == lines && evicted.is_empty()).then_some(cache.changes)
+            for r in references {
+                if let Entry::Vacant(slot) = cache.references.entry((r.bench, r.size)) {
+                    slot.insert((r.digest, r.expected));
+                    seeded += 1;
+                }
+            }
+            (was_empty && restored + seeded == lines && evicted.is_empty()).then_some(cache.changes)
         };
-        if let Some(changes) = matches_file {
-            *self.persisted.lock() = Some((path.to_owned(), changes));
+        let harnesses: Vec<Arc<Harness>> = self.harnesses.lock().values().cloned().collect();
+        for h in &harnesses {
+            self.seed(h);
+        }
+        let held = self.held_references().len();
+        if let Some(changes) = matches_file.filter(|_| held == seeded) {
+            *self.persisted.lock() = Some(Persisted {
+                path: path.to_owned(),
+                changes,
+                references: held,
+            });
         }
         self.note_evicted(&evicted);
         self.loaded.add(restored as u64);
@@ -1176,21 +1312,30 @@ impl Orchestrator {
 // Persistence format, read and sealed through `crate::jsonl`. One record
 // per line:
 //
-//   {"v":3,"bench":"hmmer","machine":123,"opt":"O2","order":"rand:7",
-//    "text_offset":0,"stack_shift":0,"env":456,"size":"test",
-//    "setup":"core2/O2/env=0B/order=default","checksum":789,
-//    "counters":[...],"crc":101112}
+//   {"v":4,"bench":"hmmer","machine":123,"opt":"O2","order":"rand:7",
+//    "text_offset":0,"stack_shift":0,"env":456,"size":"test","warmup":0,
+//    "layout":0,"setup":"core2/O2/env=0B/order=default",
+//    "checksum":789,"counters":[...],"crc":101112}
 //
-// `counters` lists every `Counters` field in declaration order. `crc` is
+// `layout` is the [`layout_digest`], 0 for none. `counters` lists every `Counters` field in declaration order. `crc` is
 // the `jsonl::seal`: FNV-64 over everything before its own field, so a
-// record torn or flipped anywhere is detected on load.
+// record torn or flipped anywhere is detected on load. One reference
+// outcome per line, in the same file:
+//
+//   {"v":4,"reference":"hmmer","size":"ref","digest":123,"checksum":456,
+//    "return_value":0,"ir_ops":789,"crc":101112}
+//
+// where `digest` is the `Harness::reference_digest` it was computed under.
 
 // Version 2: `machine`/`env` switched from Debug-string digests to the
 // canonical named-field digests ([`machine_digest`], [`env_digest`]).
 // Version-1 digests are incomparable, so v1 files prune wholesale.
 // Version 3: added the per-record `crc` checksum; v2 records carry none
 // to verify, so they prune wholesale rather than load unchecked.
-const RECORD_VERSION: u64 = 3;
+// Version 4: added the `warmup` and `layout` key factors and the
+// reference-outcome lines; a v3 record does not say which setup it
+// measured in those terms, so v3 files prune wholesale.
+const RECORD_VERSION: u64 = 4;
 
 /// The fields of one record line, in order.
 pub(crate) const RECORD_FIELDS: &[&str] = &[
@@ -1203,19 +1348,45 @@ pub(crate) const RECORD_FIELDS: &[&str] = &[
     "stack_shift",
     "env",
     "size",
+    "warmup",
+    "layout",
     "setup",
     "checksum",
     "counters",
     "crc",
 ];
 
+/// The fields of one reference-outcome line, in order.
+pub(crate) const REFERENCE_FIELDS: &[&str] = &[
+    "v",
+    "reference",
+    "size",
+    "digest",
+    "checksum",
+    "return_value",
+    "ir_ops",
+    "crc",
+];
+
+/// One persisted reference outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ReferenceRecord {
+    pub(crate) bench: String,
+    pub(crate) size: InputSize,
+    /// The [`Harness::reference_digest`] it was computed under.
+    pub(crate) digest: u64,
+    pub(crate) expected: Expected,
+}
+
 /// What [`parse_record`] concluded about one line.
 #[derive(Debug)]
 pub(crate) enum RecordVerdict {
     /// A verified current-version record (boxed: the other verdicts are
-    /// unit variants, and verdicts are consumed one line at a time).
+    /// small, and verdicts are consumed one line at a time).
     Ok(MeasureKey, Box<Measurement>),
-    /// Not a record of this version — an older build's output (pruned).
+    /// A verified current-version reference outcome.
+    Reference(ReferenceRecord),
+    /// Not a line of this version — an older build's output (pruned).
     Foreign,
     /// Claims this version but is torn or corrupt — a crashed writer's
     /// residue (quarantined).
@@ -1319,8 +1490,8 @@ pub(crate) fn record_line(k: &MeasureKey, m: &Measurement) -> String {
         concat!(
             "{{\"v\":{},\"bench\":\"{}\",\"machine\":{},\"opt\":\"{}\",",
             "\"order\":\"{}\",\"text_offset\":{},\"stack_shift\":{},",
-            "\"env\":{},\"size\":\"{}\",\"setup\":\"{}\",\"checksum\":{},",
-            "\"counters\":[{}]"
+            "\"env\":{},\"size\":\"{}\",\"warmup\":{},\"layout\":{},",
+            "\"setup\":\"{}\",\"checksum\":{},\"counters\":[{}]"
         ),
         RECORD_VERSION,
         k.bench,
@@ -1331,9 +1502,27 @@ pub(crate) fn record_line(k: &MeasureKey, m: &Measurement) -> String {
         k.stack_shift,
         k.env,
         size_str(k.size),
+        k.warmup_runs,
+        k.symbol_layout,
         m.setup,
         m.checksum,
         jsonl::csv(&counters_to_vec(&m.counters)),
+    ))
+}
+
+pub(crate) fn reference_line(bench: &str, size: InputSize, digest: u64, e: &Expected) -> String {
+    jsonl::seal(format!(
+        concat!(
+            "{{\"v\":{},\"reference\":\"{}\",\"size\":\"{}\",\"digest\":{},",
+            "\"checksum\":{},\"return_value\":{},\"ir_ops\":{}"
+        ),
+        RECORD_VERSION,
+        bench,
+        size_str(size),
+        digest,
+        e.checksum,
+        e.return_value,
+        e.ir_ops,
     ))
 }
 
@@ -1347,34 +1536,59 @@ pub(crate) fn parse_record(line: &str) -> RecordVerdict {
     if !ours {
         return RecordVerdict::Foreign;
     }
-    jsonl::unseal(line)
-        .filter(|f| f.keys_are(RECORD_FIELDS))
-        .and_then(|f| {
-            let key = MeasureKey {
-                bench: f.str("bench")?.to_owned(),
-                machine: f.u64("machine")?,
-                opt: OptLevel::ALL
-                    .into_iter()
-                    .find(|l| f.str("opt") == Some(l.to_string().as_str()))?,
-                link_order: parse_order(f.str("order")?)?,
-                text_offset: u32::try_from(f.u64("text_offset")?).ok()?,
-                stack_shift: u32::try_from(f.u64("stack_shift")?).ok()?,
-                env: f.u64("env")?,
-                size: parse_size(f.str("size")?)?,
-            };
-            let counters: Vec<u64> = f
-                .array("counters")?
-                .split(',')
-                .map(|n| n.parse().ok())
-                .collect::<Option<_>>()?;
-            let m = Measurement {
-                setup: f.str("setup")?.to_owned(),
-                counters: counters_from_vec(&counters)?,
-                checksum: f.u64("checksum")?,
-            };
-            Some(RecordVerdict::Ok(key, Box::new(m)))
-        })
-        .unwrap_or(RecordVerdict::Corrupt)
+    let parsed = jsonl::unseal(line).and_then(|f| {
+        if f.keys_are(REFERENCE_FIELDS) {
+            parse_reference(&f)
+        } else if f.keys_are(RECORD_FIELDS) {
+            parse_measurement(&f)
+        } else {
+            None
+        }
+    });
+    parsed.unwrap_or(RecordVerdict::Corrupt)
+}
+
+/// The measurement record an unsealed [`RECORD_FIELDS`] line holds.
+fn parse_measurement(f: &jsonl::Fields<'_>) -> Option<RecordVerdict> {
+    let key = MeasureKey {
+        bench: f.str("bench")?.to_owned(),
+        machine: f.u64("machine")?,
+        opt: OptLevel::ALL
+            .into_iter()
+            .find(|l| f.str("opt") == Some(l.to_string().as_str()))?,
+        link_order: parse_order(f.str("order")?)?,
+        text_offset: u32::try_from(f.u64("text_offset")?).ok()?,
+        stack_shift: u32::try_from(f.u64("stack_shift")?).ok()?,
+        env: f.u64("env")?,
+        size: parse_size(f.str("size")?)?,
+        warmup_runs: u32::try_from(f.u64("warmup")?).ok()?,
+        symbol_layout: f.u64("layout")?,
+    };
+    let counters: Vec<u64> = f
+        .array("counters")?
+        .split(',')
+        .map(|n| n.parse().ok())
+        .collect::<Option<_>>()?;
+    let m = Measurement {
+        setup: f.str("setup")?.to_owned(),
+        counters: counters_from_vec(&counters)?,
+        checksum: f.u64("checksum")?,
+    };
+    Some(RecordVerdict::Ok(key, Box::new(m)))
+}
+
+/// The reference outcome an unsealed [`REFERENCE_FIELDS`] line holds.
+fn parse_reference(f: &jsonl::Fields<'_>) -> Option<RecordVerdict> {
+    Some(RecordVerdict::Reference(ReferenceRecord {
+        bench: f.str("reference")?.to_owned(),
+        size: parse_size(f.str("size")?)?,
+        digest: f.u64("digest")?,
+        expected: Expected {
+            checksum: f.u64("checksum")?,
+            return_value: f.u64("return_value")?,
+            ir_ops: f.u64("ir_ops")?,
+        },
+    }))
 }
 
 #[cfg(test)]
@@ -1461,7 +1675,39 @@ mod tests {
             )
         );
         assert_ne!(k(&base), MeasureKey::new("b", &base, InputSize::Ref));
+        assert_ne!(k(&base), k(&base.with_warmup_runs(2)));
+        let pad = |bytes| SymbolLayout::Pad {
+            symbol: "main".to_owned(),
+            bytes,
+        };
+        assert_ne!(k(&base), k(&base.with_symbol_layout(pad(8))));
+        assert_ne!(
+            k(&base.with_symbol_layout(pad(8))),
+            k(&base.with_symbol_layout(pad(12)))
+        );
+        assert_ne!(
+            k(&base.with_symbol_layout(pad(8))),
+            k(&base.with_symbol_layout(SymbolLayout::Align {
+                symbol: "main".to_owned(),
+                align: 8,
+            }))
+        );
         assert_eq!(k(&base), k(&base.clone()));
+        // Digests of keys without the new factors are unchanged by them.
+        assert_eq!(
+            k(&base).digest(),
+            fnv64(&format!(
+                "key bench=b machine={:016x} opt=O2 order=default text_offset=0 \
+                 stack_shift=0 env={:016x} size=test",
+                machine_digest(&base.machine),
+                env_digest(&base.env)
+            ))
+        );
+        assert_ne!(k(&base).digest(), k(&base.with_warmup_runs(1)).digest());
+        assert_ne!(
+            k(&base).digest(),
+            k(&base.with_symbol_layout(pad(8))).digest()
+        );
     }
 
     #[test]
@@ -1521,6 +1767,14 @@ mod tests {
             env_digest(&Environment::of_total_size(612)),
             0x3535_f8db_a763_3e64
         );
+        assert_eq!(layout_digest(None), 0);
+        assert_eq!(
+            layout_digest(Some(&SymbolLayout::Pad {
+                symbol: "main".to_owned(),
+                bytes: 8,
+            })),
+            0x3171_72d0_b0f9_df42
+        );
     }
 
     #[test]
@@ -1567,7 +1821,7 @@ mod tests {
         // under a stale crc (corrupt). Blank lines are not records at all.
         let mut text = std::fs::read_to_string(&path).expect("read back");
         let valid = text.lines().next().expect("has records").to_owned();
-        text.push_str(&valid.replace("\"v\":3", "\"v\":1"));
+        text.push_str(&valid.replace("\"v\":4", "\"v\":1"));
         text.push('\n');
         let renamed = valid.replace("\"bench\":\"hmmer\"", "\"bench\":\"nonesuch\"");
         let body = renamed.rsplit_once(",\"crc\":").expect("has crc").0;
@@ -1637,7 +1891,10 @@ mod tests {
         resumed.set_cache_cap(Some(1));
         assert_eq!(resumed.persist(&path), 1);
         let text = std::fs::read_to_string(&path).expect("read back");
-        assert_eq!(text.lines().count(), 1);
+        assert_eq!(
+            text.lines().filter(|l| l.contains("\"counters\"")).count(),
+            1
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1673,6 +1930,192 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The lines of a results file, and the index of its one reference
+    /// line for `size`.
+    fn reference_at(path: &Path, size: InputSize) -> (Vec<String>, usize) {
+        let text = std::fs::read_to_string(path).expect("read back");
+        let lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let tag = format!("\"size\":\"{}\"", size_str(size));
+        let at = lines
+            .iter()
+            .position(|l| l.contains("\"reference\"") && l.contains(&tag))
+            .expect("a reference line");
+        (lines, at)
+    }
+
+    #[test]
+    fn reference_outcomes_persist_and_seed_new_harnesses() {
+        let dir = std::env::temp_dir().join(format!("biaslab-refs-{}", std::process::id()));
+        let path = dir.join("measurements.jsonl");
+        let orch = Orchestrator::new();
+        let h = orch.harness("hmmer").expect("known benchmark");
+        let _ = orch.sweep(&h, &env_setups(2), InputSize::Test);
+        let expected = h.benchmark().expected(InputSize::Test);
+        assert_eq!(orch.persist(&path), 2, "references are not counted");
+        let (lines, at) = reference_at(&path, InputSize::Test);
+        assert_eq!(lines.len(), 3);
+        assert!(matches!(
+            parse_record(&lines[at]),
+            RecordVerdict::Reference(ReferenceRecord { ref bench, digest, .. })
+                if bench == "hmmer" && digest == h.reference_digest(InputSize::Test)
+        ));
+        // An outcome interpreted after the last save is a change.
+        let saved = file_state(&path);
+        let _ = h.benchmark().expected(InputSize::Ref);
+        assert_eq!(orch.persist(&path), 2);
+        assert_ne!(file_state(&path).2, saved.2, "rewritten");
+        let (lines, _) = reference_at(&path, InputSize::Ref);
+        assert_eq!(lines.len(), 4, "two records, two references");
+
+        // A fresh process seeds its harness instead of interpreting, and
+        // an unchanged resume writes nothing.
+        let saved = file_state(&path);
+        let fresh = Orchestrator::new();
+        assert_eq!(fresh.load(&path).expect("load"), 2);
+        let seeded = fresh.harness("hmmer").expect("known benchmark");
+        assert_eq!(
+            seeded.benchmark().held_expected(InputSize::Test),
+            Some(expected)
+        );
+        assert!(seeded.benchmark().held_expected(InputSize::Ref).is_some());
+        assert_eq!(fresh.stats().pruned, 0);
+        assert_eq!(fresh.persist(&path), 2);
+        assert_eq!(file_state(&path), saved, "bytes, mtime and inode untouched");
+        // Harnesses built before the load are seeded by it.
+        let early = Orchestrator::new();
+        let built = early.harness("hmmer").expect("known benchmark");
+        assert_eq!(early.load(&path).expect("load"), 2);
+        assert_eq!(
+            built.benchmark().held_expected(InputSize::Test),
+            Some(expected)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reference_line_with_a_wrong_digest_prunes_and_is_interpreted_again() {
+        let dir = std::env::temp_dir().join(format!("biaslab-refdigest-{}", std::process::id()));
+        let path = dir.join("measurements.jsonl");
+        let orch = Orchestrator::new();
+        let h = orch.harness("milc").expect("known benchmark");
+        let _ = orch.sweep(&h, &env_setups(1), InputSize::Test);
+        let expected = h.benchmark().expected(InputSize::Test);
+        assert_eq!(orch.save(&path).expect("save"), 1);
+        let clean = std::fs::read(&path).expect("read back");
+
+        // Another build's kernel: same benchmark and size, another digest,
+        // and a stale outcome a seed would wrongly trust.
+        let (mut lines, at) = reference_at(&path, InputSize::Test);
+        let digest = h.reference_digest(InputSize::Test);
+        let body = lines[at].rsplit_once(",\"crc\":").expect("sealed").0;
+        let stale = body
+            .replacen(
+                &format!("\"digest\":{digest}"),
+                &format!("\"digest\":{}", digest ^ 1),
+                1,
+            )
+            .replacen(
+                &format!("\"checksum\":{}", expected.checksum),
+                &format!("\"checksum\":{}", expected.checksum ^ 1),
+                1,
+            );
+        lines[at] = jsonl::seal(stale);
+        std::fs::write(&path, lines.join("\n") + "\n").expect("rewrite");
+
+        let fresh = Orchestrator::new();
+        assert_eq!(fresh.load(&path).expect("load"), 1);
+        assert_eq!(
+            fresh.stats().pruned,
+            0,
+            "staleness shows when a harness is built"
+        );
+        let rebuilt = fresh.harness("milc").expect("known benchmark");
+        assert_eq!(fresh.stats().pruned, 1);
+        assert_eq!(rebuilt.benchmark().held_expected(InputSize::Test), None);
+        assert_eq!(rebuilt.benchmark().expected(InputSize::Test), expected);
+        // The measurement still verifies, and the next persist writes the
+        // interpreted outcome under the right digest.
+        let m = fresh
+            .measure(&rebuilt, &env_setups(1)[0], InputSize::Test)
+            .expect("cached");
+        assert_eq!(fresh.stats().simulated, 0);
+        assert_eq!(m.checksum, expected.checksum);
+        assert_eq!(fresh.persist(&path), 1);
+        assert_eq!(std::fs::read(&path).expect("read back"), clean);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_reference_line_is_quarantined_and_compacted() {
+        let dir = std::env::temp_dir().join(format!("biaslab-reftorn-{}", std::process::id()));
+        let path = dir.join("measurements.jsonl");
+        let orch = Orchestrator::new();
+        let h = orch.harness("mcf").expect("known benchmark");
+        let _ = orch.sweep(&h, &env_setups(1), InputSize::Test);
+        assert_eq!(orch.save(&path).expect("save"), 1);
+        let clean = std::fs::read(&path).expect("read back");
+        let (lines, at) = reference_at(&path, InputSize::Test);
+        let mut torn = clean.clone();
+        torn.extend_from_slice(&lines[at].as_bytes()[..lines[at].len() / 2]);
+        std::fs::write(&path, &torn).expect("tear");
+
+        let fresh = Orchestrator::new();
+        assert_eq!(fresh.load(&path).expect("load"), 1);
+        assert_eq!(fresh.stats().quarantined, 1);
+        let seeded = fresh.harness("mcf").expect("known benchmark");
+        assert!(seeded.benchmark().held_expected(InputSize::Test).is_some());
+        assert_eq!(fresh.persist(&path), 1);
+        assert_eq!(std::fs::read(&path).expect("read back"), clean, "compacted");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_v3_file_prunes_wholesale_and_is_rewritten_as_v4() {
+        let dir = std::env::temp_dir().join(format!("biaslab-v3-{}", std::process::id()));
+        let path = dir.join("measurements.jsonl");
+        let orch = Orchestrator::new();
+        let h = orch.harness("sphinx3").expect("known benchmark");
+        let setups = env_setups(2);
+        let _ = orch.sweep(&h, &setups, InputSize::Test);
+        assert_eq!(orch.save(&path).expect("save"), 2);
+        let v4 = std::fs::read(&path).expect("read back");
+
+        // What the previous build wrote: records without the two new
+        // factors, sealed as version 3, and no reference lines.
+        let text = std::fs::read_to_string(&path).expect("read back");
+        let v3: String = text
+            .lines()
+            .filter(|l| !l.contains("\"reference\""))
+            .map(|l| {
+                let body = l.rsplit_once(",\"crc\":").expect("sealed").0;
+                let body = body.replacen("\"v\":4", "\"v\":3", 1).replacen(
+                    ",\"warmup\":0,\"layout\":\"none\"",
+                    "",
+                    1,
+                );
+                jsonl::seal(body) + "\n"
+            })
+            .collect();
+        std::fs::write(&path, &v3).expect("write v3");
+
+        let fresh = Orchestrator::new();
+        assert_eq!(fresh.load(&path).expect("load"), 0);
+        assert_eq!(fresh.stats().pruned, 2);
+        assert_eq!(fresh.stats().quarantined, 0, "stale, not corrupt");
+        assert_eq!(fresh.persist(&path), 0);
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read back"),
+            "",
+            "no v3 line survives the next persist"
+        );
+        let rebuilt = fresh.harness("sphinx3").expect("known benchmark");
+        let _ = fresh.sweep(&rebuilt, &setups, InputSize::Test);
+        assert_eq!(fresh.stats().simulated, 2);
+        assert_eq!(fresh.persist(&path), 2);
+        assert_eq!(std::fs::read(&path).expect("read back"), v4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn loading_a_missing_file_restores_nothing() {
         let orch = Orchestrator::new();
@@ -1697,11 +2140,11 @@ mod tests {
         assert!(matches!(parse_record(""), RecordVerdict::Foreign));
         // …while a current-version line without a verifiable crc is torn.
         assert!(matches!(
-            parse_record("{\"v\":3,\"bench\":\"x\"}"),
+            parse_record("{\"v\":4,\"bench\":\"x\"}"),
             RecordVerdict::Corrupt
         ));
         assert!(matches!(
-            parse_record("{\"v\":3,\"bench\":\"x\",\"crc\":12}"),
+            parse_record("{\"v\":4,\"bench\":\"x\",\"crc\":12}"),
             RecordVerdict::Corrupt
         ));
         // A correctly sealed record whose offset does not fit the key's
@@ -1715,6 +2158,8 @@ mod tests {
             stack_shift: 0,
             env: 2,
             size: InputSize::Test,
+            warmup_runs: 0,
+            symbol_layout: 0,
         };
         let m = Measurement {
             setup: "core2/O2".to_owned(),
@@ -1748,6 +2193,11 @@ mod tests {
             stack_shift: 128,
             env: u64::MAX,
             size: InputSize::Ref,
+            warmup_runs: 3,
+            symbol_layout: layout_digest(Some(&SymbolLayout::Align {
+                symbol: "main".to_owned(),
+                align: 64,
+            })),
         };
         let m = Measurement {
             setup: "core2/O3/env=612B/order=rand(42)".to_owned(),

@@ -3,7 +3,9 @@
 //! An [`ExperimentSetup`] captures everything about how a measurement is
 //! taken: the machine model, the optimization level, and — the paper's
 //! subjects — the **link order** and the **UNIX environment**, plus two
-//! loader/linker interventions used by the causal-analysis experiments.
+//! loader/linker interventions used by the causal-analysis experiments,
+//! the warm-up runs taken before the measured one, and a link-time
+//! symbol-layout remedy.
 
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
@@ -59,6 +61,28 @@ impl LinkOrder {
     }
 }
 
+/// A link-time layout change to one symbol: the padding and
+/// alignment-directive remedies `biaslint` findings pre-register, applied
+/// through [`biaslab_toolchain::link::Linker::pad_symbol`] and
+/// [`biaslab_toolchain::link::Linker::align_symbol`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum SymbolLayout {
+    /// Insert `bytes` of never-executed padding before `symbol`.
+    Pad {
+        /// The symbol to pad.
+        symbol: String,
+        /// Padding in bytes.
+        bytes: u32,
+    },
+    /// Raise `symbol`'s placement alignment to `align` bytes.
+    Align {
+        /// The symbol to align.
+        symbol: String,
+        /// Alignment in bytes.
+        align: u32,
+    },
+}
+
 /// A complete experimental setup.
 #[derive(Debug, Clone)]
 pub struct ExperimentSetup {
@@ -76,6 +100,14 @@ pub struct ExperimentSetup {
     /// Extra linker-level text-base offset in bytes (causal-analysis
     /// intervention; 0 in ordinary experiments).
     pub text_offset: u32,
+    /// Verified runs on the same machine, each on a freshly loaded
+    /// process, before the measured run (0: the measured run starts on a
+    /// cold machine). Whether to discard warm-up iterations is one more
+    /// setup decision, so it is a factor like the others.
+    pub warmup_runs: u32,
+    /// A symbol-layout remedy applied at link time (`None` in ordinary
+    /// experiments).
+    pub symbol_layout: Option<SymbolLayout>,
 }
 
 impl ExperimentSetup {
@@ -90,6 +122,8 @@ impl ExperimentSetup {
             env: Environment::new(),
             stack_shift: 0,
             text_offset: 0,
+            warmup_runs: 0,
+            symbol_layout: None,
         }
     }
 
@@ -121,7 +155,30 @@ impl ExperimentSetup {
         }
     }
 
+    /// Returns this setup with `runs` warm-up runs before the measured
+    /// one.
+    #[must_use]
+    pub fn with_warmup_runs(&self, runs: u32) -> ExperimentSetup {
+        ExperimentSetup {
+            warmup_runs: runs,
+            ..self.clone()
+        }
+    }
+
+    /// Returns this setup with a symbol-layout remedy applied at link
+    /// time.
+    #[must_use]
+    pub fn with_symbol_layout(&self, layout: SymbolLayout) -> ExperimentSetup {
+        ExperimentSetup {
+            symbol_layout: Some(layout),
+            ..self.clone()
+        }
+    }
+
     /// A short human-readable summary, e.g. `core2/O3/env=612B/order=rand(7)`.
+    /// Warm-up runs and a symbol layout add `/warmup=2` and
+    /// `/layout=pad(main,8)` or `/layout=align(main,64)`; a setup without
+    /// them reads as it always has.
     #[must_use]
     pub fn summary(&self) -> String {
         let order = match self.link_order {
@@ -130,13 +187,26 @@ impl ExperimentSetup {
             LinkOrder::Alphabetical => "alpha".to_owned(),
             LinkOrder::Random(s) => format!("rand({s})"),
         };
-        format!(
+        let mut out = format!(
             "{}/{}/env={}B/order={}",
             self.machine.name,
             self.opt,
             self.env.stack_bytes(),
             order
-        )
+        );
+        if self.warmup_runs != 0 {
+            out.push_str(&format!("/warmup={}", self.warmup_runs));
+        }
+        match &self.symbol_layout {
+            None => {}
+            Some(SymbolLayout::Pad { symbol, bytes }) => {
+                out.push_str(&format!("/layout=pad({symbol},{bytes})"));
+            }
+            Some(SymbolLayout::Align { symbol, align }) => {
+                out.push_str(&format!("/layout=align({symbol},{align})"));
+            }
+        }
+        out
     }
 }
 
@@ -183,5 +253,19 @@ mod tests {
         assert!(text.contains("O3"));
         assert!(text.contains("612"));
         assert!(text.contains("rand(7)"));
+        assert_eq!(text, "core2/O3/env=612B/order=rand(7)");
+        let warm = s.with_warmup_runs(2).with_symbol_layout(SymbolLayout::Pad {
+            symbol: "main".to_owned(),
+            bytes: 8,
+        });
+        assert_eq!(
+            warm.summary(),
+            format!("{text}/warmup=2/layout=pad(main,8)")
+        );
+        let aligned = s.with_symbol_layout(SymbolLayout::Align {
+            symbol: "main".to_owned(),
+            align: 64,
+        });
+        assert_eq!(aligned.summary(), format!("{text}/layout=align(main,64)"));
     }
 }

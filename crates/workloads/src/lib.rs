@@ -40,4 +40,7 @@ mod kernels;
 mod suite;
 pub mod util;
 
-pub use suite::{benchmark_by_name, benchmark_names, suite, Benchmark, Expected, InputSize};
+pub use suite::{
+    benchmark_by_name, benchmark_names, reference_interpretations, suite, Benchmark, Expected,
+    InputSize,
+};

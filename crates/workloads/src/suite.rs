@@ -1,6 +1,7 @@
 //! The benchmark registry.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use biaslab_toolchain::interp::Interpreter;
@@ -184,7 +185,9 @@ impl Benchmark {
     }
 
     /// The reference outcome for the given input size, computed once with
-    /// the IR interpreter and cached.
+    /// the IR interpreter and cached (or seeded: see
+    /// [`Benchmark::seed_expected`]). Each interpretation counts in
+    /// [`reference_interpretations`].
     ///
     /// # Panics
     ///
@@ -196,6 +199,7 @@ impl Benchmark {
         if let Some(e) = cache.get(&size) {
             return *e;
         }
+        INTERPRETATIONS.fetch_add(1, Ordering::Relaxed);
         let mut interp = Interpreter::new(&self.module);
         let out = interp
             .call_by_name(self.entry(), self.args(size))
@@ -208,6 +212,39 @@ impl Benchmark {
         cache.insert(size, e);
         e
     }
+
+    /// Records a reference outcome computed earlier, so that
+    /// [`Benchmark::expected`] returns it without interpreting. The caller
+    /// vouches that it was computed from this module and these arguments;
+    /// an outcome already held is kept.
+    pub fn seed_expected(&self, size: InputSize, expected: Expected) {
+        self.expected
+            .lock()
+            .expect("expected-cache mutex")
+            .entry(size)
+            .or_insert(expected);
+    }
+
+    /// The reference outcome at `size`, if one is already held (computed
+    /// or seeded); never interprets.
+    #[must_use]
+    pub fn held_expected(&self, size: InputSize) -> Option<Expected> {
+        self.expected
+            .lock()
+            .expect("expected-cache mutex")
+            .get(&size)
+            .copied()
+    }
+}
+
+/// Reference interpretations run in this process so far.
+static INTERPRETATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many reference interpretations [`Benchmark::expected`] has run in
+/// this process, over every benchmark instance.
+#[must_use]
+pub fn reference_interpretations() -> u64 {
+    INTERPRETATIONS.load(Ordering::Relaxed)
 }
 
 /// Builds the full 12-benchmark suite, in the paper's listing order.
@@ -246,6 +283,35 @@ mod tests {
             }
             assert_eq!(one.module(), b.module());
         }
+    }
+
+    #[test]
+    fn seeded_outcomes_are_returned_without_interpreting() {
+        let b = benchmark_by_name("hmmer").expect("registered name");
+        assert_eq!(b.held_expected(InputSize::Test), None);
+        let seeded = Expected {
+            checksum: 7,
+            return_value: 8,
+            ir_ops: 9,
+        };
+        b.seed_expected(InputSize::Test, seeded);
+        let before = reference_interpretations();
+        assert_eq!(b.expected(InputSize::Test), seeded);
+        assert_eq!(b.held_expected(InputSize::Test), Some(seeded));
+        // A held outcome is never replaced by a later seed.
+        b.seed_expected(
+            InputSize::Test,
+            Expected {
+                ir_ops: 1,
+                ..seeded
+            },
+        );
+        assert_eq!(b.expected(InputSize::Test), seeded);
+        // Counting is process-wide and other tests interpret concurrently,
+        // so only a lower bound is exact here.
+        let _ = b.expected(InputSize::Ref);
+        assert!(reference_interpretations() > before);
+        assert!(b.held_expected(InputSize::Ref).is_some());
     }
 
     #[test]

@@ -60,7 +60,7 @@ cmp "$tmp/plain.out" "$tmp/chaos.out" \
 leaked="$(find "$tmp/chaos-results" "$tmp/plain-results" -name '*.tmp' 2>/dev/null || true)"
 [ -z "$leaked" ] || { echo "FATAL: leaked tmp files: $leaked" >&2; exit 1; }
 
-echo "==> resume smoke (a resumed repro all is byte-identical, simulates nothing, writes nothing)"
+echo "==> resume smoke (a resumed repro all is byte-identical, simulates and interprets nothing, writes nothing)"
 results="$tmp/plain-results/measurements.jsonl"
 cp "$results" "$tmp/before.jsonl"
 mtime="$(stat -c %y "$results")"
@@ -68,8 +68,21 @@ BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort qui
     2>"$tmp/resumed.err" > "$tmp/resumed.out"
 cmp "$tmp/plain.out" "$tmp/resumed.out" \
     || { echo "FATAL: resumed stdout differs from cold stdout" >&2; exit 1; }
-grep -q '^\[repro\] totals: cache [0-9]* hit / 0 miss (0 simulated,' "$tmp/resumed.err" \
-    || { echo "FATAL: the resumed run measured again: $(grep totals "$tmp/resumed.err")" >&2; exit 1; }
+grep -q '^\[repro\] totals: cache [0-9]* hit / 0 miss (0 simulated, .*, 0 reference interpretation(s)$' \
+    "$tmp/resumed.err" \
+    || { echo "FATAL: the resumed run measured or interpreted again: $(grep totals "$tmp/resumed.err")" >&2; exit 1; }
+# A traced resume: no machine runs at all, so the trace carries no
+# block-cache metric (a simulation outside the cache would add one).
+BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort quick --trace \
+    2>/dev/null > "$tmp/resumed-traced.out"
+cmp "$tmp/plain.out" "$tmp/resumed-traced.out" \
+    || { echo "FATAL: traced resumed stdout differs from cold stdout" >&2; exit 1; }
+./target/release/biaslab trace "$tmp/plain-results/traces/repro-all-quick.jsonl" --summary \
+    > "$tmp/resumed-summary.txt"
+if grep -q 'uarch\.blockcache\.' "$tmp/resumed-summary.txt"; then
+    echo "FATAL: the traced resumed run simulated: $(grep 'uarch\.blockcache\.' "$tmp/resumed-summary.txt")" >&2
+    exit 1
+fi
 cmp "$tmp/before.jsonl" "$results" && [ "$(stat -c %y "$results")" = "$mtime" ] \
     || { echo "FATAL: the resumed run rewrote $results" >&2; exit 1; }
 
