@@ -13,9 +13,10 @@
 //! ```
 //!
 //! Measurements persist under `results/measurements.jsonl` (set
-//! `BIASLAB_RESULTS_DIR` to relocate): an interrupted `repro all` resumes
+//! `BIASLAB_RESULTS_DIR` to relocate): each is appended as it is measured
+//! and synced after each experiment, so an interrupted `repro all` resumes
 //! from what it already measured. `--no-resume` makes a run ephemeral — it
-//! neither reads nor rewrites the results file. Cache and timing
+//! neither reads nor writes the results file. Cache and timing
 //! instrumentation is reported per experiment on stderr; experiment output
 //! on stdout is byte-identical with or without the cache.
 //!
@@ -38,10 +39,10 @@
 //! and stdout are bit-identical with or without it.
 
 use std::io::Write;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use biaslab_bench::{parallel, run_experiment, Effort, EXPERIMENTS};
+use biaslab_core::orchestrator::{results_dir, results_path};
 use biaslab_core::{faults, telemetry, Orchestrator};
 
 /// Usage text shown on parse errors, before the experiment list.
@@ -159,14 +160,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
-fn results_dir() -> PathBuf {
-    std::env::var_os("BIASLAB_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
-}
-
-fn results_path() -> PathBuf {
-    results_dir().join("measurements.jsonl")
-}
-
 fn effort_str(effort: Effort) -> &'static str {
     match effort {
         Effort::Quick => "quick",
@@ -242,7 +235,7 @@ fn main() -> ExitCode {
 
     if target != "list" && resume {
         let path = results_path();
-        match Orchestrator::global().load(&path) {
+        match Orchestrator::global().attach(&path) {
             Ok(0) => {}
             Ok(n) => eprintln!("[repro] resumed {n} measurement(s) from {}", path.display()),
             Err(e) => eprintln!("warning: could not read {}: {e}", path.display()),

@@ -33,8 +33,8 @@ commands:
                                supervised worker pool (panicked workers
                                respawn; `stats` reports health ok |
                                degraded | draining), per-request
-                               deadlines, SIGTERM graceful drain and
-                               crash-recoverable sweep journals
+                               deadlines, SIGTERM graceful drain; keeps
+                               what it measures in the results file
   client <op> [<benchmark>]    one-shot daemon request; op is ping,
                                stats, shutdown, measure or sweep
   survey                       print the 133-paper literature survey
@@ -81,7 +81,8 @@ environment:
                                records, evicting the oldest first
   BIASLAB_FAULTS=<spec>        deterministic fault injection, e.g.
                                seed=7,save.io=0.5,leader.panic=@1
-  BIASLAB_RESULTS_DIR=<dir>    relocate results/ (measurements, traces)";
+  BIASLAB_RESULTS_DIR=<dir>    relocate results/ (measurements, traces;
+                               read by repro and serve)";
 
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]

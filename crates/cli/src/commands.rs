@@ -3,7 +3,7 @@
 use biaslab_core::harness::Harness;
 use biaslab_core::report::Table;
 use biaslab_core::setup::ExperimentSetup;
-use biaslab_core::Orchestrator;
+use biaslab_core::{orchestrator, Orchestrator};
 use biaslab_toolchain::load::{Environment, Loader};
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::{Machine, MachineConfig};
@@ -60,16 +60,15 @@ fn serve_cmd(
     cfg.workers = workers;
     cfg.queue_depth = queue_depth;
     cfg.drain_timeout_ms = drain_timeout_ms;
-    cfg.journal_dir = Some(
-        std::env::var_os("BIASLAB_RESULTS_DIR")
-            .map_or_else(
-                || std::path::PathBuf::from("results"),
-                std::path::PathBuf::from,
-            )
-            .join("sweeps"),
-    );
+    // The daemon keeps what it measures in the results file, as `repro`
+    // does: records it loads are cache hits, and every record it measures
+    // is logged before any client sees it.
     let orch = std::sync::Arc::new(Orchestrator::from_env());
-    let server = serve::Server::start(&cfg, orch)?;
+    let log = orchestrator::results_path();
+    if let Err(e) = orch.attach(&log) {
+        eprintln!("warning: could not read {}: {e}", log.display());
+    }
+    let server = serve::Server::start(&cfg, std::sync::Arc::clone(&orch))?;
     println!(
         "biaslab serve listening on {} workers={workers} queue={queue_depth}",
         server.addr()
@@ -78,6 +77,7 @@ fn serve_cmd(
     let _ = std::io::stdout().flush();
     crate::signals::install_sigterm();
     server.run_until_shutdown_or(crate::signals::term_requested);
+    orch.sync();
     Ok(())
 }
 

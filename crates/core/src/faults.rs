@@ -61,13 +61,21 @@ use crate::telemetry::{self, FaultKind};
 /// one injection point; the action is fixed per site.
 pub mod site {
     /// I/O error while writing the results file ([`crate::Orchestrator`]
-    /// persistence). Recovered by bounded retry, then by degradation to
-    /// in-memory-only operation.
+    /// persistence: a whole-file save or an append to the attached log).
+    /// Recovered by bounded retry, then by degradation to in-memory-only
+    /// operation.
     pub const SAVE_IO: &str = "save.io";
     /// Short write: a record line is cut mid-byte and the write fails,
-    /// modelling a torn write. The temp-file discipline keeps the real
-    /// results file intact; retry rewrites from scratch.
+    /// modelling a torn write. A save's temp-file discipline keeps the
+    /// real results file intact; an append leaves the torn line in the
+    /// log. Either way the retry rewrites the file from scratch.
     pub const SAVE_SHORT: &str = "save.short";
+    /// The process "crashes" while appending a record to the attached
+    /// results file: half the line reaches the file, the log closes (it
+    /// drops its file and its lock) and the caller panics unrecoverably,
+    /// as `kill -9` mid-append would leave it. The next attach quarantines
+    /// the torn line and simulates only that key again.
+    pub const SAVE_CRASH: &str = "save.crash";
     /// I/O error while reading the results file on resume. Recovered by
     /// retry, then by starting cold (re-simulation).
     pub const LOAD_IO: &str = "load.io";
@@ -113,16 +121,12 @@ pub mod site {
     /// `panic` error, and the supervisor respawns the worker under its
     /// restart budget — the pool shrinks, then recovers.
     pub const SERVE_WORKER_PANIC: &str = "serve.worker_panic";
-    /// The daemon "crashes" (the worker dies unrecoverably) after writing
-    /// half of a sweep-journal line and before the fsync, modelling a kill
-    /// mid-append. The torn line fails its crc on reload and only that
-    /// item is re-simulated; every fully journaled item is replayed.
-    pub const SERVE_CRASH_JOURNAL: &str = "serve.crash_before_journal_fsync";
 
     /// Every known site, for spec validation and docs.
     pub const ALL: &[&str] = &[
         SAVE_IO,
         SAVE_SHORT,
+        SAVE_CRASH,
         LOAD_IO,
         LEADER_PANIC,
         LEADER_PANIC_HARD,
@@ -134,7 +138,6 @@ pub mod site {
         SERVE_DROP,
         SERVE_SLOW,
         SERVE_WORKER_PANIC,
-        SERVE_CRASH_JOURNAL,
     ];
 }
 

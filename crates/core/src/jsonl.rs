@@ -1,7 +1,7 @@
 //! The one JSON-lines codec. Results records ([`crate::orchestrator`]),
-//! trace export ([`crate::telemetry`]), the serve protocol and sweep
-//! journal ([`crate::serve`]) and biaslint findings (`biaslab-analyze`)
-//! are written with `format!` and read, sealed and stored only through
+//! trace export ([`crate::telemetry`]), the serve protocol
+//! ([`crate::serve`]) and biaslint findings (`biaslab-analyze`) are
+//! written with `format!` and read, sealed and stored only through
 //! [`Fields::scan`] (a strict scanner: no whitespace outside strings, no
 //! escapes, no duplicate keys, nothing after the closing brace), the crc
 //! `seal` / `unseal` (checked by [`verify_sealed`]), `write_atomic` and the
@@ -278,11 +278,10 @@ mod tests {
     };
     use crate::serve::{
         encode_deadline, encode_draining, encode_error, encode_ok, encode_request, encode_response,
-        encode_shed, encode_stats, encode_sweep_done, encode_sweep_item, journal_line, line_health,
-        line_id, line_status, parse_journal_line, parse_request, stats_counter,
-        validate_response_line, ItemPayload, MeasureSpec, Request, ITEM_FIELDS, JOURNAL_FIELDS,
-        REQ_CONTROL_FIELDS, REQ_MEASURE_FIELDS, REQ_SHUTDOWN_FIELDS, REQ_SWEEP_FIELDS, RESP_FIELDS,
-        STATS_FIELDS,
+        encode_shed, encode_stats, encode_sweep_done, encode_sweep_item, line_health, line_id,
+        line_status, parse_request, stats_counter, validate_response_line, MeasureSpec, Request,
+        ITEM_FIELDS, REQ_CONTROL_FIELDS, REQ_MEASURE_FIELDS, REQ_SHUTDOWN_FIELDS, REQ_SWEEP_FIELDS,
+        RESP_FIELDS, STATS_FIELDS,
     };
     use crate::setup::LinkOrder;
     use crate::telemetry::{
@@ -726,31 +725,6 @@ mod tests {
                 prop_assert_eq!(stats_counter(&line, name), Some(*value));
             }
             check_laws(&line, true, byte, validate_response_line);
-        }
-
-        #[test]
-        fn prop_journal_lines_obey_the_codec_laws(
-            (digest, seq, checksum) in (any::<u64>(), any::<u64>(), any::<u64>()),
-            ok in any::<bool>(),
-            code in "[a-z_]{0,12}",
-            error in "[a-zA-Z0-9 ,:.=`-]{0,40}",
-            setup in "[a-zA-Z0-9/=.,:() -]{0,40}",
-            counters in prop::collection::vec(any::<u64>(), 0..23),
-            byte in any::<u8>(),
-        ) {
-            let payload = ItemPayload {
-                status: if ok { "ok" } else { "err" },
-                code,
-                error,
-                setup,
-                checksum,
-                counters: csv(&counters),
-            };
-            let line = journal_line(digest, seq, &payload);
-            prop_assert_eq!(keys(&line), JOURNAL_FIELDS);
-            prop_assert_eq!(parse_journal_line(&line, digest), Some((seq, payload)));
-            prop_assert_eq!(parse_journal_line(&line, digest ^ 1), None);
-            check_laws(&line, true, byte, |l| parse_journal_line(l, digest));
         }
     }
 }

@@ -24,14 +24,16 @@
 //!   retention. Records, their FIFO order, the cap and the in-flight
 //!   cells sit behind one lock, held only for map bookkeeping, never
 //!   across a simulation;
-//! - **persistence**: records round-trip through a JSON-lines file under
-//!   `results/`, so an interrupted `repro all` resumes instead of
-//!   restarting; an unchanged cache is not rewritten. The same file holds
-//!   one line per reference outcome a run interpreted, keyed by
-//!   benchmark, input size and a digest of the module and arguments it
-//!   was computed from, and each new harness is seeded from them, so a
-//!   resumed run neither simulates nor interprets what an earlier run
-//!   already did;
+//! - **persistence**: [`Orchestrator::attach`] makes a JSON-lines file
+//!   under `results/` the one durable log. Each single-flight leader
+//!   logs its record before publishing it, and
+//!   [`Orchestrator::persist`] is a group commit, so an interrupted
+//!   `repro all` or a killed `biaslab serve` resumes instead of
+//!   restarting. The same file holds one line per reference outcome a
+//!   run interpreted, keyed by benchmark, input size and a digest of the
+//!   module and arguments it was computed from, and each new harness is
+//!   seeded from them, so a resumed run neither simulates nor interprets
+//!   what an earlier run already did;
 //! - **instrumentation**: hit/miss/simulation counts and wall/busy time,
 //!   reported per experiment (on stderr — experiment stdout is
 //!   byte-identical to the serial path).
@@ -53,7 +55,8 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
@@ -321,6 +324,18 @@ impl fmt::Display for OrchestratorStats {
     }
 }
 
+/// The results directory: `BIASLAB_RESULTS_DIR`, or `results` when unset.
+#[must_use]
+pub fn results_dir() -> PathBuf {
+    std::env::var_os("BIASLAB_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
+}
+
+/// The results file: `measurements.jsonl` under [`results_dir`].
+#[must_use]
+pub fn results_path() -> PathBuf {
+    results_dir().join("measurements.jsonl")
+}
+
 /// The process-wide sweep orchestrator (see the module docs).
 ///
 /// # Examples
@@ -372,6 +387,62 @@ pub struct Orchestrator {
     /// reference outcomes held at that moment. Held across each whole
     /// save, so saves never interleave.
     persisted: Mutex<Option<Persisted>>,
+    /// The attached results file ([`Orchestrator::attach`]); unset, the
+    /// orchestrator logs nothing, at the cost of one atomic load.
+    log: OnceLock<Mutex<Log>>,
+    /// Lines for the attached log that no caller has written yet.
+    queued: Mutex<Vec<String>>,
+}
+
+/// The attached results file. Its mutex is never taken while another
+/// orchestrator lock is held; a compaction takes those inside it.
+#[derive(Debug)]
+struct Log {
+    path: PathBuf,
+    /// Open for append; `None` once the log closed, after which it writes
+    /// nothing.
+    file: Option<File>,
+    /// Holds the exclusive lock on the sidecar `measurements.jsonl.lock`
+    /// (the path with its extension replaced by `jsonl.lock`).
+    lock: Option<File>,
+    /// Lines were appended since the last fsync.
+    pending: bool,
+    /// The reference outcomes the file holds.
+    references: References,
+}
+
+impl Log {
+    /// Opens the file for append.
+    fn open(&mut self) -> io::Result<()> {
+        self.file = Some(File::options().create(true).append(true).open(&self.path)?);
+        Ok(())
+    }
+
+    /// Appends one line in one `write_all`, where `save.io`, `save.short`
+    /// and `save.crash` (half the line, close, unrecoverable panic: what a
+    /// `kill -9` mid-append leaves) fire.
+    fn append(&mut self, line: &str) -> io::Result<()> {
+        let Some(file) = self.file.as_mut() else {
+            return Ok(());
+        };
+        self.pending = true;
+        if faults::active() {
+            if let Some(e) = faults::io_error(site::SAVE_IO) {
+                return Err(e);
+            }
+            let half = &line.as_bytes()[..line.len() / 2];
+            if faults::fire(site::SAVE_SHORT) {
+                file.write_all(half)?;
+                return Err(io::Error::other("injected fault: save.short"));
+            }
+            if faults::fire(site::SAVE_CRASH) {
+                let _ = file.write_all(half);
+                (self.file, self.lock) = (None, None);
+                std::panic::panic_any(faults::InjectedPanic { recoverable: false });
+            }
+        }
+        file.write_all(format!("{line}\n").as_bytes())
+    }
 }
 
 /// What [`Orchestrator::persist`] compares to skip an unchanged write.
@@ -408,6 +479,8 @@ impl Default for Orchestrator {
             persist_degraded: metrics.counter("orch.persist_degraded"),
             degraded: AtomicBool::new(false),
             persisted: Mutex::default(),
+            log: OnceLock::new(),
+            queued: Mutex::default(),
             metrics,
         }
     }
@@ -850,6 +923,13 @@ impl Orchestrator {
                             }
                         }
                     };
+                    // Log a successful record before publishing it: every
+                    // record another request can see is then written or
+                    // queued, so any caller's sync covers it.
+                    if let (Some(log), Ok(m)) = (self.log.get(), &r) {
+                        self.queued.lock().push(record_line(key, m));
+                        self.write_queued(log);
+                    }
                     // Publish to the cache and retire the in-flight entry
                     // in one critical section: a new requester sees either
                     // the cached record or the in-flight cell, never a gap
@@ -1166,25 +1246,35 @@ impl Orchestrator {
     /// added, replaced or evicted since and no reference outcome has been
     /// interpreted or dropped, the call writes nothing and returns the
     /// count a write would have.
+    /// On the attached results file the call is [`Orchestrator::sync`].
     pub fn persist(&self, path: &Path) -> usize {
         if self.degraded.load(Ordering::Relaxed) {
             return 0;
         }
+        if self.log.get().is_some_and(|log| log.lock().path == path) {
+            self.sync();
+            let cache = self.cache.lock();
+            return cache.records.values().filter(|r| r.is_ok()).count();
+        }
         if let Some(n) = self.unchanged_on_disk(path) {
             return n;
         }
-        match jsonl::retry_io(|| self.save(path)) {
-            Ok(n) => n,
-            Err(e) => {
-                self.degraded.store(true, Ordering::Relaxed);
-                self.persist_degraded.add(1);
-                faults::recovered("persist.degraded");
-                eprintln!(
-                    "warning: could not write results file {} ({e}); continuing in-memory only",
-                    path.display(),
-                );
-                0
-            }
+        jsonl::retry_io(|| self.save(path)).unwrap_or_else(|e| {
+            self.degrade(path, &e);
+            0
+        })
+    }
+
+    /// Gives up on the results file: one warning, `orch.persist_degraded`,
+    /// and no more I/O from [`Orchestrator::persist`].
+    fn degrade(&self, path: &Path, why: &dyn fmt::Display) {
+        if !self.degraded.swap(true, Ordering::Relaxed) {
+            self.persist_degraded.add(1);
+            faults::recovered("persist.degraded");
+            eprintln!(
+                "warning: could not write results file {} ({why}); continuing in-memory only",
+                path.display(),
+            );
         }
     }
 
@@ -1202,6 +1292,117 @@ impl Orchestrator {
         let cache = self.cache.lock();
         (cache.changes == saved.changes)
             .then(|| cache.records.values().filter(|r| r.is_ok()).count())
+    }
+
+    /// Makes the results file at `path` this orchestrator's one durable
+    /// log: takes an exclusive lock on a sidecar lock file, `load`s
+    /// the file, compacts it through `save` unless it matched what was
+    /// loaded and ends in a newline (so no append lands on half a line),
+    /// and opens it for append. From then on each leader logs its
+    /// successful record before publishing it, and [`Orchestrator::sync`]
+    /// commits. When another process holds the lock, the file is loaded
+    /// and never written, with one warning, as if persistence degraded.
+    /// Attach once. Returns how many records were restored.
+    ///
+    /// # Errors
+    ///
+    /// Errors from `load`, which leave the orchestrator unattached.
+    pub fn attach(&self, path: &Path) -> io::Result<usize> {
+        let lock_path = path.with_extension("jsonl.lock");
+        let locked = path
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| File::create(&lock_path))
+            .and_then(|lock| lock.try_lock().map(|()| lock).map_err(io::Error::from));
+        let lock = match locked {
+            Ok(lock) => lock,
+            Err(e) => {
+                let why = format!(
+                    "{} is held by another writer or unwritable: {e}",
+                    lock_path.display()
+                );
+                self.degrade(path, &why);
+                return self.load(path);
+            }
+        };
+        let (restored, whole) = self.load_lines(path)?;
+        let clean = whole && self.unchanged_on_disk(path).is_some();
+        let mut log = Log {
+            path: path.to_owned(),
+            file: None,
+            lock: Some(lock),
+            pending: false,
+            references: self.held_references(),
+        };
+        self.log_io(&mut log, !clean, Log::open);
+        let _ = self.log.set(Mutex::new(log));
+        Ok(restored)
+    }
+
+    /// The attached log's group commit: appends the reference outcomes
+    /// the file lacks, then one fsync, unless nothing was written since
+    /// the last sync. A no-op when no log is attached.
+    pub fn sync(&self) {
+        if let Some(log) = self.log.get() {
+            let lines = std::mem::take(&mut *self.queued.lock());
+            self.log_io(&mut log.lock(), false, |log| {
+                lines.iter().try_for_each(|line| log.append(line))?;
+                for (key, (digest, e)) in self.held_references() {
+                    if log.references.get(&key) != Some(&(digest, e)) {
+                        log.append(&reference_line(&key.0, key.1, digest, &e))?;
+                        log.references.insert(key, (digest, e));
+                    }
+                }
+                if let Some(file) = log.file.as_ref().filter(|_| log.pending) {
+                    file.sync_data()?;
+                }
+                log.pending = false;
+                Ok(())
+            });
+            self.write_queued(log);
+        }
+    }
+
+    /// Writes the queued lines, unless another caller holds the log: that
+    /// caller writes the queue before it lets go. So a stalled write holds
+    /// up only the caller making it.
+    fn write_queued(&self, log: &Mutex<Log>) {
+        while let Some(mut held) = log.try_lock() {
+            let lines = std::mem::take(&mut *self.queued.lock());
+            self.log_io(&mut held, false, |log| {
+                lines.iter().try_for_each(|line| log.append(line))
+            });
+            drop(held);
+            if self.queued.lock().is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Runs `op` on the log through `jsonl::retry_io`; each retry (and the
+    /// first try, with `compact`) first rewrites the file through `save`,
+    /// dropping any torn line. Repeated failure closes the log and
+    /// degrades.
+    fn log_io(
+        &self,
+        log: &mut Log,
+        mut compact: bool,
+        mut op: impl FnMut(&mut Log) -> io::Result<()>,
+    ) {
+        let done = jsonl::retry_io(|| {
+            if std::mem::replace(&mut compact, true) {
+                let references = self.held_references();
+                self.save(&log.path)?;
+                log.references = references;
+                log.pending = false;
+                log.open()?;
+            }
+            op(log)
+        });
+        if let Err(e) = done {
+            (log.file, log.lock) = (None, None);
+            self.degrade(&log.path, &e);
+        }
     }
 
     /// Whether [`Orchestrator::persist`] has degraded to in-memory-only
@@ -1241,6 +1442,12 @@ impl Orchestrator {
     /// Propagates I/O errors other than the file not existing; the caller
     /// degrades to a cold start (re-simulation), never to wrong data.
     pub fn load(&self, path: &Path) -> std::io::Result<usize> {
+        self.load_lines(path).map(|(restored, _)| restored)
+    }
+
+    /// [`Orchestrator::load`], and whether the file ends in a newline (or
+    /// is empty or missing).
+    fn load_lines(&self, path: &Path) -> io::Result<(usize, bool)> {
         let read = jsonl::retry_io(|| match faults::io_error(site::LOAD_IO) {
             Some(e) => Err(e),
             None => match std::fs::read_to_string(path) {
@@ -1249,19 +1456,23 @@ impl Orchestrator {
             },
         })?;
         let Some(text) = read else {
-            return Ok(0);
+            return Ok((0, true));
         };
         let mut pruned = 0u64;
         let mut quarantined = 0u64;
         let mut lines = 0usize;
         let mut parsed = Vec::new();
-        let mut references = Vec::new();
+        // The last outcome per benchmark and size wins: an appended line
+        // supersedes one an earlier build wrote.
+        let mut references = References::new();
         let known = |bench: &str| benchmark_names().any(|b| b == bench);
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             lines += 1;
             match parse_record(line) {
                 RecordVerdict::Ok(key, m) if known(&key.bench) => parsed.push((key, m)),
-                RecordVerdict::Reference(r) if known(&r.bench) => references.push(r),
+                RecordVerdict::Reference(r) if known(&r.bench) => {
+                    references.insert((r.bench, r.size), (r.digest, r.expected));
+                }
                 RecordVerdict::Ok(..) | RecordVerdict::Reference(_) | RecordVerdict::Foreign => {
                     pruned += 1;
                 }
@@ -1280,9 +1491,9 @@ impl Orchestrator {
                     restored += 1;
                 }
             }
-            for r in references {
-                if let Entry::Vacant(slot) = cache.references.entry((r.bench, r.size)) {
-                    slot.insert((r.digest, r.expected));
+            for (key, outcome) in references {
+                if let Entry::Vacant(slot) = cache.references.entry(key) {
+                    slot.insert(outcome);
                     seeded += 1;
                 }
             }
@@ -1304,7 +1515,7 @@ impl Orchestrator {
         self.loaded.add(restored as u64);
         self.pruned.add(pruned);
         self.quarantined.add(quarantined);
-        Ok(restored)
+        Ok((restored, text.is_empty() || text.ends_with('\n')))
     }
 }
 
@@ -2045,6 +2256,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The attached log appends an outcome interpreted again after its
+    /// stale line was pruned; on reload the later line wins, so the
+    /// outcome is seeded rather than pruned and interpreted once more.
+    #[test]
+    fn an_appended_reference_outcome_supersedes_a_stale_one() {
+        let dir = std::env::temp_dir().join(format!("biaslab-refappend-{}", std::process::id()));
+        let path = dir.join("measurements.jsonl");
+        let _ = std::fs::remove_dir_all(&dir);
+        let setup = &env_setups(1)[0];
+        let stale = Orchestrator::new();
+        let h = stale.harness("milc").expect("known benchmark");
+        let expected = h.benchmark().expected(InputSize::Test);
+        let digest = h.reference_digest(InputSize::Test);
+        let line = reference_line("milc", InputSize::Test, digest ^ 1, &expected);
+        std::fs::create_dir_all(&dir).expect("results dir");
+        std::fs::write(&path, line + "\n").expect("a stale outcome");
+
+        let orch = Orchestrator::new();
+        assert_eq!(orch.attach(&path).expect("attach"), 0);
+        let h = orch.harness("milc").expect("known benchmark");
+        assert_eq!(orch.stats().pruned, 1);
+        orch.measure(&h, setup, InputSize::Test).expect("measures");
+        assert_eq!(orch.persist(&path), 1);
+        let (lines, _) = reference_at(&path, InputSize::Test);
+        assert_eq!(lines.len(), 3, "the stale outcome, a record, the fresh one");
+
+        let again = Orchestrator::new();
+        assert_eq!(again.load(&path).expect("load"), 1);
+        let seeded = again.harness("milc").expect("known benchmark");
+        assert_eq!(again.stats().pruned, 0, "the later line won");
+        assert_eq!(
+            seeded.benchmark().held_expected(InputSize::Test),
+            Some(expected)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn a_torn_reference_line_is_quarantined_and_compacted() {
         let dir = std::env::temp_dir().join(format!("biaslab-reftorn-{}", std::process::id()));
@@ -2113,6 +2361,38 @@ mod tests {
         assert_eq!(fresh.stats().simulated, 2);
         assert_eq!(fresh.persist(&path), 2);
         assert_eq!(std::fs::read(&path).expect("read back"), v4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A resume that only hits the cache neither writes nor syncs the
+    /// attached log: its bytes, mtime and inode stay as they were. The
+    /// log's handle is swapped for `/dev/null`, whose fsync fails, so a
+    /// sync with nothing pending would show as a retry that compacts.
+    #[test]
+    fn resuming_a_clean_log_writes_and_syncs_nothing() {
+        let dir = std::env::temp_dir().join(format!("biaslab-resume-{}", std::process::id()));
+        let path = dir.join("measurements.jsonl");
+        let _ = std::fs::remove_dir_all(&dir);
+        let setups = env_setups(2);
+        {
+            let orch = Orchestrator::new();
+            assert_eq!(orch.attach(&path).expect("attach"), 0);
+            let h = orch.harness("hmmer").expect("known benchmark");
+            let _ = orch.sweep(&h, &setups, InputSize::Test);
+            assert_eq!(orch.persist(&path), 2);
+        }
+        let saved = file_state(&path);
+        let resumed = Orchestrator::new();
+        assert_eq!(resumed.attach(&path).expect("attach"), 2);
+        assert_eq!(file_state(&path), saved, "a clean log is not compacted");
+        let devnull = File::options().append(true).open("/dev/null");
+        resumed.log.get().expect("attached").lock().file = Some(devnull.expect("/dev/null"));
+        let h = resumed.harness("hmmer").expect("known benchmark");
+        let _ = resumed.sweep(&h, &setups, InputSize::Test);
+        assert_eq!(resumed.stats().simulated, 0);
+        assert_eq!(resumed.persist(&path), 2);
+        assert!(!resumed.persist_degraded());
+        assert_eq!(file_state(&path), saved, "bytes, mtime and inode untouched");
         std::fs::remove_dir_all(&dir).ok();
     }
 

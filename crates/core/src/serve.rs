@@ -30,20 +30,21 @@
 //! as the `health` field of `stats`); requests may carry a `deadline_ms`
 //! enforced at every control point (admission wait, single-flight wait)
 //! as a typed `deadline` response; SIGTERM / `shutdown {"mode":"drain"}`
-//! finishes in-flight work before stopping; and sweeps write a crc-sealed
-//! journal so a daemon killed mid-sweep resumes instead of re-simulating.
-//! A sweep has one execution path: the items its journal does not replay
-//! go through one [`Orchestrator::sweep_deadline`], parallel and
-//! single-flight, with any deadline enforced per item.
+//! finishes in-flight work before stopping. A sweep has one execution
+//! path: one [`Orchestrator::sweep_deadline`] over all its setups,
+//! parallel and single-flight, with any deadline enforced per item, then
+//! one [`Orchestrator::sync`] before its first item goes out. The daemon
+//! keeps what it measures in the orchestrator's attached results file
+//! ([`Orchestrator::attach`]), so a daemon killed mid-sweep resumes from
+//! the records it logged instead of simulating them again.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -58,7 +59,7 @@ use biaslab_workloads::InputSize;
 
 use crate::faults::{self, site};
 use crate::harness::{MeasureError, Measurement};
-use crate::jsonl::{csv, fnv64, seal, unseal, write_atomic, Fields};
+use crate::jsonl::{csv, fnv64, seal, unseal, Fields};
 use crate::orchestrator::{
     counters_to_vec, order_str, parse_order, parse_size, size_str, DeadlineExceeded, Orchestrator,
 };
@@ -585,84 +586,40 @@ pub fn error_code(e: &MeasureError) -> &'static str {
     }
 }
 
+/// The `status`, `code`, `error`, `setup`, `checksum` and `counters`
+/// values a response or sweep item carries for one measurement result.
+type ResultFields = (&'static str, &'static str, String, String, u64, String);
+
+fn result_fields(r: &Result<Measurement, MeasureError>) -> ResultFields {
+    match r {
+        Ok(m) => {
+            let (setup, counters) = (clean(&m.setup), csv(&counters_to_vec(&m.counters)));
+            ("ok", "", String::new(), setup, m.checksum, counters)
+        }
+        Err(e) => {
+            let error = clean(&e.to_string());
+            ("err", error_code(e), error, String::new(), 0, String::new())
+        }
+    }
+}
+
 /// Encodes the terminal response for one measurement result. This is the
 /// byte-identity pivot: the daemon and the differential test both call it.
 #[must_use]
 pub fn encode_response(id: u64, r: &Result<Measurement, MeasureError>) -> String {
-    match r {
-        Ok(m) => resp_line(
-            id,
-            "ok",
-            "",
-            "",
-            &clean(&m.setup),
-            m.checksum,
-            &csv(&counters_to_vec(&m.counters)),
-            0,
-        ),
-        Err(e) => resp_line(
-            id,
-            "err",
-            error_code(e),
-            &clean(&e.to_string()),
-            "",
-            0,
-            "",
-            0,
-        ),
-    }
-}
-
-/// The field-level payload of one sweep element — what the wire line and
-/// the sweep journal both carry. Holding it (rather than the original
-/// `Result`) lets a journal replay re-emit byte-identical item lines
-/// without reconstructing a [`MeasureError`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ItemPayload {
-    pub(crate) status: &'static str,
-    pub(crate) code: String,
-    pub(crate) error: String,
-    pub(crate) setup: String,
-    pub(crate) checksum: u64,
-    pub(crate) counters: String,
-}
-
-impl ItemPayload {
-    fn from_result(r: &Result<Measurement, MeasureError>) -> ItemPayload {
-        match r {
-            Ok(m) => ItemPayload {
-                status: "ok",
-                code: String::new(),
-                error: String::new(),
-                setup: clean(&m.setup),
-                checksum: m.checksum,
-                counters: csv(&counters_to_vec(&m.counters)),
-            },
-            Err(e) => ItemPayload {
-                status: "err",
-                code: error_code(e).to_owned(),
-                error: clean(&e.to_string()),
-                setup: String::new(),
-                checksum: 0,
-                counters: String::new(),
-            },
-        }
-    }
-
-    fn item_line(&self, id: u64, seq: u64) -> String {
-        seal(format!(
-            "{{\"v\":{PROTO_VERSION},\"ev\":\"item\",\"id\":{id},\"seq\":{seq},\
-             \"status\":\"{}\",\"code\":\"{}\",\"error\":\"{}\",\
-             \"setup\":\"{}\",\"checksum\":{},\"counters\":[{}]",
-            self.status, self.code, self.error, self.setup, self.checksum, self.counters
-        ))
-    }
+    let (status, code, error, setup, checksum, counters) = result_fields(r);
+    resp_line(id, status, code, &error, &setup, checksum, &counters, 0)
 }
 
 /// Encodes one sweep element (`seq` is the setup index).
 #[must_use]
 pub fn encode_sweep_item(id: u64, seq: u64, r: &Result<Measurement, MeasureError>) -> String {
-    ItemPayload::from_result(r).item_line(id, seq)
+    let (status, code, error, setup, checksum, counters) = result_fields(r);
+    seal(format!(
+        "{{\"v\":{PROTO_VERSION},\"ev\":\"item\",\"id\":{id},\"seq\":{seq},\
+         \"status\":\"{status}\",\"code\":\"{code}\",\"error\":\"{error}\",\
+         \"setup\":\"{setup}\",\"checksum\":{checksum},\"counters\":[{counters}]"
+    ))
 }
 
 /// Encodes the terminal line of a sweep: `items` elements preceded it.
@@ -974,15 +931,14 @@ pub struct ServerConfig {
     /// Seed for the supervisor's jittered respawn delays, so restart
     /// timing is replayable in tests.
     pub restart_seed: u64,
-    /// Directory for crash-recovery sweep journals
-    /// (`<dir>/<digest>.jsonl`); `None` disables journaling, which keeps
-    /// in-process test servers hermetic.
-    pub journal_dir: Option<PathBuf>,
 }
 
 impl ServerConfig {
     /// Default configuration: 4 workers, queue depth 64, 5 s drain
-    /// timeout, restart budget 8, no sweep journal.
+    /// timeout, restart budget 8. What the daemon keeps across restarts
+    /// is the orchestrator's business: it persists only when attached to
+    /// a results file ([`Orchestrator::attach`]), so an in-process test
+    /// server over a fresh orchestrator writes nothing.
     #[must_use]
     pub fn new(addr: Addr) -> ServerConfig {
         ServerConfig {
@@ -992,7 +948,6 @@ impl ServerConfig {
             drain_timeout_ms: 5_000,
             restart_budget: 8,
             restart_seed: 0,
-            journal_dir: None,
         }
     }
 }
@@ -1017,8 +972,6 @@ struct ServeCounters {
     drains: telemetry::Counter,
     drain_refused: telemetry::Counter,
     drain_forced: telemetry::Counter,
-    journal_items: telemetry::Counter,
-    resumed_items: telemetry::Counter,
 }
 
 impl ServeCounters {
@@ -1042,8 +995,6 @@ impl ServeCounters {
             drains: m.counter("serve.drain"),
             drain_refused: m.counter("serve.drain.refused"),
             drain_forced: m.counter("serve.drain.forced"),
-            journal_items: m.counter("serve.sweep.journal_items"),
-            resumed_items: m.counter("serve.sweep.resumed_items"),
         }
     }
 }
@@ -1134,7 +1085,6 @@ struct Shared {
     restart_budget: usize,
     restart_seed: u64,
     drain_timeout: Duration,
-    journal_dir: Option<PathBuf>,
     c: ServeCounters,
 }
 
@@ -1192,7 +1142,6 @@ impl Server {
             restart_budget: cfg.restart_budget,
             restart_seed: cfg.restart_seed,
             drain_timeout: Duration::from_millis(cfg.drain_timeout_ms),
-            journal_dir: cfg.journal_dir.clone(),
             c: ServeCounters::new(),
         });
         {
@@ -1706,138 +1655,6 @@ pub fn sweep_setups(base: &ExperimentSetup, envs: &[u64]) -> Vec<ExperimentSetup
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Sweep journal (crash recovery)
-// ---------------------------------------------------------------------------
-
-/// Version tag of one sweep-journal line. Bumping it orphans (and
-/// quarantines) old journals rather than misreading them, exactly like
-/// the orchestrator's `RECORD_VERSION`.
-pub const JOURNAL_VERSION: u64 = 1;
-
-/// The fields of one sweep-journal line, in order.
-pub(crate) const JOURNAL_FIELDS: &[&str] = &[
-    "v", "ev", "digest", "seq", "status", "code", "error", "setup", "checksum", "counters", "crc",
-];
-
-/// Content-addresses a sweep for its journal file: FNV-64 over the
-/// canonical spec rendering plus the env grid. Deliberately independent
-/// of the request `id`, so a client retrying a killed sweep under a fresh
-/// id still resumes the same journal.
-#[must_use]
-pub fn sweep_digest(spec: &MeasureSpec, envs: &[u64]) -> u64 {
-    fnv64(&format!("sweep {} envs=[{}]", spec_fields(spec), csv(envs)))
-}
-
-/// One sweep-journal line: the item payload keyed by sweep digest and
-/// sequence number, crc-sealed like every other line this module writes.
-pub(crate) fn journal_line(digest: u64, seq: u64, p: &ItemPayload) -> String {
-    seal(format!(
-        "{{\"v\":{JOURNAL_VERSION},\"ev\":\"sweep_journal\",\"digest\":{digest},\"seq\":{seq},\
-         \"status\":\"{}\",\"code\":\"{}\",\"error\":\"{}\",\"setup\":\"{}\",\
-         \"checksum\":{},\"counters\":[{}]",
-        p.status, p.code, p.error, p.setup, p.checksum, p.counters
-    ))
-}
-
-/// Parses one journal line for the given sweep. `None` for torn lines
-/// (a crash mid-append leaves a half-written tail that fails its crc),
-/// foreign versions, and other sweeps' digests — the caller re-simulates
-/// those items instead of trusting them.
-pub(crate) fn parse_journal_line(line: &str, digest: u64) -> Option<(u64, ItemPayload)> {
-    let f = unseal(line).filter(|f| f.keys_are(JOURNAL_FIELDS))?;
-    if f.u64("v") != Some(JOURNAL_VERSION)
-        || f.str("ev") != Some("sweep_journal")
-        || f.u64("digest") != Some(digest)
-    {
-        return None;
-    }
-    let status = match f.str("status")? {
-        "ok" => "ok",
-        "err" => "err",
-        _ => return None,
-    };
-    Some((
-        f.u64("seq")?,
-        ItemPayload {
-            status,
-            code: f.str("code")?.to_owned(),
-            error: f.str("error")?.to_owned(),
-            setup: f.str("setup")?.to_owned(),
-            checksum: f.u64("checksum")?,
-            counters: f.array("counters")?.to_owned(),
-        },
-    ))
-}
-
-/// The write-ahead journal of one in-flight sweep: an append-only JSONL
-/// file under the daemon's journal directory, named by the sweep digest.
-/// Every completed item is appended and fsync'd *before* its line goes
-/// out on the socket, so a daemon killed mid-sweep replays journaled
-/// items on the next request instead of re-simulating them, converging
-/// to byte-identical results. The file is deleted when the sweep's
-/// terminal line is reached.
-struct SweepJournal {
-    path: PathBuf,
-    file: File,
-}
-
-impl SweepJournal {
-    /// Opens (or creates) the journal for `digest`, returning the journal
-    /// and every intact item a previous run recorded. Recovery compacts
-    /// the file through [`write_atomic`], which drops any torn tail a
-    /// crash left behind — so later appends never concatenate onto half a
-    /// line.
-    fn open(dir: &Path, digest: u64) -> io::Result<(SweepJournal, HashMap<u64, ItemPayload>)> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{digest:016x}.jsonl"));
-        let mut items: HashMap<u64, ItemPayload> = HashMap::new();
-        if let Ok(existing) = std::fs::read_to_string(&path) {
-            for line in existing.lines() {
-                if let Some((seq, p)) = parse_journal_line(line, digest) {
-                    items.insert(seq, p);
-                }
-            }
-            if !items.is_empty() {
-                write_atomic(&path, |f| {
-                    let mut seqs: Vec<&u64> = items.keys().collect();
-                    seqs.sort();
-                    for &seq in seqs {
-                        writeln!(f, "{}", journal_line(digest, seq, &items[&seq]))?;
-                    }
-                    Ok(())
-                })?;
-            } else {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok((SweepJournal { path, file }, items))
-    }
-
-    /// Appends one completed item, fsync'd — the write-ahead step. The
-    /// crash fault site fires here: half a line reaches the file, no
-    /// fsync happens, and the "daemon" dies (the worker panics
-    /// unrecoverably); reload quarantines the torn line.
-    fn append(&mut self, digest: u64, seq: u64, p: &ItemPayload) -> io::Result<()> {
-        let line = journal_line(digest, seq, p);
-        if faults::fire(site::SERVE_CRASH_JOURNAL) {
-            let bytes = line.as_bytes();
-            let _ = self.file.write_all(&bytes[..bytes.len() / 2]);
-            let _ = self.file.flush();
-            std::panic::panic_any(faults::InjectedPanic { recoverable: false });
-        }
-        self.file.write_all(format!("{line}\n").as_bytes())?;
-        self.file.sync_all()
-    }
-
-    /// The sweep completed: its journal has served its purpose.
-    fn complete(self) {
-        drop(self.file);
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 fn run_sweep(
     shared: &Shared,
     out: &ConnOut,
@@ -1865,68 +1682,30 @@ fn run_sweep(
         return;
     };
     let setups = sweep_setups(&base, envs);
-    let total = setups.len();
-
-    // Crash recovery: journaled items are replayed from disk, never
-    // re-simulated. Journaling is best-effort — an unwritable directory
-    // degrades to the plain (journal-less) sweep rather than failing it.
-    let digest = sweep_digest(spec, envs);
-    let (mut journal, replayed) = match &shared.journal_dir {
-        Some(dir) => match SweepJournal::open(dir, digest) {
-            Ok((j, items)) => (Some(j), items),
-            Err(_) => (None, HashMap::new()),
-        },
-        None => (None, HashMap::new()),
-    };
-
-    // The items no journal replays go through one orchestrator sweep:
-    // parallel, single-flight, and with the deadline (if any) enforced
-    // per item. An item the deadline beat stays out of `fresh`.
-    let missing: Vec<usize> = (0..total)
-        .filter(|i| !replayed.contains_key(&(*i as u64)))
-        .collect();
-    let mut fresh: HashMap<usize, ItemPayload> = HashMap::new();
-    if !missing.is_empty() {
-        let missing_setups: Vec<ExperimentSetup> =
-            missing.iter().map(|&i| setups[i].clone()).collect();
-        let results = shared
-            .orch
-            .sweep_deadline(&harness, &missing_setups, spec.size, deadline);
-        for (&i, r) in missing.iter().zip(&results) {
-            if let Ok(r) = r {
-                fresh.insert(i, ItemPayload::from_result(r));
-            }
-        }
+    if setups.is_empty() {
+        out.send(shared, &encode_sweep_done(id, 0));
+        return;
     }
-
-    // Emit in sequence order; fresh items reach the fsync'd journal
-    // before the socket (write-ahead), replayed ones count as resumed.
-    for seq in 0..total {
-        let s = seq as u64;
-        let payload = if let Some(p) = replayed.get(&s) {
-            shared.c.resumed_items.add(1);
-            p.clone()
-        } else if let Some(p) = fresh.remove(&seq) {
-            if let Some(j) = journal.as_mut() {
-                if j.append(digest, s, &p).is_ok() {
-                    shared.c.journal_items.add(1);
-                }
-            }
-            p
-        } else {
+    // One orchestrator sweep: parallel, single-flight, with the deadline
+    // (if any) enforced per item. Its leaders logged every record before
+    // publishing it, so one sync makes them all durable before the first
+    // item goes out on the socket (write-ahead).
+    let results = shared
+        .orch
+        .sweep_deadline(&harness, &setups, spec.size, deadline);
+    shared.orch.sync();
+    for (seq, r) in (0u64..).zip(&results) {
+        let Ok(r) = r else {
             // The deadline expired before this item was simulated; every
             // seq below this one was emitted, so the terminal line still
             // reports how many items did make it.
             shared.c.deadline_expired.add(1);
-            out.send(shared, &encode_deadline(id, s));
+            out.send(shared, &encode_deadline(id, seq));
             return;
         };
-        out.send(shared, &payload.item_line(id, s));
+        out.send(shared, &encode_sweep_item(id, seq, r));
     }
-    if let Some(j) = journal {
-        j.complete();
-    }
-    out.send(shared, &encode_sweep_done(id, total as u64));
+    out.send(shared, &encode_sweep_done(id, setups.len() as u64));
 }
 
 // ---------------------------------------------------------------------------
@@ -2642,63 +2421,6 @@ mod tests {
         let spread: std::collections::HashSet<u64> =
             (0..32).map(|seed| backoff_delay_ms(seed, 1, 6)).collect();
         assert!(spread.len() > 8, "distinct seeds spread retry delays");
-    }
-
-    #[test]
-    fn sweep_digest_ignores_request_id_but_not_grid() {
-        let s = spec("hmmer");
-        let d = sweep_digest(&s, &[0, 64]);
-        assert_eq!(
-            sweep_digest(&s, &[0, 64]),
-            d,
-            "digest is a pure function of spec+grid"
-        );
-        assert_ne!(sweep_digest(&s, &[0, 64, 128]), d, "grid changes digest");
-        let mut other = spec("hmmer");
-        other.env = 612;
-        assert_ne!(sweep_digest(&other, &[0, 64]), d, "spec changes digest");
-    }
-
-    #[test]
-    fn journal_replays_items_and_quarantines_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("biaslab-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let digest = 0xdead_beef_u64;
-        let payload = ItemPayload {
-            status: "ok",
-            code: String::new(),
-            error: String::new(),
-            setup: "core2/O2/default".to_owned(),
-            checksum: 7,
-            counters: "1,2,3".to_owned(),
-        };
-        {
-            let (mut j, replayed) = SweepJournal::open(&dir, digest).expect("journal opens");
-            assert!(replayed.is_empty());
-            j.append(digest, 0, &payload).expect("append");
-            j.append(digest, 1, &payload).expect("append");
-            // Simulate a crash mid-append: a torn half-line tail.
-            let line = journal_line(digest, 2, &payload);
-            j.file
-                .write_all(&line.as_bytes()[..line.len() / 2])
-                .expect("torn write");
-        }
-        let (j, replayed) = SweepJournal::open(&dir, digest).expect("journal reopens");
-        assert_eq!(
-            replayed.len(),
-            2,
-            "intact items replayed, torn tail dropped"
-        );
-        assert_eq!(replayed[&0], payload);
-        assert!(
-            !std::fs::read_to_string(&j.path)
-                .expect("journal readable")
-                .contains("\"seq\":2"),
-            "compaction removed the torn tail"
-        );
-        j.complete();
-        assert!(!dir.join(format!("{digest:016x}.jsonl")).exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     proptest! {

@@ -87,8 +87,12 @@ cmp "$tmp/before.jsonl" "$results" && [ "$(stat -c %y "$results")" = "$mtime" ] 
     || { echo "FATAL: the resumed run rewrote $results" >&2; exit 1; }
 
 echo "==> serve smoke (daemon boot, canned transcript, chaos schedule)"
+# Every daemon gets its own results directory: a daemon attaches
+# measurements.jsonl under it, and the "cold, then cached" transcript must
+# not be answered from a file another run left behind.
 sock="$tmp/serve.sock"
-./target/release/biaslab serve --addr "unix:$sock" --workers 4 --queue 32 \
+BIASLAB_RESULTS_DIR="$tmp/serve-smoke-results" \
+    ./target/release/biaslab serve --addr "unix:$sock" --workers 4 --queue 32 \
     > "$tmp/serve.log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
@@ -107,6 +111,7 @@ wait "$serve_pid"
 # Chaos schedule: a daemon under seeded socket faults must still converge
 # to the exact same transcript via client retries, then shut down cleanly.
 BIASLAB_FAULTS="seed=99,serve.accept=0.2,serve.write.short=0.2,serve.drop=0.15" \
+    BIASLAB_RESULTS_DIR="$tmp/serve-chaos-results" \
     ./target/release/biaslab serve --addr "unix:$sock" --workers 4 --queue 32 \
     > "$tmp/serve-chaos.log" 2>&1 &
 serve_pid=$!
@@ -122,6 +127,7 @@ wait "$serve_pid" || true
 
 echo "==> serve supervision smoke (worker panic -> respawn -> health ok)"
 BIASLAB_FAULTS="seed=42,serve.worker_panic=@1" \
+    BIASLAB_RESULTS_DIR="$tmp/serve-sup-results" \
     ./target/release/biaslab serve --addr "unix:$sock" --workers 4 --queue 32 \
     > "$tmp/serve-sup.log" 2>&1 &
 serve_pid=$!
@@ -171,7 +177,28 @@ wait "$serve_pid" \
     || { echo "FATAL: daemon exited nonzero after SIGTERM drain" >&2; exit 1; }
 [ ! -e "$sock" ] || { echo "FATAL: drained daemon leaked its socket file" >&2; exit 1; }
 leaked="$(find "$tmp/serve-results" -name '*.tmp' 2>/dev/null || true)"
-[ -z "$leaked" ] || { echo "FATAL: drain leaked journal tmp files: $leaked" >&2; exit 1; }
+[ -z "$leaked" ] || { echo "FATAL: drain leaked tmp files in $tmp/serve-results: $leaked" >&2; exit 1; }
+
+echo "==> serve restart smoke (a restarted daemon answers from the results file it left)"
+for phase in first restarted; do
+    BIASLAB_RESULTS_DIR="$tmp/restart-results" \
+        ./target/release/biaslab serve --addr "unix:$sock" --workers 2 --queue 32 \
+        > "$tmp/serve-$phase.log" 2>&1 &
+    serve_pid=$!
+    for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
+    [ -S "$sock" ] || { echo "FATAL: $phase daemon did not bind $sock" >&2; exit 1; }
+    ./target/release/biaslab client sweep gcc --addr "unix:$sock" --id 41 --envs 0,64,128 \
+        > "$tmp/restart-$phase.out"
+    ./target/release/biaslab client stats --addr "unix:$sock" --id 42 > "$tmp/restart-$phase.stats"
+    ./target/release/biaslab client shutdown --addr "unix:$sock" > /dev/null
+    wait "$serve_pid"
+done
+cmp "$tmp/restart-first.out" "$tmp/restart-restarted.out" \
+    || { echo "FATAL: the restarted daemon answered the sweep differently" >&2; exit 1; }
+simulated="$(sed -n 's/.*"orch\.simulated":\([0-9]*\).*/\1/p' "$tmp/restart-restarted.stats")"
+loaded="$(sed -n 's/.*"orch\.loaded":\([0-9]*\).*/\1/p' "$tmp/restart-restarted.stats")"
+[ "$simulated" = 0 ] && [ "$loaded" = 3 ] \
+    || { echo "FATAL: the restarted daemon simulated $simulated and loaded $loaded (want 0 and 3)" >&2; exit 1; }
 
 echo "==> telemetry overhead guard (traced vs untraced quick suite, alternating runs)"
 # perfbench alternates untraced and traced quick-suite runs and reports

@@ -1,21 +1,24 @@
-//! Crash-recovery battery for sweep journals: a daemon killed mid-sweep
-//! (the `serve.crash_before_journal_fsync` fault tears the journal and
-//! panics the worker) resumes on restart from the write-ahead journal,
-//! re-simulating nothing it already journaled and converging to the exact
-//! bytes a never-crashed sweep produces.
+//! Crash-recovery battery for the daemon's results file: a daemon killed
+//! mid-sweep (the `save.crash` fault tears the record line being appended,
+//! closes the log and panics the worker) resumes on restart from the
+//! records it logged, simulating only what it had not, and converges to
+//! the exact bytes a never-crashed sweep produces.
 //!
-//! Fault state is process-global, so the test holds the
+//! Each phase is a fresh daemon over a fresh orchestrator attached to one
+//! temp results file; the test keeps an `Arc` to the orchestrator to read
+//! its own counts. Fault state is process-global, so each test holds the
 //! [`faults::scoped`] guard for its whole body.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use biaslab_core::faults::{self, FaultSpec};
 use biaslab_core::serve::{
-    self, encode_sweep, encode_sweep_done, encode_sweep_item, sweep_digest, sweep_setups,
-    validate_response_line, Addr, Client, MeasureSpec, Server, ServerConfig,
+    self, encode_sweep, encode_sweep_done, encode_sweep_item, sweep_setups, validate_response_line,
+    Addr, Client, MeasureSpec, Server, ServerConfig,
 };
 use biaslab_core::setup::LinkOrder;
-use biaslab_core::{telemetry, Orchestrator};
+use biaslab_core::{Orchestrator, OrchestratorStats};
 use biaslab_toolchain::OptLevel;
 use biaslab_workloads::InputSize;
 
@@ -26,6 +29,14 @@ fn spec(s: &str) -> FaultSpec {
 fn temp_sock(tag: &str) -> Addr {
     let dir = std::env::temp_dir();
     Addr::Unix(dir.join(format!("biaslab-scrash-{tag}-{}.sock", std::process::id())))
+}
+
+/// A fresh results directory for one test, and the results file in it.
+fn results_file(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("biaslab-scrash-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("measurements.jsonl");
+    (dir, path)
 }
 
 fn sweep_spec() -> MeasureSpec {
@@ -42,192 +53,202 @@ fn sweep_spec() -> MeasureSpec {
     }
 }
 
-fn counter(name: &str) -> u64 {
-    telemetry::metrics().counter(name).get()
+/// One daemon lifetime: a fresh orchestrator attached to `path` serves one
+/// sweep request and shuts down. Returns the response lines and the
+/// orchestrator's counts.
+fn phase(
+    tag: &str,
+    path: &Path,
+    request: &str,
+    schedule: &str,
+) -> (Vec<String>, OrchestratorStats) {
+    faults::install(&spec(schedule));
+    let orch = Arc::new(Orchestrator::default());
+    orch.attach(path).expect("the results file attaches");
+    let addr = temp_sock(tag);
+    let server =
+        Server::start(&ServerConfig::new(addr.clone()), Arc::clone(&orch)).expect("server starts");
+    let ex = Client::new(addr)
+        .request(request)
+        .expect("a terminal always arrives, never a hang");
+    server.shutdown();
+    faults::install(&spec("seed=1"));
+    let stats = orch.stats();
+    (ex.lines, stats)
 }
 
-/// The kill-and-restart differential: crash a daemon three items into a
-/// five-item sweep, restart it over the same journal directory, and the
+/// The lines a never-crashed direct sweep answers.
+fn direct_lines(s: &MeasureSpec, envs: &[u64], id: u64) -> Vec<String> {
+    let direct = Orchestrator::default();
+    let harness = direct.harness(&s.bench).expect("known benchmark");
+    let setups = sweep_setups(&s.setup().expect("known machine"), envs);
+    let mut expected: Vec<String> = (0u64..)
+        .zip(&setups)
+        .map(|(seq, setup)| encode_sweep_item(id, seq, &direct.measure(&harness, setup, s.size)))
+        .collect();
+    expected.push(encode_sweep_done(id, envs.len() as u64));
+    expected
+}
+
+fn is_record(line: &str) -> bool {
+    line.contains("\"counters\"")
+}
+
+/// The kill-and-restart differential: crash a daemon on its third append
+/// into a five-item sweep, restart it over the same results file, and the
 /// resumed sweep must (a) answer byte-identically to a never-crashed
-/// direct sweep, (b) replay exactly the journaled items instead of
-/// re-simulating them — pinned via `serve.sweep.resumed_items` — and
-/// (c) leave no torn lines, no `.tmp` leaks, and no journal file behind.
+/// direct sweep, (b) restore the two records logged before the crash and
+/// simulate exactly the other three, and (c) leave a file in which every
+/// line verifies and no `.tmp` file behind.
 #[test]
 fn killed_mid_sweep_resumes_byte_identical() {
     let _guard = faults::scoped(&spec("seed=1"));
-    let journal_dir =
-        std::env::temp_dir().join(format!("biaslab-scrash-journal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&journal_dir);
-
+    let (dir, path) = results_file("killed");
     let s = sweep_spec();
     let envs: Vec<u64> = vec![0, 64, 128, 256, 612];
-    let digest = sweep_digest(&s, &envs);
-    let journal_path = journal_dir.join(format!("{digest:016x}.jsonl"));
 
-    // Phase 1: the third journal append tears the file and kills the
-    // worker — the in-process stand-in for `kill -9` mid-fsync.
-    faults::install(&spec("seed=707,serve.crash_before_journal_fsync=@3"));
-    let addr = temp_sock("phase1");
-    let mut cfg = ServerConfig::new(addr.clone());
-    cfg.journal_dir = Some(journal_dir.clone());
-    let server = Server::start(&cfg, Arc::new(Orchestrator::default())).expect("server starts");
-    let journaled_before = counter("serve.sweep.journal_items");
-    let mut client = Client::new(addr);
-    let ex = client
-        .request(&encode_sweep(9, &s, &envs))
-        .expect("the crash still yields a typed terminal, not a hang");
+    // Phase 1: the third append tears the file and kills the worker — the
+    // in-process stand-in for `kill -9` mid-append.
+    let (lines, _) = phase(
+        "phase1",
+        &path,
+        &encode_sweep(9, &s, &envs),
+        "seed=707,save.crash=@3",
+    );
+    let terminal = lines.last().expect("a terminal line");
     assert_eq!(
-        serve::line_status(ex.terminal()),
+        serve::line_status(terminal),
         Some("err"),
-        "crashed sweep ends in a typed error: {}",
-        ex.terminal()
+        "crashed sweep ends in a typed error: {terminal}"
     );
     assert!(
-        ex.terminal().contains("\"code\":\"panic\""),
-        "crash surfaces as the worker-panic error: {}",
-        ex.terminal()
-    );
-    let journaled = counter("serve.sweep.journal_items") - journaled_before;
-    assert_eq!(journaled, 2, "two appends land before the third crashes");
-    server.shutdown();
-
-    // The journal survives the crash: the journaled items are intact and
-    // sealed, the torn half-line tail is present but fails its seal.
-    let raw = std::fs::read_to_string(&journal_path).expect("journal file survives the crash");
-    let lines: Vec<&str> = raw.lines().collect();
-    assert_eq!(lines.len(), 3, "two sealed lines plus the torn tail");
-    assert!(serve::verify_sealed(lines[0]) && serve::verify_sealed(lines[1]));
-    assert!(
-        !serve::verify_sealed(lines[2]),
-        "the torn tail must not verify: {}",
-        lines[2]
+        terminal.contains("\"code\":\"panic\""),
+        "crash surfaces as the worker-panic error: {terminal}"
     );
 
-    // Phase 2: restart (fresh daemon, fresh orchestrator — nothing cached
-    // in memory) over the same journal directory, faults cleared.
-    faults::install(&spec("seed=1"));
-    let addr = temp_sock("phase2");
-    let mut cfg = ServerConfig::new(addr.clone());
-    cfg.journal_dir = Some(journal_dir.clone());
-    let server = Server::start(&cfg, Arc::new(Orchestrator::default())).expect("server restarts");
-    let resumed_before = counter("serve.sweep.resumed_items");
-    let journaled_before = counter("serve.sweep.journal_items");
-    let mut client = Client::new(addr);
-    let ex = client
-        .request(&encode_sweep(77, &s, &envs))
-        .expect("resumed sweep completes");
-
-    // Byte-identity against the never-crashed direct path.
-    let direct = Orchestrator::default();
-    let harness = direct.harness(&s.bench).expect("known benchmark");
-    let setups = sweep_setups(&s.setup().expect("known machine"), &envs);
-    let mut expected: Vec<String> = setups
+    // The crash leaves two sealed records and the torn half of the third.
+    let raw = std::fs::read_to_string(&path).expect("the results file survives the crash");
+    let logged: Vec<&str> = raw.lines().collect();
+    assert_eq!(
+        logged.len(),
+        3,
+        "two sealed lines plus the torn tail: {raw}"
+    );
+    assert!(logged[..2]
         .iter()
-        .enumerate()
-        .map(|(seq, setup)| {
-            let r = direct.measure(&harness, setup, s.size);
-            encode_sweep_item(77, seq as u64, &r)
-        })
-        .collect();
-    expected.push(encode_sweep_done(77, envs.len() as u64));
-    for line in &ex.lines {
+        .all(|l| serve::verify_sealed(l) && is_record(l)));
+    assert!(
+        !serve::verify_sealed(logged[2]),
+        "the torn tail must not verify: {}",
+        logged[2]
+    );
+
+    // Phase 2: restart (fresh daemon, fresh orchestrator) over the same
+    // file, faults cleared.
+    let (lines, stats) = phase("phase2", &path, &encode_sweep(77, &s, &envs), "seed=1");
+    for line in &lines {
         validate_response_line(line).expect("resumed lines are sealed and schema-valid");
     }
     assert_eq!(
-        ex.lines, expected,
+        lines,
+        direct_lines(&s, &envs, 77),
         "resumed sweep diverged from the never-crashed sweep"
     );
-
-    // Exactly the journaled items were replayed; only the rest were
-    // simulated and journaled fresh. No item is double-counted.
+    assert_eq!(stats.loaded, 2, "both logged records restored");
+    assert_eq!(stats.quarantined, 1, "the torn line quarantined");
     assert_eq!(
-        counter("serve.sweep.resumed_items") - resumed_before,
-        journaled,
-        "every journaled item replayed, none re-simulated"
+        stats.simulated,
+        envs.len() as u64 - 2,
+        "only the items the crash lost are simulated again"
     );
-    assert_eq!(
-        counter("serve.sweep.journal_items") - journaled_before,
-        envs.len() as u64 - journaled,
-        "only the missing items were simulated and journaled"
-    );
-    server.shutdown();
 
-    // A completed sweep cleans up after itself: no journal, no tmp files.
-    assert!(
-        !journal_path.exists(),
-        "completed sweep must remove its journal"
-    );
-    let leftovers: Vec<String> = std::fs::read_dir(&journal_dir)
-        .expect("journal dir readable")
+    // The file was compacted before the first append: every line verifies
+    // and it holds all five records.
+    let raw = std::fs::read_to_string(&path).expect("results file readable");
+    assert!(raw.lines().all(serve::verify_sealed), "{raw}");
+    assert_eq!(raw.lines().filter(|l| is_record(l)).count(), envs.len());
+    let leftovers: Vec<String> = std::fs::read_dir(&dir)
+        .expect("results dir readable")
         .map(|e| {
             e.expect("dir entry")
                 .file_name()
                 .to_string_lossy()
                 .into_owned()
         })
+        .filter(|name| name.ends_with(".tmp"))
         .collect();
-    assert!(
-        leftovers.is_empty(),
-        "journal dir must be clean, found {leftovers:?}"
-    );
-    let _ = std::fs::remove_dir_all(&journal_dir);
+    assert!(leftovers.is_empty(), "leaked temp files: {leftovers:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Back-to-back crashes accumulate: a second kill later in the same sweep
-/// extends the journal rather than restarting it, and the third run
-/// finishes from the union of both journals' items.
+/// extends the log rather than restarting it, and the third run simulates
+/// only the one item neither crashed run logged.
 #[test]
 fn repeated_crashes_accumulate_journal_progress() {
     let _guard = faults::scoped(&spec("seed=1"));
-    let journal_dir =
-        std::env::temp_dir().join(format!("biaslab-scrash2-journal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&journal_dir);
-
+    let (dir, path) = results_file("repeated");
     let mut s = sweep_spec();
     s.bench = "mcf".to_owned();
     let envs: Vec<u64> = vec![0, 64, 128, 256];
+    let request = encode_sweep(5, &s, &envs);
 
-    // Crash after 1 append, then after 2 more, then run clean.
-    let schedules = [
-        Some("seed=808,serve.crash_before_journal_fsync=@2"),
-        Some("seed=808,serve.crash_before_journal_fsync=@3"),
-        None,
-    ];
-    let mut last = None;
-    for (phase, schedule) in schedules.iter().enumerate() {
-        faults::install(&spec(schedule.unwrap_or("seed=1")));
-        let addr = temp_sock(&format!("acc{phase}"));
-        let mut cfg = ServerConfig::new(addr.clone());
-        cfg.journal_dir = Some(journal_dir.clone());
-        let server = Server::start(&cfg, Arc::new(Orchestrator::default())).expect("server starts");
-        let mut client = Client::new(addr);
-        let ex = client
-            .request(&encode_sweep(5, &s, &envs))
-            .expect("terminal always arrives");
-        if schedule.is_some() {
-            assert_eq!(serve::line_status(ex.terminal()), Some("err"));
-        } else {
-            last = Some(ex.lines.clone());
-        }
-        server.shutdown();
+    // Crash on the 2nd append (one record logged), then on the 3rd (two
+    // more), then run clean.
+    for (tag, schedule) in [
+        ("acc0", "seed=808,save.crash=@2"),
+        ("acc1", "seed=808,save.crash=@3"),
+    ] {
+        let (lines, _) = phase(tag, &path, &request, schedule);
+        let terminal = lines.last().expect("a terminal line");
+        assert_eq!(serve::line_status(terminal), Some("err"), "{terminal}");
     }
-
-    let direct = Orchestrator::default();
-    let harness = direct.harness(&s.bench).expect("known benchmark");
-    let setups = sweep_setups(&s.setup().expect("known machine"), &envs);
-    let mut expected: Vec<String> = setups
-        .iter()
-        .enumerate()
-        .map(|(seq, setup)| {
-            let r = direct.measure(&harness, setup, s.size);
-            encode_sweep_item(5, seq as u64, &r)
-        })
-        .collect();
-    expected.push(encode_sweep_done(5, envs.len() as u64));
+    let (lines, stats) = phase("acc2", &path, &request, "seed=1");
     assert_eq!(
-        last.expect("clean phase ran"),
-        expected,
+        lines,
+        direct_lines(&s, &envs, 5),
         "twice-crashed sweep still converges byte-identically"
     );
-    let _ = std::fs::remove_dir_all(&journal_dir);
+    assert_eq!(stats.loaded, 3, "both crashed runs' records restored");
+    assert_eq!(
+        stats.simulated, 1,
+        "only the item never logged is simulated"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Failed items are not logged: a sweep whose every item trips the
+/// watchdog answers the same bytes after a restart, simulating every item
+/// again. A watchdog outcome is a function of the instruction budget, which
+/// is part of the machine digest, so the re-run answers the same bytes.
+#[test]
+fn failed_items_are_simulated_again_after_a_restart() {
+    let _guard = faults::scoped(&spec("seed=1"));
+    let (dir, path) = results_file("failed");
+    let mut s = sweep_spec();
+    s.budget = 1_000;
+    let envs: Vec<u64> = vec![0, 64, 128];
+    let request = encode_sweep(3, &s, &envs);
+
+    let (first, stats) = phase("failed0", &path, &request, "seed=1");
+    assert_eq!(first.len(), envs.len() + 1);
+    assert!(
+        first[..envs.len()]
+            .iter()
+            .all(|l| l.contains("\"code\":\"watchdog\"")),
+        "{first:?}"
+    );
+    assert_eq!(stats.simulated, envs.len() as u64);
+    let raw = std::fs::read_to_string(&path).unwrap_or_default();
+    assert_eq!(raw.lines().filter(|l| is_record(l)).count(), 0, "{raw}");
+
+    let (again, stats) = phase("failed1", &path, &request, "seed=1");
+    assert_eq!(again, first, "the restarted daemon answers the same bytes");
+    assert_eq!(stats.loaded, 0);
+    assert_eq!(
+        stats.simulated,
+        envs.len() as u64,
+        "every item simulated again"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
