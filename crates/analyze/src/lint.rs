@@ -1,16 +1,16 @@
 //! `biaslint` — layout-hazard diagnostics with named mechanisms.
 //!
-//! PR 3's analyzer summarizes a benchmark's layout sensitivity in one
+//! The analyzer summarizes a benchmark's layout sensitivity in one
 //! score; this module takes the same facts to the diagnostic level. Each
 //! *finding* names a concrete hazard the paper's bias factors act
-//! through — a hot loop back-edge straddling a fetch window, two hot
-//! branches aliasing in the BTB, a hot frame changing stack residue
-//! class across the environment grid, an alignment-sensitive function
-//! entry — plus two pure-dataflow defects (dead stores, possibly
-//! uninitialized reads) surfaced by the new `toolchain::dataflow`
-//! passes. Severity is ranked by the PR 3 hotness model; every finding
-//! carries a remedy from the paper's fig9/fig10 toolkit (alignment
-//! directive, padding, link-order pin, setup randomization).
+//! through — a hot loop back-edge straddling a fetch window, a hot frame
+//! changing stack residue class across the environment grid, an
+//! alignment-sensitive function entry — plus two pure-dataflow defects
+//! (dead stores, possibly uninitialized reads) surfaced by the
+//! `toolchain::dataflow` passes. Severity is ranked by the hotness model;
+//! every finding carries a remedy from the paper's fig9/fig10 toolkit
+//! (a symbol layout — padding or an alignment directive — setup
+//! randomization, or a source fix).
 //!
 //! Two disciplines keep the output honest:
 //!
@@ -21,30 +21,30 @@
 //! * **Pre-registered remedies.** A layout finding is emitted only if
 //!   *statically re-linking with its remedy applied* reduces the hazard
 //!   metric (Russo & Zou: confirm exploration with a targeted
-//!   experiment, decided in advance). The `ext-lint` experiment then
-//!   measures each remedy in simulation and reports precision.
+//!   experiment, decided in advance). The re-link goes through
+//!   [`Harness::link`], the link [`Harness::measure`] runs, so the image
+//!   a finding pre-registers is the image the `ext-lint` experiment then
+//!   measures in simulation to report precision.
 //!
 //! Findings render as text ([`LintReport::render`]) or as JSONL
 //! ([`LintReport::to_jsonl`], schema checked by
 //! [`validate_lint_line`]) for the CI gate and golden snapshots.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use biaslab_core::jsonl::Fields;
 use biaslab_core::telemetry::metrics;
-use biaslab_core::{Harness, LinkOrder, Orchestrator};
+use biaslab_core::{ExperimentSetup, Harness, Orchestrator, SymbolLayout};
 use biaslab_toolchain::dataflow::Lattice;
 use biaslab_toolchain::ir::{Op, Terminator};
-use biaslab_toolchain::link::{Executable, Linker};
-use biaslab_toolchain::obj::CompiledModule;
+use biaslab_toolchain::link::Executable;
 use biaslab_toolchain::opt::OptLevel;
 use biaslab_uarch::MachineConfig;
 
-use crate::driver::{env_grid, LEVELS, OFFSETS, ORDERS};
+use crate::driver::{env_grid, LEVELS};
 use crate::hotness::{compress, ModuleHotness};
-use crate::image::{image_facts, BranchSite, ImageFacts, StackFacts};
+use crate::image::{image_facts, ImageFacts, StackFacts};
 use crate::passes::PassManager;
 
 /// Compressed image-weight floor below which a site or function is not
@@ -59,13 +59,6 @@ const HOT_WEIGHT: f64 = 0.5;
 /// and the dynamic trip counts diverge, which causal validation
 /// punishes.
 const MIN_TRIPS: u64 = 8;
-
-/// A BTB pair must collide under at least this many of the 9 re-link
-/// grid layouts (base + 4 orders + 4 text offsets) to be reported.
-/// Whole-text offsets preserve address differences, so any base
-/// collision survives all 4 offset re-links; the bar is therefore "and
-/// at least one alternative link order too".
-const MIN_GRID_HITS: u32 = 6;
 
 /// Strict-improvement slack for the static pre-registration checks.
 const EPS: f64 = 1e-9;
@@ -87,9 +80,6 @@ pub enum FindingClass {
     LoopFetchStraddle,
     /// A hot function entry lands mid fetch window.
     EntryAlignment,
-    /// Two hot branch sites share a BTB slot across most of the re-link
-    /// grid.
-    BtbCollision,
     /// The hot stack frame changes L1D bank/line residue class as the
     /// environment size varies.
     StackResidue,
@@ -101,10 +91,9 @@ pub enum FindingClass {
 
 impl FindingClass {
     /// Every class, in severity-tie ordering.
-    pub const ALL: [FindingClass; 6] = [
+    pub const ALL: [FindingClass; 5] = [
         FindingClass::LoopFetchStraddle,
         FindingClass::EntryAlignment,
-        FindingClass::BtbCollision,
         FindingClass::StackResidue,
         FindingClass::DeadStore,
         FindingClass::UninitRead,
@@ -116,7 +105,6 @@ impl FindingClass {
         match self {
             FindingClass::LoopFetchStraddle => "loop-fetch-straddle",
             FindingClass::EntryAlignment => "entry-alignment",
-            FindingClass::BtbCollision => "btb-collision",
             FindingClass::StackResidue => "stack-residue",
             FindingClass::DeadStore => "dead-store",
             FindingClass::UninitRead => "uninit-read",
@@ -136,7 +124,6 @@ impl FindingClass {
     pub fn predicted_metric(self) -> &'static str {
         match self {
             FindingClass::LoopFetchStraddle | FindingClass::EntryAlignment => "fetches",
-            FindingClass::BtbCollision => "btb_misses",
             FindingClass::StackResidue => "cycle_range",
             FindingClass::DeadStore | FindingClass::UninitRead => "none",
         }
@@ -146,25 +133,9 @@ impl FindingClass {
 /// A suggested intervention from the paper's fig9/fig10 toolkit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Remedy {
-    /// Raise the link-time alignment of a symbol (alignment directive).
-    Align {
-        /// Symbol to align.
-        symbol: String,
-        /// Requested alignment in bytes.
-        align: u32,
-    },
-    /// Insert padding before a symbol's placement.
-    Pad {
-        /// Symbol to pad.
-        symbol: String,
-        /// Padding in bytes.
-        bytes: u32,
-    },
-    /// Pin the link order to a specific named permutation.
-    LinkOrderPin {
-        /// The order whose static hazard metric is lowest.
-        order: LinkOrder,
-    },
+    /// Pad or align one symbol at link time: the layout the finding
+    /// pre-registered, which `ext-lint` measures as a setup factor.
+    Layout(SymbolLayout),
     /// Randomize the experimental setup (environment / stack placement)
     /// across repetitions instead of holding one layout fixed.
     SetupRandomization,
@@ -172,25 +143,13 @@ pub enum Remedy {
     CodeFix,
 }
 
-/// The canonical CLI token for a link order (what `--order` parses).
-#[must_use]
-pub fn order_token(order: LinkOrder) -> String {
-    match order {
-        LinkOrder::Default => "default".to_owned(),
-        LinkOrder::Reversed => "reversed".to_owned(),
-        LinkOrder::Alphabetical => "alphabetical".to_owned(),
-        LinkOrder::Random(seed) => format!("rand:{seed}"),
-    }
-}
-
 impl Remedy {
     /// Stable machine-readable kind.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            Remedy::Align { .. } => "align",
-            Remedy::Pad { .. } => "pad",
-            Remedy::LinkOrderPin { .. } => "link-order-pin",
+            Remedy::Layout(SymbolLayout::Align { .. }) => "align",
+            Remedy::Layout(SymbolLayout::Pad { .. }) => "pad",
             Remedy::SetupRandomization => "setup-randomization",
             Remedy::CodeFix => "code-fix",
         }
@@ -200,9 +159,8 @@ impl Remedy {
     #[must_use]
     pub fn arg(&self) -> String {
         match self {
-            Remedy::Align { symbol, align } => format!("{symbol}:{align}"),
-            Remedy::Pad { symbol, bytes } => format!("{symbol}:{bytes}"),
-            Remedy::LinkOrderPin { order } => order_token(*order),
+            Remedy::Layout(SymbolLayout::Align { symbol, align }) => format!("{symbol}:{align}"),
+            Remedy::Layout(SymbolLayout::Pad { symbol, bytes }) => format!("{symbol}:{bytes}"),
             Remedy::SetupRandomization | Remedy::CodeFix => String::new(),
         }
     }
@@ -211,10 +169,11 @@ impl Remedy {
     #[must_use]
     pub fn describe(&self) -> String {
         match self {
-            Remedy::Align { symbol, align } => format!("align `{symbol}` to {align} B"),
-            Remedy::Pad { symbol, bytes } => format!("pad `{symbol}` by {bytes} B"),
-            Remedy::LinkOrderPin { order } => {
-                format!("pin link order to `{}`", order_token(*order))
+            Remedy::Layout(SymbolLayout::Align { symbol, align }) => {
+                format!("align `{symbol}` to {align} B")
+            }
+            Remedy::Layout(SymbolLayout::Pad { symbol, bytes }) => {
+                format!("pad `{symbol}` by {bytes} B")
             }
             Remedy::SetupRandomization => "randomize the setup across repetitions".to_owned(),
             Remedy::CodeFix => "fix at the source level".to_owned(),
@@ -396,37 +355,29 @@ fn text_functions(exe: &Executable, hot: &ModuleHotness) -> Vec<(String, u32, u3
         .collect()
 }
 
-fn containing(funcs: &[(String, u32, u32, f64)], pc: u32) -> Option<&(String, u32, u32, f64)> {
-    funcs
-        .iter()
-        .find(|&&(_, addr, size, _)| pc >= addr && pc < addr + size)
-}
-
 /// Everything the per-level detectors need: the optimized module's
-/// passes and hotness, the base image, and the 8-layout re-link grid.
+/// passes and hotness, and the default layout's image with the setup
+/// that links it.
 struct LevelLint<'a> {
-    machine: &'a MachineConfig,
-    level: OptLevel,
-    entry: &'a str,
+    harness: &'a Harness,
+    setup: &'a ExperimentSetup,
     hot: &'a ModuleHotness,
     pm: &'a PassManager<'a>,
     base: &'a ImageFacts,
     funcs: &'a [(String, u32, u32, f64)],
-    variants: &'a [(Arc<Executable>, ImageFacts)],
-    cm: &'a CompiledModule,
-    default_order: &'a [usize],
 }
 
 impl LevelLint<'_> {
-    /// Statically re-links with a layout ablation applied and returns
-    /// the resulting image facts (the pre-registration check; compile +
-    /// link only).
-    fn relink(&self, ablate: impl FnOnce(Linker) -> Linker) -> Result<ImageFacts, String> {
-        let linker = ablate(Linker::new().object_order(self.default_order.to_vec()));
-        let exe = linker
-            .link(self.cm, self.entry)
+    /// Links the default layout with `layout` applied, through the
+    /// harness's cached [`Harness::link`] that `ext-lint`'s measurement of
+    /// the remedy also takes, and returns the image facts (the
+    /// pre-registration check; compile + link only).
+    fn relink(&self, layout: &SymbolLayout) -> Result<ImageFacts, String> {
+        let exe = self
+            .harness
+            .link(&self.setup.with_symbol_layout(layout.clone()))
             .map_err(|e| format!("ablated re-link failed: {e:?}"))?;
-        Ok(image_facts(&exe, self.hot, self.machine))
+        Ok(image_facts(&exe, self.hot, &self.setup.machine))
     }
 
     /// Largest loop trip bound the value-range pass can prove for
@@ -477,7 +428,7 @@ impl LevelLint<'_> {
     /// size requires. Remedy: pad the containing symbol so the loop
     /// header starts a window.
     fn loop_fetch_straddle(&self, out: &mut Vec<Finding>) -> Result<(), String> {
-        let fb = self.machine.fetch_bytes;
+        let fb = self.setup.machine.fetch_bytes;
         // Heaviest-excess straddling back edge per function.
         struct Cand {
             target: u32,
@@ -558,7 +509,11 @@ impl LevelLint<'_> {
             // trading it for entry misalignment elsewhere (the pad
             // shifts every downstream symbol), or the finding is not
             // evidence.
-            let ablated = self.relink(|l| l.pad_symbol(name, delta))?;
+            let layout = SymbolLayout::Pad {
+                symbol: name.clone(),
+                bytes: delta,
+            };
+            let ablated = self.relink(&layout)?;
             if ablated.loop_fetch_excess + EPS >= self.base.loop_fetch_excess * STRADDLE_MARGIN
                 || ablated.entry_straddle > self.base.entry_straddle + EPS
             {
@@ -568,7 +523,7 @@ impl LevelLint<'_> {
             let trips_note = format!("proven trip bound {trips}");
             out.push(Finding {
                 class: FindingClass::LoopFetchStraddle,
-                level: self.level,
+                level: self.setup.opt,
                 function: name.clone(),
                 severity: c.weight * (f64::from(excess) / f64::from(c.best)).min(1.0),
                 detail: format!(
@@ -582,10 +537,7 @@ impl LevelLint<'_> {
                     c.best,
                     c.target % fb,
                 ),
-                remedy: Remedy::Pad {
-                    symbol: name.clone(),
-                    bytes: delta,
-                },
+                remedy: Remedy::Layout(layout),
             });
             emitted += 1;
         }
@@ -595,7 +547,7 @@ impl LevelLint<'_> {
     /// Class 2: hot function entries landing mid fetch window. Remedy:
     /// raise the symbol's alignment to the fetch width.
     fn entry_alignment(&self, out: &mut Vec<Finding>) -> Result<(), String> {
-        let fb = self.machine.fetch_bytes;
+        let fb = self.setup.machine.fetch_bytes;
         let mut cands: Vec<&(String, u32, u32, f64)> = self
             .funcs
             .iter()
@@ -608,7 +560,11 @@ impl LevelLint<'_> {
             if emitted >= PER_CLASS_CAP {
                 break;
             }
-            let ablated = self.relink(|l| l.align_symbol(name, fb))?;
+            let layout = SymbolLayout::Align {
+                symbol: name.clone(),
+                align: fb,
+            };
+            let ablated = self.relink(&layout)?;
             // Pre-registration: the alignment directive must reduce the
             // weighted entry straddle without trading it for loop excess
             // (downstream symbols re-snap and can move either way).
@@ -621,182 +577,21 @@ impl LevelLint<'_> {
             let dcpi = 100.0 * (self.base.entry_straddle - ablated.entry_straddle);
             out.push(Finding {
                 class: FindingClass::EntryAlignment,
-                level: self.level,
+                level: self.setup.opt,
                 function: name.clone(),
                 severity: w * f64::from(r) / f64::from(fb),
                 detail: format!(
                     "function entry alignment-sensitive: {name} at {addr:#x} enters {r} bytes \
                      into a {fb}-byte fetch window; predicted ΔCPI {dcpi:.2}%",
                 ),
-                remedy: Remedy::Align {
-                    symbol: name.clone(),
-                    align: fb,
-                },
+                remedy: Remedy::Layout(layout),
             });
             emitted += 1;
         }
         Ok(())
     }
 
-    /// Function pairs whose taken-branch sites can dynamically
-    /// *alternate*: both run inside one loop's steady state (the
-    /// loop-owning function together with every callee invoked from a
-    /// loop block). A shared BTB slot only churns when its two sites
-    /// interleave; phase-separated executions cost one compulsory miss
-    /// each and never again, which no link order can improve.
-    fn interleaved(&self) -> BTreeSet<(&str, &str)> {
-        let module = self.pm.module();
-        let mut set = BTreeSet::new();
-        for (fi, f) in module.functions.iter().enumerate() {
-            if f.loops.is_empty() {
-                continue;
-            }
-            let cfg = self.pm.cfg(fi);
-            let mut group: Vec<&str> = vec![f.name.as_str()];
-            for (bi, block) in f.blocks.iter().enumerate() {
-                if cfg.freq.get(bi).copied().unwrap_or(1.0) <= 1.0 + EPS {
-                    continue;
-                }
-                for op in &block.ops {
-                    if let Op::Call { func, .. } = op {
-                        group.push(module.functions[func.0 as usize].name.as_str());
-                    }
-                }
-            }
-            group.sort_unstable();
-            group.dedup();
-            for (i, a) in group.iter().enumerate() {
-                for b in &group[i..] {
-                    set.insert((*a, *b));
-                }
-            }
-        }
-        set
-    }
-
-    /// Class 3: hot *interleaved* branch pairs sharing a BTB slot across
-    /// most of the re-link grid. Remedy: pin the link order with the
-    /// lowest static conflict mass.
-    fn btb_collision(&self, out: &mut Vec<Finding>) {
-        // Remedy first: the best alternative order, by static BTB
-        // conflict. No improving order → nothing to pre-register → no
-        // findings of this class.
-        let Some((best_order, best_conf)) = ORDERS
-            .iter()
-            .zip(self.variants.iter().take(ORDERS.len()))
-            .map(|(o, (_, f))| (*o, f.btb_conflict))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-        else {
-            return;
-        };
-        if best_conf + EPS >= self.base.btb_conflict {
-            return;
-        }
-
-        let mut buckets: BTreeMap<u32, Vec<&BranchSite>> = BTreeMap::new();
-        for s in &self.base.branch_sites {
-            if s.weight >= HOT_WEIGHT {
-                buckets
-                    .entry(self.machine.branch.btb_index(s.pc))
-                    .or_default()
-                    .push(s);
-            }
-        }
-
-        struct Pair {
-            slot: u32,
-            a: (String, u32),
-            b: (String, u32),
-            hits: u32,
-            severity: f64,
-        }
-        let il = self.interleaved();
-        let mut pairs: Vec<Pair> = Vec::new();
-        for (&slot, sites) in &buckets {
-            if sites.len() < 2 {
-                continue;
-            }
-            let mut sorted: Vec<&&BranchSite> = sites.iter().collect();
-            sorted.sort_by(|x, y| {
-                y.weight
-                    .partial_cmp(&x.weight)
-                    .expect("finite")
-                    .then(x.pc.cmp(&y.pc))
-            });
-            // The heaviest pair in the slot that can actually alternate.
-            let Some((s1, s2)) = (0..sorted.len())
-                .flat_map(|i| (i + 1..sorted.len()).map(move |j| (i, j)))
-                .map(|(i, j)| (sorted[i], sorted[j]))
-                .find(|(x, y)| {
-                    match (containing(self.funcs, x.pc), containing(self.funcs, y.pc)) {
-                        (Some((fx, ..)), Some((fy, ..))) => {
-                            let key = if fx <= fy {
-                                (fx.as_str(), fy.as_str())
-                            } else {
-                                (fy.as_str(), fx.as_str())
-                            };
-                            il.contains(&key)
-                        }
-                        _ => false,
-                    }
-                })
-            else {
-                continue;
-            };
-            let Some((fa, aa, _, _)) = containing(self.funcs, s1.pc) else {
-                continue;
-            };
-            let Some((fb2, ab, _, _)) = containing(self.funcs, s2.pc) else {
-                continue;
-            };
-            let (off_a, off_b) = (s1.pc - aa, s2.pc - ab);
-            // Stability: re-locate both logical sites (function + offset)
-            // in each grid layout and count preserved collisions.
-            let mut hits = 1;
-            for (exe, _) in self.variants {
-                let (Some(sa), Some(sb)) = (exe.symbol(fa), exe.symbol(fb2)) else {
-                    continue;
-                };
-                if self.machine.branch.btb_index(sa.addr + off_a)
-                    == self.machine.branch.btb_index(sb.addr + off_b)
-                {
-                    hits += 1;
-                }
-            }
-            if hits < MIN_GRID_HITS {
-                continue;
-            }
-            pairs.push(Pair {
-                slot,
-                a: (fa.clone(), off_a),
-                b: (fb2.clone(), off_b),
-                hits,
-                severity: s2.weight * f64::from(hits) / 9.0,
-            });
-        }
-        pairs.sort_by(|x, y| {
-            y.severity
-                .partial_cmp(&x.severity)
-                .expect("finite")
-                .then(x.slot.cmp(&y.slot))
-        });
-        for p in pairs.into_iter().take(PER_CLASS_CAP) {
-            out.push(Finding {
-                class: FindingClass::BtbCollision,
-                level: self.level,
-                function: p.a.0.clone(),
-                severity: p.severity,
-                detail: format!(
-                    "hot interleaved branches {}+{:#x} and {}+{:#x} collide in the BTB \
-                     (slot {}) under {}/9 of the re-link grid",
-                    p.a.0, p.a.1, p.b.0, p.b.1, p.slot, p.hits,
-                ),
-                remedy: Remedy::LinkOrderPin { order: best_order },
-            });
-        }
-    }
-
-    /// Class 4: the initial stack placement changes L1D residue class
+    /// Class 3: the initial stack placement changes L1D residue class
     /// across the environment grid while hot traffic is stack-paired.
     /// Remedy: setup randomization (the paper's own prescription).
     fn stack_residue(&self, stack: &StackFacts, out: &mut Vec<Finding>) {
@@ -817,7 +612,7 @@ impl LevelLint<'_> {
         };
         out.push(Finding {
             class: FindingClass::StackResidue,
-            level: self.level,
+            level: self.setup.opt,
             function: name.clone(),
             severity: (paired * stack.memory_intensity()).sqrt()
                 * (f64::from(spread) / 16.0).min(1.0),
@@ -835,7 +630,7 @@ impl LevelLint<'_> {
         });
     }
 
-    /// Classes 5 and 6: pure dataflow defects from the liveness and
+    /// Classes 4 and 5: pure dataflow defects from the liveness and
     /// reaching-definitions passes. Not layout hazards — no causal
     /// remedy to measure — but they ride the same pass manager and make
     /// wrong-data bugs visible next to wrong-measurement ones.
@@ -856,7 +651,7 @@ impl LevelLint<'_> {
                     };
                     out.push(Finding {
                         class: FindingClass::DeadStore,
-                        level: self.level,
+                        level: self.setup.opt,
                         function: fh.name.clone(),
                         severity: 0.02 + 0.1 * w,
                         detail: format!(
@@ -876,7 +671,7 @@ impl LevelLint<'_> {
                     }
                     out.push(Finding {
                         class: FindingClass::UninitRead,
-                        level: self.level,
+                        level: self.setup.opt,
                         function: fh.name.clone(),
                         severity: 0.05 + 0.2 * w,
                         detail: format!(
@@ -902,9 +697,6 @@ impl LevelLint<'_> {
 /// Returns a message if any static link fails.
 pub fn lint_harness(harness: &Harness, machine: &MachineConfig) -> Result<LintReport, String> {
     let bench = harness.benchmark();
-    let names = harness.object_names();
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let default_order = LinkOrder::Default.resolve(&name_refs);
     let grid = env_grid();
 
     let mut findings = Vec::new();
@@ -913,44 +705,25 @@ pub fn lint_harness(harness: &Harness, machine: &MachineConfig) -> Result<LintRe
         let optimized = harness.optimized(level);
         let hot = ModuleHotness::of(&optimized, bench.entry(), level);
         let pm = PassManager::new(&optimized, level);
-        let cm = harness.compiled(level);
 
-        let link = |order: &[usize], offset: u32| {
-            harness
-                .executable(level, order, offset)
-                .map_err(|e| format!("{}/{}: link failed: {e:?}", bench.name(), level.name()))
-        };
-        let base_exe = link(&default_order, 0)?;
+        let setup = ExperimentSetup::default_on(machine.clone(), level);
+        let base_exe = harness
+            .link(&setup)
+            .map_err(|e| format!("{}/{}: link failed: {e:?}", bench.name(), level.name()))?;
         let base = image_facts(&base_exe, &hot, machine);
         let funcs = text_functions(&base_exe, &hot);
-        let mut variants = Vec::with_capacity(ORDERS.len() + OFFSETS.len());
-        for order in ORDERS {
-            let exe = link(&order.resolve(&name_refs), 0)?;
-            let facts = image_facts(&exe, &hot, machine);
-            variants.push((exe, facts));
-        }
-        for offset in OFFSETS {
-            let exe = link(&default_order, offset)?;
-            let facts = image_facts(&exe, &hot, machine);
-            variants.push((exe, facts));
-        }
         let stack = StackFacts::of(&hot, machine, &grid);
 
         let ctx = LevelLint {
-            machine,
-            level,
-            entry: bench.entry(),
+            harness,
+            setup: &setup,
             hot: &hot,
             pm: &pm,
             base: &base,
             funcs: &funcs,
-            variants: &variants,
-            cm: &cm,
-            default_order: &default_order,
         };
         ctx.loop_fetch_straddle(&mut findings)?;
         ctx.entry_alignment(&mut findings)?;
-        ctx.btb_collision(&mut findings);
         ctx.stack_residue(&stack, &mut findings);
         ctx.dataflow_defects(&mut findings);
 

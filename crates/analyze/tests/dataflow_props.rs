@@ -34,11 +34,15 @@ fn decode_op(kind: u8, local_sel: u8, off_sel: u8, next_val: &mut u32) -> Op {
     }
 }
 
+/// One block's spec: terminator kind, two target seeds, and its ops as
+/// `(kind, local, offset)` seeds for [`decode_op`].
+type BlockSpec = (u8, u32, u32, Vec<(u8, u8, u8)>);
+
 /// Decodes a per-block spec into a function over three locals (a
 /// scalar, a 16-byte buffer, a 24-byte buffer — six cells total).
 /// Terminators follow the same `(kind, t1, t2)` encoding as the CFG
 /// property tests: return, jump to `t1 % n`, or branch `t1/t2 % n`.
-fn decode(param_count: u32, spec: &[(u8, u32, u32, Vec<(u8, u8, u8)>)]) -> Function {
+fn decode(param_count: u32, spec: &[BlockSpec]) -> Function {
     let n = spec.len() as u32;
     let mut next_val = 1u32;
     let blocks = spec
@@ -234,7 +238,7 @@ fn naive_def_reaches(
     false
 }
 
-fn spec_strategy() -> impl Strategy<Value = (u32, Vec<(u8, u32, u32, Vec<(u8, u8, u8)>)>)> {
+fn spec_strategy() -> impl Strategy<Value = (u32, Vec<BlockSpec>)> {
     (
         any::<u32>(),
         proptest::collection::vec(
@@ -259,16 +263,16 @@ proptest! {
         let cells = CellMap::of(&f);
         let escaped = escaped_cells(&f, &cells);
         for b in 0..f.blocks.len() {
-            for c in 0..cells.len() {
-                let expect_in = escaped[c] || naive_live_from(&f, &cells, &[b], c);
-                let expect_out = escaped[c]
+            for (c, &esc) in escaped.iter().enumerate() {
+                let expect_in = esc || naive_live_from(&f, &cells, &[b], c);
+                let expect_out = esc
                     || naive_live_from(&f, &cells, &successors(&f, b), c)
                     // A self-loop re-enters this block's own loads.
                     || (successors(&f, b).contains(&b)
                         && first_event(&f, &cells, b, 0, c) == Some(true));
                 prop_assert_eq!(live.is_live_in(b, c), expect_in, "live_in({}, {})", b, c);
                 prop_assert_eq!(live.is_live_out(b, c), expect_out, "live_out({}, {})", b, c);
-                prop_assert_eq!(live.is_escaped(c), escaped[c]);
+                prop_assert_eq!(live.is_escaped(c), esc);
             }
         }
     }
@@ -345,11 +349,11 @@ proptest! {
         }
 
         // Entry flavors restate the parameter / escape partition.
-        for c in 0..cells.len() {
+        for (c, &esc) in escaped.iter().enumerate() {
             let (local, _) = cells.owner(c);
             let expect = if local.0 < f.param_count {
                 EntryFlavor::Param
-            } else if escaped[c] {
+            } else if esc {
                 EntryFlavor::Escaped
             } else {
                 EntryFlavor::Uninit

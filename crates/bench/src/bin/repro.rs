@@ -182,7 +182,7 @@ fn export_trace(target: &str, effort: Effort) {
     }
 }
 
-fn run_one(id: &str, title: &str, effort: Effort, persist: bool) {
+fn run_one(id: &str, title: &str, effort: Effort) {
     let orch = Orchestrator::global();
     let before = orch.stats();
     let start = std::time::Instant::now();
@@ -198,9 +198,7 @@ fn run_one(id: &str, title: &str, effort: Effort, persist: bool) {
     }
     println!("{output}");
     let spent = start.elapsed();
-    if persist {
-        orch.persist(&results_path());
-    }
+    orch.sync();
     eprintln!(
         "[repro] {id} ({title}): {:.2}s, {}",
         spent.as_secs_f64(),
@@ -255,13 +253,12 @@ fn main() -> ExitCode {
                     for e in EXPERIMENTS {
                         parallel::write_banner(&mut std::io::stdout(), e.id, e.title)
                             .expect("write to stdout");
-                        run_one(e.id, e.title, effort, resume);
+                        run_one(e.id, e.title, effort);
                     }
                     ExitCode::SUCCESS
                 }
                 Mode::Parallel(jobs) => {
                     let orch = Orchestrator::global();
-                    let path = results_path();
                     let mut out = std::io::stdout().lock();
                     let failures = parallel::run_all(EXPERIMENTS, effort, jobs, &mut out, |run| {
                         if telemetry::enabled() {
@@ -281,9 +278,7 @@ fn main() -> ExitCode {
                                 );
                             }
                         }
-                        if resume {
-                            orch.persist(&path);
-                        }
+                        orch.sync();
                     })
                     .expect("write to stdout");
                     out.flush().expect("flush stdout");
@@ -314,7 +309,7 @@ fn main() -> ExitCode {
                 .find(|e| e.id == id)
                 .expect("checked")
                 .title;
-            run_one(id, title, effort, resume);
+            run_one(id, title, effort);
             export_trace(id, effort);
             ExitCode::SUCCESS
         }

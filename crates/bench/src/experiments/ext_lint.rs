@@ -5,12 +5,12 @@
 //! the paper's fig9/fig10 toolkit; this experiment closes the loop the
 //! way Russo & Zou prescribe — every statically-flagged hazard gets the
 //! targeted experiment it pre-registered. For each finding the remedy
-//! is applied as a setup factor (a symbol layout, which the harness
-//! links through `Linker::pad_symbol` or `Linker::align_symbol`, a pinned
-//! link order, or compensating loader stack shifts) and the predicted
-//! counter is measured in simulation. Every validation run, remedied or
-//! not, goes through `Orchestrator::measure` or `Orchestrator::sweep`,
-//! so it is verified, cached and persisted like any other measurement.
+//! is applied as a setup factor (the symbol layout the lint pass linked
+//! through `Harness::link` to pre-register it, or compensating loader
+//! stack shifts) and the predicted counter is measured in simulation.
+//! Every validation run, remedied or not, goes through
+//! `Orchestrator::measure` or `Orchestrator::sweep`, so it is verified,
+//! cached and persisted like any other measurement.
 //! The per-class *precision* — the fraction of findings whose remedy
 //! moves the metric in the predicted direction — is the evidence that
 //! lint output is diagnosis, not opinion.
@@ -23,7 +23,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use biaslab_analyze::lint::order_token;
 use biaslab_analyze::{lint_benchmark, Finding, FindingClass, Remedy};
 use biaslab_core::report::Table;
 use biaslab_core::{ExperimentSetup, Harness, Orchestrator, SymbolLayout};
@@ -52,10 +51,10 @@ fn layout_lowers_fetches(
     orch: &Orchestrator,
     harness: &Harness,
     base: &ExperimentSetup,
-    layout: SymbolLayout,
+    layout: &SymbolLayout,
     size: InputSize,
 ) -> bool {
-    let setups = [base.clone(), base.with_symbol_layout(layout)];
+    let setups = [base.clone(), base.with_symbol_layout(layout.clone())];
     let fetches: Vec<u64> = orch
         .sweep(harness, &setups, size)
         .into_iter()
@@ -122,47 +121,13 @@ fn validate(
     let level = finding.level;
     let base_setup = ExperimentSetup::default_on(machine.clone(), level);
     match &finding.remedy {
-        Remedy::Pad { symbol, bytes } => {
-            let layout = SymbolLayout::Pad {
-                symbol: symbol.clone(),
-                bytes: *bytes,
-            };
-            Some(layout_lowers_fetches(
-                orch,
-                harness,
-                &base_setup,
-                layout,
-                size,
-            ))
-        }
-        Remedy::Align { symbol, align } => {
-            let layout = SymbolLayout::Align {
-                symbol: symbol.clone(),
-                align: *align,
-            };
-            Some(layout_lowers_fetches(
-                orch,
-                harness,
-                &base_setup,
-                layout,
-                size,
-            ))
-        }
-        Remedy::LinkOrderPin { order } => {
-            let mut pinned_setup = base_setup.clone();
-            pinned_setup.link_order = *order;
-            let base = orch
-                .measure(harness, &base_setup, size)
-                .expect("measurable")
-                .counters
-                .btb_misses;
-            let pinned = orch
-                .measure(harness, &pinned_setup, size)
-                .expect("measurable")
-                .counters
-                .btb_misses;
-            Some(pinned < base)
-        }
+        Remedy::Layout(layout) => Some(layout_lowers_fetches(
+            orch,
+            harness,
+            &base_setup,
+            layout,
+            size,
+        )),
         Remedy::SetupRandomization => {
             let envs = env_points(effort);
             let base = env_cycle_range(orch, harness, machine, level, &envs, false, size);
@@ -189,10 +154,10 @@ fn precision_cell(validated: usize, confirmed: usize) -> String {
 
 /// `ext-lint`: per-class precision of biaslint's causal predictions.
 pub(crate) fn ext_lint(effort: Effort) -> String {
-    // All three machines in both efforts: the classes live on different
-    // geometries (BTB collisions need pentium4's small BTB, entry
-    // alignment needs o3cpu's 32-byte fetch), so one machine cannot
-    // exercise the taxonomy. Effort scales input size and grid density.
+    // All three machines in both efforts: each machine's fetch width and
+    // cache geometry decide which hazards it has (entry alignment needs
+    // o3cpu's 32-byte fetch), and precision is reported per machine.
+    // Effort scales input size and grid density.
     let machines = MachineConfig::all();
     let orch = Orchestrator::global();
 
@@ -229,10 +194,7 @@ pub(crate) fn ext_lint(effort: Effort) -> String {
                         finding.level.name(),
                         class,
                         finding.function,
-                        match &finding.remedy {
-                            Remedy::LinkOrderPin { order } => order_token(*order),
-                            r => r.arg(),
-                        },
+                        finding.remedy.arg(),
                     ));
                 }
             }

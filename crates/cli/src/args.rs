@@ -1,5 +1,6 @@
 //! Argument parsing (dependency-free, flag-per-option).
 
+use biaslab_analyze::FindingClass;
 use biaslab_core::setup::LinkOrder;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::MachineConfig;
@@ -22,8 +23,7 @@ commands:
                                named mechanisms and remedies (static,
                                zero simulations; classes:
                                loop-fetch-straddle, entry-alignment,
-                               btb-collision, stack-residue, dead-store,
-                               uninit-read)
+                               stack-residue, dead-store, uninit-read)
   trace <file>                 report on a telemetry trace (from
                                `repro ... --trace`): slowest measurements,
                                cache effectiveness, worker utilization
@@ -136,7 +136,7 @@ pub enum Command {
         /// Emit machine-readable JSONL instead of the text report.
         json: bool,
         /// Exit nonzero if any finding of this class is reported.
-        deny: Option<String>,
+        deny: Option<FindingClass>,
     },
     /// `biaslab serve --addr <addr> …`
     Serve {
@@ -440,25 +440,12 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     machine: a.machine()?,
                     explain: a.has("--explain"),
                 }),
-                "lint" => {
-                    let deny = a.get("--deny").map(str::to_owned);
-                    if let Some(class) = &deny {
-                        if biaslab_analyze::FindingClass::parse(class).is_none() {
-                            return Err(format!(
-                                "unknown finding class `{class}` (expected one of: {})",
-                                biaslab_analyze::FindingClass::ALL
-                                    .map(|c| c.name())
-                                    .join(", ")
-                            ));
-                        }
-                    }
-                    Ok(Command::Lint {
-                        bench,
-                        machine: a.machine()?,
-                        json: a.has("--json"),
-                        deny,
-                    })
-                }
+                "lint" => Ok(Command::Lint {
+                    bench,
+                    machine: a.machine()?,
+                    json: a.has("--json"),
+                    deny: a.get("--deny").map(parse_class).transpose()?,
+                }),
                 _ => Ok(Command::Run(RunArgs {
                     bench,
                     opt: parse_opt(a.get("--opt").unwrap_or("O2"))?,
@@ -507,6 +494,15 @@ fn parse_size(s: &str) -> Result<InputSize, String> {
         "ref" => Ok(InputSize::Ref),
         other => Err(format!("unknown size `{other}` (test, ref)")),
     }
+}
+
+fn parse_class(s: &str) -> Result<FindingClass, String> {
+    FindingClass::parse(s).ok_or_else(|| {
+        format!(
+            "unknown finding class `{s}` (expected one of: {})",
+            FindingClass::ALL.map(FindingClass::name).join(", ")
+        )
+    })
 }
 
 fn parse_order(s: &str) -> Result<LinkOrder, String> {
@@ -698,14 +694,23 @@ mod tests {
                 bench: "all".into(),
                 machine: "core2".into(),
                 json: false,
-                deny: Some("uninit-read".into()),
+                deny: Some(FindingClass::UninitRead),
             }
         );
         assert!(parse(&argv("lint")).is_err());
         assert!(parse(&argv("lint mcf --machine vax")).is_err());
-        let err = parse(&argv("lint mcf --deny style")).unwrap_err();
-        assert!(err.contains("unknown finding class"));
-        assert!(err.contains("loop-fetch-straddle"));
+        for class in ["style", "btb-collision"] {
+            let err = parse(&argv(&format!("lint mcf --deny {class}"))).unwrap_err();
+            assert!(err.contains("unknown finding class"), "{class}: {err}");
+            assert!(err.contains("loop-fetch-straddle"), "{class}: {err}");
+        }
+        // The usage lists exactly the classes `--deny` accepts.
+        let lint = &USAGE[USAGE.find("  lint ").unwrap()..USAGE.find("  trace ").unwrap()];
+        let listed: Vec<&str> = lint[lint.find("classes:").unwrap() + "classes:".len()..]
+            .split(|c: char| c.is_whitespace() || c == ',' || c == ')')
+            .filter(|w| !w.is_empty())
+            .collect();
+        assert_eq!(listed, FindingClass::ALL.map(FindingClass::name));
     }
 
     #[test]

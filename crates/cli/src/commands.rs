@@ -37,7 +37,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             machine,
             json,
             deny,
-        } => lint(&bench, &machine, json, deny.as_deref()),
+        } => lint(&bench, &machine, json, deny),
         Command::Trace { file, flame } => trace(&file, flame),
         Command::Serve {
             addr,
@@ -182,12 +182,7 @@ fn run_bench(args: &RunArgs) -> Result<(), String> {
     if args.profile {
         // Profiled path: drive the stages directly so the profiler sees
         // the same verified binary the harness measures.
-        let names = harness.object_names();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let order = setup.link_order.resolve(&name_refs);
-        let exe = harness
-            .executable(args.opt, &order, setup.text_offset)
-            .map_err(|e| e.to_string())?;
+        let exe = harness.link(&setup).map_err(|e| e.to_string())?;
         let process = Loader::new()
             .load(&exe, &setup.env, harness.benchmark().args(args.size))
             .map_err(|e| e.to_string())?;
@@ -300,7 +295,12 @@ fn analyze(bench: &str, machine: &str, explain: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn lint(bench: &str, machine: &str, json: bool, deny: Option<&str>) -> Result<(), String> {
+fn lint(
+    bench: &str,
+    machine: &str,
+    json: bool,
+    deny: Option<biaslab_analyze::FindingClass>,
+) -> Result<(), String> {
     let machine_config = parse_machine(machine)?;
     let reports = if bench == "all" {
         biaslab_analyze::lint_suite(&machine_config)?
@@ -318,16 +318,15 @@ fn lint(bench: &str, machine: &str, json: bool, deny: Option<&str>) -> Result<()
         }
     }
     if let Some(class) = deny {
-        let c = biaslab_analyze::FindingClass::parse(class)
-            .ok_or_else(|| format!("unknown finding class `{class}`"))?;
         let hits: Vec<&str> = reports
             .iter()
-            .filter(|r| r.has_class(c))
+            .filter(|r| r.has_class(class))
             .map(|r| r.bench.as_str())
             .collect();
         if !hits.is_empty() {
             return Err(format!(
-                "--deny {class}: findings reported in {}",
+                "--deny {}: findings reported in {}",
+                class.name(),
                 hits.join(", ")
             ));
         }

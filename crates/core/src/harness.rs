@@ -384,8 +384,13 @@ impl Harness {
     }
 
     /// The (cached) executable for `setup`'s level, link order, text
-    /// offset and symbol layout.
-    fn link(&self, setup: &ExperimentSetup) -> Result<Arc<Executable>, LinkError> {
+    /// offset and symbol layout: the image [`Harness::measure`] runs
+    /// under `setup`, linked once per layout whatever the machine.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`LinkError`]s.
+    pub fn link(&self, setup: &ExperimentSetup) -> Result<Arc<Executable>, LinkError> {
         let names = self.object_names();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let order = setup.link_order.resolve(&name_refs);

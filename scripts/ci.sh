@@ -16,8 +16,8 @@ cargo test -q --release --manifest-path perfbench/Cargo.toml
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --release --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --release --workspace --all-targets -- -D warnings
 
 echo "==> biaslab analyze smoke (static analyzer, zero simulations)"
 ./target/release/biaslab analyze perlbench --machine core2 --explain > /dev/null

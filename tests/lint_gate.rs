@@ -1,7 +1,8 @@
 //! The biaslint contract, pinned at the workspace level.
 //!
-//! Linting is static: it reads the IR, the linked-image grid, and the
-//! stack-layout facts, but it never *runs* anything. This gate brackets
+//! Linting is static: it reads the IR, the linked default layout and
+//! the layouts its findings pre-register, and the stack-layout facts,
+//! but it never *runs* anything. This gate brackets
 //! a full-suite lint on every machine model with the orchestrator's
 //! simulation counter and requires the delta to be zero — the same
 //! discipline `tests/static_vs_dynamic.rs` applies to the bias ranking.

@@ -74,29 +74,21 @@ fn layout_remedies_equal_a_hand_linked_run() {
         for report in lint_suite(&machine).expect("suite lints") {
             let h = orch.harness(&report.bench).expect("suite benchmark");
             for finding in &report.findings {
-                let (linker, layout) = match &finding.remedy {
-                    Remedy::Pad { symbol, bytes } => (
-                        Linker::new().pad_symbol(symbol, *bytes),
-                        SymbolLayout::Pad {
-                            symbol: symbol.clone(),
-                            bytes: *bytes,
-                        },
-                    ),
-                    Remedy::Align { symbol, align } => (
-                        Linker::new().align_symbol(symbol, *align),
-                        SymbolLayout::Align {
-                            symbol: symbol.clone(),
-                            align: *align,
-                        },
-                    ),
-                    _ => continue,
+                let Remedy::Layout(layout) = &finding.remedy else {
+                    continue;
+                };
+                let linker = match layout {
+                    SymbolLayout::Pad { symbol, bytes } => Linker::new().pad_symbol(symbol, *bytes),
+                    SymbolLayout::Align { symbol, align } => {
+                        Linker::new().align_symbol(symbol, *align)
+                    }
                 };
                 let exe = linker
                     .link(&h.compiled(finding.level), h.benchmark().entry())
                     .expect("remedied link");
                 let by_hand = runs_on_one_machine(&h, &exe, &machine, 1);
                 let setup = ExperimentSetup::default_on(machine.clone(), finding.level)
-                    .with_symbol_layout(layout);
+                    .with_symbol_layout(layout.clone());
                 let measured = orch.measure(&h, &setup, InputSize::Test).expect("measures");
                 assert_eq!(measured.counters, by_hand[0], "{}", setup.summary());
                 checked += 1;
