@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the simulator's hot loops: paged-memory access,
-//! cache way scans, and the simulator with and without attribution.
-//! `scripts/bench.sh` runs this executable for the parent commit and the
-//! change in alternating rounds and guards `simulate-unprofiled`, the
-//! number every simulated measurement's time hangs on.
+//! cache way scans, and the simulator with and without attribution and on
+//! the per-instruction oracle. `scripts/bench.sh` runs this executable for
+//! the parent commit and the change in alternating rounds and guards
+//! `simulate-unprofiled`, the number every simulated measurement's time
+//! hangs on.
 
 use biaslab_toolchain::codegen::compile;
 use biaslab_toolchain::link::Linker;
@@ -10,7 +11,7 @@ use biaslab_toolchain::load::{Environment, Loader};
 use biaslab_toolchain::mem::PagedMem;
 use biaslab_toolchain::opt::{optimize, OptLevel};
 use biaslab_uarch::cache::{Cache, CacheConfig};
-use biaslab_uarch::{Machine, MachineConfig};
+use biaslab_uarch::{KernelMode, Machine, MachineConfig};
 use biaslab_workloads::benchmark_by_name;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -108,6 +109,35 @@ fn bench_machine(c: &mut Criterion) {
             std::hint::black_box(machine.run_profiled(&exe, process).expect("runs"))
         })
     });
+
+    // The per-instruction oracle that block dispatch is tested against.
+    let run_on = |kernel: KernelMode| {
+        let process = Loader::new().load(&exe, &env, &[2]).expect("loads");
+        let mut machine = Machine::with_kernel(MachineConfig::core2(), kernel);
+        std::hint::black_box(machine.run(&exe, process).expect("runs"))
+    };
+    c.bench_function("simulate-oracle", |b| {
+        b.iter(|| run_on(KernelMode::Collapsed))
+    });
+
+    // Block dispatch's speed over the oracle: the oracle's median time
+    // over block dispatch's, from 101 alternating pairs of runs.
+    let mut times = [Vec::new(), Vec::new()];
+    for _ in 0..101 {
+        for (side, kernel) in [KernelMode::Block, KernelMode::Collapsed]
+            .into_iter()
+            .enumerate()
+        {
+            let start = std::time::Instant::now();
+            run_on(kernel);
+            times[side].push(start.elapsed());
+        }
+    }
+    let [block, oracle] = times.map(|mut t| {
+        t.sort_unstable();
+        t[t.len() / 2].as_secs_f64()
+    });
+    println!("stat block-over-oracle {:.3}", oracle / block);
 
     // Block-cache behaviour over one run, printed beside the timings
     // (`stat` lines are counts, not microseconds).

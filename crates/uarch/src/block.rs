@@ -6,10 +6,11 @@
 //! times. This module decodes each run **once** into a [`DecodedBlock`] —
 //! a flat slice of body instructions terminated at the first control
 //! transfer (branch, call, return, halt) — together with everything about
-//! the block that is a pure function of its addresses: the fetch windows it
-//! touches (and at which instruction index it crosses into each), its
-//! load/store counts, its summed multiply/divide stall cycles, and its
-//! terminator with precomputed targets. The block executor replays those
+//! the block that is a pure function of its addresses: its fetch-window
+//! crossings (counted, and those that enter a new I-cache line or page
+//! kept with the instruction index they belong to), its load/store counts,
+//! its summed multiply/divide stall cycles, and its terminator with
+//! precomputed targets. The block executor replays those
 //! summaries into [`crate::Counters`] at block edges; dynamic effects
 //! (cache/TLB/predictor state, bank conflicts, data-dependent targets)
 //! still fire per event, *in the interpreted loop's exact order*, so every
@@ -26,6 +27,7 @@
 //! decode unbounded memory.
 
 use biaslab_isa::{AluOp, Cond, Inst, Reg};
+use biaslab_toolchain::layout::PAGE_SIZE;
 
 /// Hard cap on instructions per decoded block. Runs longer than this are
 /// split with a [`BlockEnd::FallThrough`] cut; execution is unaffected
@@ -44,26 +46,27 @@ pub struct DecodeParams {
     /// `log2(fetch_bytes)` — validated configurations always have a
     /// power-of-two fetch window.
     pub fetch_shift: u32,
+    /// `log2` of the L1I line size.
+    pub line_shift: u32,
     /// Extra cycles for a multiply.
     pub mul_extra: u64,
     /// Extra cycles for a divide/remainder.
     pub div_extra: u64,
 }
 
-/// One precomputed fetch-window crossing inside a block: executing the
-/// instruction at `idx` moves the front end into `window`. The executor
-/// replays these through [`crate::front::FrontEnd::fetch`] at exactly the
+/// One precomputed fetch-window crossing inside a block that enters a new
+/// I-cache line or page: executing the instruction at `idx` (never the
+/// entry) moves the front end to `pc`'s line. The executor replays these
+/// through [`crate::front::FrontEnd::fetch_line`] at exactly the
 /// interpreted instruction positions, so I-side and D-side accesses keep
 /// their relative order into the shared L2 (whose LRU state makes that
 /// order observable in the counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchPoint {
-    /// Instruction index within the block (0-based; the entry is 0).
+    /// Instruction index within the block (at least 1).
     pub idx: u32,
     /// The instruction's address.
     pub pc: u32,
-    /// Its fetch window (`pc >> fetch_shift`).
-    pub window: u32,
 }
 
 /// Register-file slot that pre-decoded writes to [`Reg::ZERO`] are
@@ -441,10 +444,22 @@ pub struct DecodedBlock {
     /// fast-path form; the budget-fallback and profiled paths execute the
     /// raw text instead.
     pub uops: Box<[Uop]>,
-    /// Fetch-window crossings, ascending by `idx`; index 0 is always
-    /// present (whether it fires depends on the front end's current
-    /// window, exactly as in the interpreted loop).
-    pub fetches: Box<[FetchPoint]>,
+    /// The entry instruction's fetch window. Whether its crossing fires
+    /// depends on the front end's current window, so the executor checks
+    /// it through [`crate::front::FrontEnd::fetch`].
+    pub entry_window: u32,
+    /// Fetch-window crossings after the entry. Each one fires (its
+    /// predecessor's window is the previous instruction's, known at
+    /// decode), so the executor adds them to `Counters::fetches` at block
+    /// entry.
+    pub crossings: u32,
+    /// The crossings after the entry whose line or page differs from the
+    /// previous crossing's, ascending by `idx`: the only ones that can
+    /// reach the I-TLB, the L1I or the shared L2.
+    pub lines: Box<[FetchPoint]>,
+    /// The fetch window of the block's last instruction, written back to
+    /// the front end after the block.
+    pub last_window: u32,
     /// The terminator.
     pub end: BlockEnd,
     /// Address of the terminator instruction (meaningless for cut blocks).
@@ -542,21 +557,27 @@ impl BlockCache {
     /// the pc first).
     ///
     /// [`synced`]: BlockCache::sync
+    #[inline]
     pub fn get_or_decode(&mut self, word: u32, text: &[Inst], p: &DecodeParams) -> &DecodedBlock {
         debug_assert_eq!(self.index.len(), text.len(), "cache not synced to text");
         debug_assert_eq!(self.text_base, p.text_base);
         let slot = self.index[word as usize];
-        let id = if slot == EMPTY {
-            self.stats.misses += 1;
-            let block = decode(text, word, p, &self.boundaries);
-            let id = u32::try_from(self.blocks.len()).expect("block id space");
-            self.blocks.push(block);
-            self.index[word as usize] = id;
-            id
-        } else {
+        if slot != EMPTY {
             self.stats.hits += 1;
-            slot
-        };
+            return &self.blocks[slot as usize];
+        }
+        self.decode_miss(word, text, p)
+    }
+
+    /// The miss path of [`BlockCache::get_or_decode`], kept out of line.
+    #[cold]
+    #[inline(never)]
+    fn decode_miss(&mut self, word: u32, text: &[Inst], p: &DecodeParams) -> &DecodedBlock {
+        self.stats.misses += 1;
+        let block = decode(text, word, p, &self.boundaries);
+        let id = u32::try_from(self.blocks.len()).expect("block id space");
+        self.blocks.push(block);
+        self.index[word as usize] = id;
         &self.blocks[id as usize]
     }
 
@@ -667,14 +688,23 @@ pub fn decode(text: &[Inst], word: u32, p: &DecodeParams, boundaries: &[u32]) ->
     let body_len = if end.is_some() { len - 1 } else { len };
     debug_assert_eq!(uops.len() as u32, body_len);
 
-    let mut fetches = Vec::new();
-    let mut prev_window = u32::MAX;
-    for i in 0..len {
+    // A crossing is kept unless it stays in the previous crossing's line
+    // and page (the entry counting as a crossing); see `run_blocks` for
+    // why the front end then has nothing to look up.
+    let line_page = |pc: u32| (pc >> p.line_shift, pc / PAGE_SIZE);
+    let mut crossings = 0u32;
+    let mut lines = Vec::new();
+    let mut prev = line_page(entry);
+    for i in 1..len {
         let pc = entry + 4 * i;
-        let window = pc >> p.fetch_shift;
-        if window != prev_window {
-            fetches.push(FetchPoint { idx: i, pc, window });
-            prev_window = window;
+        if pc >> p.fetch_shift == (pc - 4) >> p.fetch_shift {
+            continue;
+        }
+        crossings += 1;
+        let here = line_page(pc);
+        if here != prev {
+            lines.push(FetchPoint { idx: i, pc });
+            prev = here;
         }
     }
 
@@ -687,7 +717,10 @@ pub fn decode(text: &[Inst], word: u32, p: &DecodeParams, boundaries: &[u32]) ->
         stores,
         extra_cycles,
         uops: uops.into_boxed_slice(),
-        fetches: fetches.into_boxed_slice(),
+        entry_window: entry >> p.fetch_shift,
+        crossings,
+        lines: lines.into_boxed_slice(),
+        last_window: (entry + 4 * (len - 1)) >> p.fetch_shift,
         end: end.unwrap_or(BlockEnd::FallThrough),
         term_pc: entry + 4 * (len - 1),
         next_pc: entry + 4 * len,
@@ -704,6 +737,7 @@ mod tests {
         DecodeParams {
             text_base: 0x1000,
             fetch_shift: 4, // 16-byte windows
+            line_shift: 6,  // 64-byte lines
             mul_extra: 2,
             div_extra: 21,
         }
@@ -804,11 +838,33 @@ mod tests {
                 ..
             }
         ));
-        // 5 instructions over 16-byte windows from 0x1000: crossings at
-        // idx 0 (0x1000) and idx 4 (0x1010).
-        let idxs: Vec<u32> = b.fetches.iter().map(|f| f.idx).collect();
-        assert_eq!(idxs, vec![0, 4]);
-        assert_eq!(b.fetches[1].window, 0x1010 >> 4);
+        // 5 instructions over 16-byte windows from 0x1000: the entry
+        // window and one crossing at idx 4 (0x1010), inside the entry's
+        // 64-byte line.
+        assert_eq!(b.entry_window, 0x1000 >> 4);
+        assert_eq!(b.crossings, 1);
+        assert!(b.lines.is_empty());
+        assert_eq!(b.last_window, 0x1010 >> 4);
+    }
+
+    #[test]
+    fn decode_keeps_the_crossings_into_a_new_line_or_page() {
+        // 40 instructions from 0xFF0 with 16-byte windows and 64-byte
+        // lines: 9 crossings after the entry, three of them into a new
+        // line (0x1000, 0x1040, 0x1080), the first also a new page.
+        let mut p = params();
+        p.text_base = 0xFF0;
+        let b = decode(&nopjal(39), 0, &p, &[]);
+        assert_eq!(b.crossings, 9);
+        let kept: Vec<(u32, u32)> = b.lines.iter().map(|f| (f.idx, f.pc)).collect();
+        assert_eq!(kept, vec![(4, 0x1000), (20, 0x1040), (36, 0x1080)]);
+        assert_eq!(b.last_window, 0x108C >> 4);
+        // A window wider than a line: every crossing enters a new line.
+        p.fetch_shift = 7;
+        let b = decode(&nopjal(39), 0, &p, &[]);
+        assert_eq!(b.crossings, 2);
+        let idxs: Vec<u32> = b.lines.iter().map(|f| f.idx).collect();
+        assert_eq!(idxs, vec![4, 36]);
     }
 
     #[test]

@@ -149,7 +149,8 @@ impl MemSystem {
             self.last_idx = [inst_index, self.last_idx[0]];
         }
         let shift = self.line_shift;
-        let end = addr + size - 1;
+        // An access may wrap past 0xFFFF_FFFF to address 0.
+        let end = addr.wrapping_add(size - 1);
         if end >> shift == addr >> shift
             && end / PAGE_SIZE == addr / PAGE_SIZE
             && self.dtlb.mru_hit(addr)
@@ -169,7 +170,9 @@ impl MemSystem {
         false
     }
 
-    /// The general multi-line walk behind the fused fast path.
+    /// The general multi-line walk behind the fused fast path. An access
+    /// that wraps past `0xFFFF_FFFF` touches the top line, then line 0, and
+    /// counts one line split and one page split.
     pub fn access_lines(
         &mut self,
         c: &mut Counters,
@@ -179,22 +182,21 @@ impl MemSystem {
         l2: &mut L2Port<'_>,
     ) {
         let shift = self.line_shift;
-        let first_line = addr >> shift;
-        let last_line = (addr + size - 1) >> shift;
-        if last_line != first_line {
+        let end = addr.wrapping_add(size - 1);
+        if end >> shift != addr >> shift {
             c.line_splits += 1;
         }
-        if (addr + size - 1) / PAGE_SIZE != addr / PAGE_SIZE {
+        if end / PAGE_SIZE != addr / PAGE_SIZE {
             c.page_splits += 1;
         }
         let mut a = addr;
         loop {
             self.one_line(c, a, is_store, l2);
-            let next = ((a >> shift) + 1) << shift;
-            if next > addr + size - 1 {
+            if a >> shift == end >> shift {
                 break;
             }
-            a = next;
+            // The next line's first byte; past the top line this wraps to 0.
+            a = ((a >> shift) + 1) << shift;
         }
     }
 
@@ -276,6 +278,19 @@ mod tests {
         assert_eq!(c.line_splits, 1);
         assert_eq!(c.l1d_accesses, 2, "one per touched line");
         assert_eq!(c.l1d_misses, 2);
+    }
+
+    #[test]
+    fn accesses_at_the_top_of_the_address_space_end() {
+        let (mut m, mut l2) = mem();
+        let mut c = Counters::default();
+        let mut port = L2Port::new(&mut l2, 5, 50);
+        // Inside the top line: one line, no split.
+        m.access(&mut c, 0xFFFF_FFF0, 8, false, 1, &mut port);
+        assert_eq!((c.l1d_accesses, c.line_splits, c.page_splits), (1, 0, 0));
+        // Wrapping to address 0: the top line and line 0.
+        m.access(&mut c, 0xFFFF_FFFC, 8, true, 2, &mut port);
+        assert_eq!((c.l1d_accesses, c.line_splits, c.page_splits), (3, 1, 1));
     }
 
     #[test]

@@ -96,6 +96,29 @@ impl FrontEnd {
         self.fetch_cold(pc, page, line, l2, c);
     }
 
+    /// Port: replay a block's crossing into a new line or page at `pc`,
+    /// one that decode found must fire and has already counted in
+    /// `Counters::fetches` (see [`crate::block::DecodedBlock::lines`]).
+    /// The window is written back once per block with
+    /// [`FrontEnd::set_window`].
+    #[inline]
+    pub fn fetch_line(&mut self, pc: u32, l2: &mut L2Port<'_>, c: &mut Counters) {
+        self.fetch_cold(
+            pc,
+            u64::from(pc / PAGE_SIZE),
+            u64::from(pc >> self.line_shift),
+            l2,
+            c,
+        );
+    }
+
+    /// Port: the fetch window execution left a block in, whose crossings
+    /// after the entry were replayed without touching it.
+    #[inline]
+    pub fn set_window(&mut self, window: u32) {
+        self.last_window = window;
+    }
+
     /// The I-TLB/I-cache lookups behind the repeat-line/page filters.
     fn fetch_cold(&mut self, pc: u32, page: u64, line: u64, l2: &mut L2Port<'_>, c: &mut Counters) {
         if page != self.last_page {

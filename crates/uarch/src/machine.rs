@@ -26,6 +26,7 @@ use std::fmt;
 use biaslab_isa::{checksum_fold, Inst, Reg};
 use biaslab_toolchain::link::Executable;
 use biaslab_toolchain::load::Process;
+use biaslab_toolchain::mem::RegionMem;
 use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockCache, BlockCacheStats, BlockEnd, DecodeParams, UopKind, REG_SLOTS};
@@ -758,28 +759,50 @@ impl Machine {
     }
 
     /// The block-at-a-time path ([`KernelMode::Block`]): decode each basic
-    /// block once into the [`BlockCache`], then dispatch whole blocks.
+    /// block once into the [`BlockCache`], then dispatch whole blocks over
+    /// a [`RegionMem`] built from the process's pages.
     ///
     /// Bit-identity argument, piece by piece:
     ///
+    /// * **Memory**: a [`RegionMem`] holds the same bytes as the
+    ///   [`PagedMem`](biaslab_toolchain::mem::PagedMem) it was built from
+    ///   would after the same accesses (its property test pins this), and
+    ///   no counter reads memory.
     /// * **Static counter sums** (`instructions`, base `cycles`, ALU
     ///   extras, `loads`/`stores`) are accumulated at block entry instead
     ///   of per instruction. Every counter is an order-independent sum and
     ///   nothing on this path reads an intermediate value, so hoisting is
     ///   an exact algebraic rewrite. (Profiled runs *do* read intermediate
     ///   cycles, so under `PROFILE` the statics stay per-instruction.)
-    /// * **Fetch-window crossings** are precomputed per block but replayed
-    ///   at their exact instruction positions via a cursor, preserving the
-    ///   I-side/D-side interleaving into the shared (LRU-stateful) L2.
-    ///   Whether the entry crossing fires still depends on the front end's
-    ///   current window, exactly like the interpreted check.
+    /// * **Fetch crossings** replay per I-cache line. The entry crossing
+    ///   stays dynamic: whether it fires depends on the front end's
+    ///   current window, exactly like the interpreted check. Every later
+    ///   crossing's predecessor is the previous instruction of the block,
+    ///   so it always fires; decode counts these and they join `fetches`
+    ///   at block entry (no path reads `fetches` mid-block). A firing
+    ///   fetch looks anything up only when its line or page differs from
+    ///   the front end's, and the front end holds the previous crossing's
+    ///   line and page: a firing fetch sets them, and an entry crossing
+    ///   that does not fire finds them set by an earlier fetch from the
+    ///   same window. Two crossings lie in different windows, so they can
+    ///   share a line (or page) only if a window is smaller than one,
+    ///   and then that earlier fetch shares the entry's line (or page).
+    ///   So a crossing in its predecessor's line and page looks nothing
+    ///   up, and decode drops it; the rest replay through
+    ///   [`FrontEnd::fetch_line`] at their exact instruction positions,
+    ///   preserving the I-side/D-side interleaving into the shared
+    ///   (LRU-stateful) L2, and their lookups compare against the front
+    ///   end's own line and page. The block's last window is written back
+    ///   after the block, where the interpreted loop leaves it. The plain,
+    ///   profiled and budget paths all replay this one table.
     /// * **Bank conflicts** read the retired-instruction index; the
     ///   hoisted path reconstructs the interpreted value as
     ///   `entry_instructions + i + 1`.
     /// * **Budget**: a block that would cross `max_instructions` falls
     ///   back to per-instruction execution with the interpreted check
     ///   order, so the error fires at the same instruction and leaves
-    ///   identical warm state behind.
+    ///   identical warm state behind (the window it leaves is not warm
+    ///   state: every run starts by resetting it).
     /// * **Profile attribution** accrues one span per block (the entry
     ///   bucket covers the whole block because decode cuts at function
     ///   symbols); the deltas telescope to the per-instruction sums, with
@@ -792,7 +815,7 @@ impl Machine {
         mut attr: Option<&mut crate::profile::Attributor>,
     ) -> Result<RunResult, RunError> {
         let mut c = Counters::default();
-        let mut mem = process.mem;
+        let mut mem = RegionMem::from(process.mem);
         // The uop executor's register file: 32 architectural slots, the
         // zero-write scratch slot, padded so masked indexing elides the
         // bounds check. Slots >= 32 are never read.
@@ -814,6 +837,7 @@ impl Machine {
         let dp = DecodeParams {
             text_base,
             fetch_shift: hot.fetch_shift,
+            line_shift: self.config.l1i.line.trailing_zeros(),
             mul_extra: hot.mul_extra,
             div_extra: hot.div_extra,
         };
@@ -945,6 +969,21 @@ impl Machine {
                 }
             }
             let inst_base = c.instructions;
+            let lines = &b.lines[..];
+            let mut li = 0usize;
+            // Replays the fetch crossing that belongs to instruction `$i`,
+            // if any: the entry's same-window check at 0, a kept line
+            // crossing elsewhere.
+            macro_rules! crossing {
+                ($i:expr) => {
+                    if $i == 0 {
+                        front.fetch(b.entry, b.entry_window, &mut l2_port!(), &mut c);
+                    } else if lines.get(li).is_some_and(|f| f.idx == $i) {
+                        front.fetch_line(lines[li].pc, &mut l2_port!(), &mut c);
+                        li += 1;
+                    }
+                };
+            }
             if inst_base + u64::from(b.len) > hot.max_instructions {
                 // The budget expires inside this block: execute it per
                 // instruction with the interpreted check order. The budget
@@ -954,20 +993,16 @@ impl Machine {
                 // the trip point must run in full, leaving warm machine
                 // state identical to the interpreted path's.
                 let body = &text[b.word as usize..(b.word + b.body_len) as usize];
-                let mut fi = 0usize;
                 for (i, &inst) in body.iter().enumerate() {
                     if c.instructions >= hot.max_instructions {
                         return Err(RunError::Budget(hot.max_instructions));
                     }
-                    if fi < b.fetches.len() && b.fetches[fi].idx == i as u32 {
-                        let f = b.fetches[fi];
-                        front.fetch(f.pc, f.window, &mut l2_port!(), &mut c);
-                        fi += 1;
-                    }
+                    crossing!(i as u32);
                     body_inst!(inst, i, inst_base, false);
                 }
                 return Err(RunError::Budget(hot.max_instructions));
             }
+            c.fetches += u64::from(b.crossings);
             if !PROFILE {
                 // Replay the block's static summary in one step; see the
                 // method docs for why this is exact.
@@ -978,22 +1013,12 @@ impl Machine {
                 c.stores += u64::from(b.stores);
             }
 
-            let fetches = &b.fetches[..];
-            let mut fi = 0usize;
             if PROFILE {
                 // Profiled runs read intermediate cycles per instruction,
                 // so they execute the raw text with full accounting.
-                // A block always has a fetch point at index 0 (whether it
-                // fires is the front end's same-window check).
-                let mut next_fetch = fetches[0].idx;
                 let body = &text[b.word as usize..(b.word + b.body_len) as usize];
                 for (i, &inst) in body.iter().enumerate() {
-                    if i as u32 == next_fetch {
-                        let f = fetches[fi];
-                        front.fetch(f.pc, f.window, &mut l2_port!(), &mut c);
-                        fi += 1;
-                        next_fetch = fetches.get(fi).map_or(u32::MAX, |f| f.idx);
-                    }
+                    crossing!(i as u32);
                     body_inst!(inst, i, inst_base, false);
                 }
             } else {
@@ -1017,23 +1042,20 @@ impl Machine {
                         regs[$u.rd as usize & (REG_SLOTS - 1)] = $v
                     };
                 }
-                // Walk the body a fetch segment at a time: fire the
-                // segment's window crossing once, then run its uops in a
-                // tight inner loop with no per-instruction fetch test.
-                // Order is unchanged — a fetch point at index `idx` fires
-                // immediately before the instruction at `idx`, exactly as
-                // the interpreted loop interleaves them. A fetch point at
+                // Walk the body a segment at a time: replay the crossing
+                // that opens the segment, then run its uops in a tight
+                // inner loop with no per-instruction fetch test. Order is
+                // unchanged — a crossing at index `idx` fires immediately
+                // before the instruction at `idx`, exactly as the
+                // interpreted loop interleaves them. A crossing at
                 // `body_len` belongs to the terminator and fires after.
                 let uops = &b.uops[..];
-                while fi < fetches.len() {
-                    let f = fetches[fi];
-                    let seg_start = f.idx as usize;
-                    if seg_start >= uops.len() {
-                        break;
-                    }
-                    front.fetch(f.pc, f.window, &mut l2_port!(), &mut c);
-                    fi += 1;
-                    let seg_end = fetches.get(fi).map_or(uops.len(), |n| n.idx as usize);
+                let mut seg_start = 0usize;
+                while seg_start < uops.len() {
+                    crossing!(seg_start as u32);
+                    let seg_end = lines
+                        .get(li)
+                        .map_or(uops.len(), |f| (f.idx as usize).min(uops.len()));
                     for (k, u) in uops[seg_start..seg_end].iter().enumerate() {
                         let i = seg_start + k;
                         match u.kind {
@@ -1132,21 +1154,27 @@ impl Machine {
                             UopKind::Nop => {}
                         }
                     }
+                    seg_start = seg_end;
                 }
             }
 
+            // Cycles at the terminator's top, before its fetch: the halt
+            // is never attributed, so its span ends here.
+            let cycles_at_term = if PROFILE { c.cycles } else { 0 };
+            // The terminator's crossing: the entry's when the body is
+            // empty, else the one kept line crossing left, if any (a cut
+            // block has none). Then the window the block leaves.
+            if b.body_len == 0 {
+                front.fetch(b.entry, b.entry_window, &mut l2_port!(), &mut c);
+            } else if let Some(f) = lines.get(li) {
+                front.fetch_line(f.pc, &mut l2_port!(), &mut c);
+            }
+            front.set_window(b.last_window);
             if b.body_len == b.len {
                 // Cut block (symbol boundary, length cap, end of text):
                 // no terminator, fall through.
                 pc = b.next_pc;
                 continue;
-            }
-            // Cycles at the terminator's top, before its fetch: the halt
-            // is never attributed, so its span ends here.
-            let cycles_at_term = if PROFILE { c.cycles } else { 0 };
-            if fi < fetches.len() {
-                let f = fetches[fi];
-                front.fetch(f.pc, f.window, &mut l2_port!(), &mut c);
             }
             if PROFILE {
                 c.instructions += 1;

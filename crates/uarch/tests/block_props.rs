@@ -82,12 +82,15 @@ fn arb_text() -> impl Strategy<Value = Vec<Inst>> {
 }
 
 fn arb_params() -> impl Strategy<Value = DecodeParams> {
-    (4u32..=6, 0u64..8, 0u64..16).prop_map(|(fetch_shift, mul_extra, div_extra)| DecodeParams {
-        text_base: TEXT_BASE,
-        fetch_shift,
-        mul_extra,
-        div_extra,
-    })
+    (4u32..=6, 4u32..=7, 0u64..8, 0u64..16).prop_map(
+        |(fetch_shift, line_shift, mul_extra, div_extra)| DecodeParams {
+            text_base: TEXT_BASE,
+            fetch_shift,
+            line_shift,
+            mul_extra,
+            div_extra,
+        },
+    )
 }
 
 proptest! {

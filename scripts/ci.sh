@@ -10,6 +10,9 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace --release"
 cargo test -q --workspace --release
 
+echo "==> cargo test -q (the tier-1 run: debug build, so overflow checks and debug_assert!s run)"
+cargo test -q
+
 echo "==> cargo test -q --release --manifest-path perfbench/Cargo.toml (benchmark builds against the crates)"
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 

@@ -5,14 +5,21 @@
 //! repetitions and across the layout factors the experiments vary.
 //!
 //! The block cache hoists static counter sums to block entry, pre-decodes
-//! bodies to uops and replays fetch-window crossings from a precomputed
-//! table — every one of those rewrites is licensed only by this test: if
-//! any counter moves, the "optimization" is a measurement-bias generator.
+//! bodies to uops, replays fetch crossings per I-cache line from a
+//! precomputed table and runs on flat data and stack regions — every one
+//! of those rewrites is licensed only by this test: if any counter moves,
+//! the "optimization" is a measurement-bias generator.
 
 use biaslab_core::harness::Harness;
 use biaslab_core::setup::{ExperimentSetup, LinkOrder};
+use biaslab_isa::{Cond, Width};
+use biaslab_toolchain::codegen::compile;
+use biaslab_toolchain::interp::Interpreter;
+use biaslab_toolchain::ir::Global;
+use biaslab_toolchain::link::Linker;
 use biaslab_toolchain::load::{Environment, Loader};
-use biaslab_toolchain::OptLevel;
+use biaslab_toolchain::opt::optimize;
+use biaslab_toolchain::{Module, ModuleBuilder, OptLevel};
 use biaslab_uarch::{KernelMode, Machine, MachineConfig, RunResult};
 use biaslab_workloads::{benchmark_by_name, suite, InputSize};
 
@@ -187,4 +194,123 @@ fn warm_repetitions_match_the_oracle() {
         per_mode[0][1].counters.cycles <= per_mode[0][0].counters.cycles,
         "second repetition should not be colder than the first"
     );
+}
+
+/// Runs `main` of `module` through the IR interpreter, then, compiled at
+/// `level`, on every machine through the oracle and block dispatch. All
+/// three must agree on the checksum and return value, and block dispatch
+/// must match the oracle on every counter. Returns the oracle's runs.
+fn run_three_ways(module: &Module, level: OptLevel) -> Vec<RunResult> {
+    let reference = Interpreter::new(module)
+        .call_by_name("main", &[])
+        .expect("interprets");
+    let exe = Linker::new()
+        .link(&compile(&optimize(module, level), level), "main")
+        .expect("links");
+    let mut oracles = Vec::new();
+    for machine in MachineConfig::all() {
+        let run = |mode: KernelMode| {
+            let process = Loader::new()
+                .load(&exe, &Environment::new(), &[])
+                .expect("loads");
+            Machine::with_kernel(machine.clone(), mode)
+                .run(&exe, process)
+                .expect("runs")
+        };
+        let block = run(KernelMode::Block);
+        let oracle = run(KernelMode::Collapsed);
+        assert_eq!(block, oracle, "{}/{level}: block vs oracle", machine.name);
+        assert_eq!(
+            oracle.checksum, reference.checksum,
+            "{}/{level}: machine vs interpreter checksum",
+            machine.name
+        );
+        assert_eq!(Some(oracle.return_value), reference.return_value);
+        oracles.push(oracle);
+    }
+    oracles
+}
+
+#[test]
+fn accesses_that_wrap_past_the_top_of_memory_match_the_oracle() {
+    // A load, a store and a load of 8 bytes at 0xFFFF_FFFC: each covers
+    // the top 4 bytes of the address space and wraps to address 0.
+    let mut mb = ModuleBuilder::new();
+    mb.function("main", 0, true, |fb| {
+        let top = fb.const_(0xFFFF_FFFC);
+        let before = fb.load(Width::B8, top, 0);
+        fb.chk(before);
+        let v = fb.const_(0x0123_4567_89AB_CDEF);
+        fb.store(Width::B8, top, 0, v);
+        let after = fb.load(Width::B8, top, 0);
+        fb.chk(after);
+        fb.ret(Some(after));
+    });
+    let module = mb.finish().expect("verifies");
+    for oracle in run_three_ways(&module, OptLevel::O0) {
+        // Unoptimized, all three accesses remain, and each one splits a
+        // line and a page.
+        assert_eq!(oracle.counters.line_splits, 3);
+        assert_eq!(oracle.counters.page_splits, 3);
+    }
+    run_three_ways(&module, OptLevel::O2);
+}
+
+#[test]
+fn deep_recursion_and_writes_past_the_data_image_match_the_oracle() {
+    // `rec` keeps a 512-byte buffer in each of 121 frames, so the stack
+    // grows well below the environment's page; `main` writes and reads 8
+    // bytes straddling a page boundary past its 32-byte data image, and
+    // reads bytes of the data segment nothing wrote.
+    let mut mb = ModuleBuilder::new();
+    let table = mb.global(Global::from_words("table", &[3, 5, 7, 11]));
+    let rec = mb.declare("rec", 1, true);
+    mb.define(rec, |fb| {
+        let n = fb.param(0);
+        let buf = fb.local_buffer(512);
+        let result = fb.local_scalar();
+        let nv = fb.get(n);
+        let base = fb.addr(buf);
+        fb.store(Width::B8, base, 504, nv);
+        let zero = fb.const_(0);
+        fb.if_then_else(
+            Cond::Eq,
+            nv,
+            zero,
+            |fb| {
+                let z = fb.const_(0);
+                fb.set(result, z);
+            },
+            |fb| {
+                let nv = fb.get(n);
+                let m = fb.add_imm(nv, -1);
+                let below = fb.call(rec, &[m]);
+                let base = fb.addr(buf);
+                let saved = fb.load(Width::B8, base, 504);
+                let sum = fb.add(below, saved);
+                fb.set(result, sum);
+            },
+        );
+        let r = fb.get(result);
+        fb.ret(Some(r));
+    });
+    mb.function("main", 0, true, |fb| {
+        let g = fb.addr_global(table);
+        let v = fb.const_(0xA5A5_5A5A_0102_0304);
+        fb.store(Width::B8, g, 3 * 4096 - 4, v);
+        let back = fb.load(Width::B8, g, 3 * 4096 - 4);
+        fb.chk(back);
+        let unwritten = fb.load(Width::B8, g, 64);
+        fb.chk(unwritten);
+        let depth = fb.const_(120);
+        let sum = fb.call(rec, &[depth]);
+        fb.chk(sum);
+        fb.ret(Some(sum));
+    });
+    let module = mb.finish().expect("verifies");
+    for level in [OptLevel::O0, OptLevel::O2] {
+        for oracle in run_three_ways(&module, level) {
+            assert_eq!(oracle.return_value, 120 * 121 / 2);
+        }
+    }
 }
