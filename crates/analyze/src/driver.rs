@@ -1,10 +1,12 @@
 //! Convenience drivers: run the whole static pipeline for a benchmark.
 //!
-//! Everything here goes through `Harness::optimized` and
+//! Everything here goes through `Harness::derived` and
 //! `Harness::executable`, which optimize, compile and link (once per
 //! harness and level) but never load or run — the orchestrator's
 //! `simulated` counter is untouched by construction, and the
 //! zero-simulation test in `tests/static_vs_dynamic.rs` pins that.
+
+use std::sync::Arc;
 
 use biaslab_core::{Harness, LinkOrder, Orchestrator};
 use biaslab_toolchain::opt::OptLevel;
@@ -12,6 +14,7 @@ use biaslab_uarch::MachineConfig;
 
 use crate::hotness::ModuleHotness;
 use crate::image::{image_facts, StackFacts};
+use crate::passes::PassManager;
 use crate::predict::{predict, LevelAnalysis, SensitivityReport};
 
 /// The optimization levels whose spread the analyzer predicts.
@@ -35,6 +38,29 @@ pub fn env_grid() -> Vec<u32> {
     (0..16).map(|i| i * 176).collect()
 }
 
+/// The static facts of one benchmark's optimized IR at one level that
+/// no machine changes: its hotness and its dataflow passes. Computed once
+/// per harness and level, beside the harness's optimized IR, and shared
+/// by [`analyze_harness`] and [`crate::lint::lint_harness`] on every
+/// machine and thread.
+pub struct LevelFacts {
+    /// Static hotness, from the benchmark's entry point.
+    pub hot: ModuleHotness,
+    /// The memoized dataflow passes over the same IR.
+    pub passes: PassManager,
+}
+
+impl LevelFacts {
+    /// The harness's facts at `level`, computed on first request.
+    #[must_use]
+    pub fn of(harness: &Harness, level: OptLevel) -> Arc<LevelFacts> {
+        harness.derived(level, |module| LevelFacts {
+            hot: ModuleHotness::of(&module, harness.benchmark().entry(), level),
+            passes: PassManager::new(module, level),
+        })
+    }
+}
+
 /// Analyzes one benchmark (via its measurement harness) on `machine`.
 /// Pure compile + link: no process is loaded, no instruction executes.
 ///
@@ -53,8 +79,8 @@ pub fn analyze_harness(
 
     let mut levels = Vec::with_capacity(LEVELS.len());
     for level in LEVELS {
-        let optimized = harness.optimized(level);
-        let hot = ModuleHotness::of(&optimized, bench.entry(), level);
+        let facts = LevelFacts::of(harness, level);
+        let hot = &facts.hot;
 
         let link = |order: &[usize], offset: u32| {
             harness
@@ -62,19 +88,19 @@ pub fn analyze_harness(
                 .map_err(|e| format!("{}/{}: link failed: {e:?}", bench.name(), level.name()))
         };
         let base_exe = link(&default_order, 0)?;
-        let base = image_facts(&base_exe, &hot, machine);
+        let base = image_facts(&base_exe, hot, machine);
         let mut order_variants = Vec::with_capacity(ORDERS.len());
         for order in ORDERS {
             let exe = link(&order.resolve(&name_refs), 0)?;
-            order_variants.push(image_facts(&exe, &hot, machine));
+            order_variants.push(image_facts(&exe, hot, machine));
         }
         let mut offset_variants = Vec::with_capacity(OFFSETS.len());
         for offset in OFFSETS {
             let exe = link(&default_order, offset)?;
-            offset_variants.push(image_facts(&exe, &hot, machine));
+            offset_variants.push(image_facts(&exe, hot, machine));
         }
 
-        let stack = StackFacts::of(&hot, machine, &grid);
+        let stack = StackFacts::of(hot, machine, &grid);
         let mut hot_functions: Vec<(String, f64)> = hot
             .functions
             .iter()
@@ -118,11 +144,20 @@ pub fn analyze_benchmark(
 /// Analyzes the whole suite on `machine` and returns the reports ranked
 /// by predicted spread, most sensitive first.
 ///
+/// The suite is analyzed from its last benchmark to its first: lint walks
+/// it first to last, so when `repro all` runs `ext-analyze` beside
+/// `ext-lint` the two fill the shared [`LevelFacts`] (and the harnesses'
+/// optimized and compiled modules) from opposite ends instead of queueing
+/// on the same cells. The ranking does not depend on the order.
+///
 /// # Errors
 ///
-/// Returns the first analysis failure.
+/// Returns the first analysis failure in that order.
 pub fn rank_suite(machine: &MachineConfig) -> Result<Vec<SensitivityReport>, String> {
-    let mut reports: Vec<SensitivityReport> = biaslab_workloads::benchmark_names()
+    let names: Vec<&str> = biaslab_workloads::benchmark_names().collect();
+    let mut reports: Vec<SensitivityReport> = names
+        .into_iter()
+        .rev()
         .map(|name| analyze_benchmark(name, machine))
         .collect::<Result<_, _>>()?;
     reports.sort_by(|a, b| {

@@ -191,8 +191,8 @@ impl ModuleHotness {
 
     /// Compressed image weight of function `name` in `[0, 1]`:
     /// logarithmic in the raw call-graph weight, so a 4096× hotter inner
-    /// loop dominates without erasing everything else from the
-    /// histograms. Unknown names (e.g. the linker's `__start` shim)
+    /// loop dominates without erasing everything else from the set
+    /// pressure. Unknown names (e.g. the linker's `__start` shim)
     /// weigh zero.
     #[must_use]
     pub fn image_weight(&self, name: &str) -> f64 {

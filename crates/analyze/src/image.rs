@@ -6,13 +6,13 @@
 //! its semantics beyond identifying control transfers, and nothing runs.
 //!
 //! The metrics mirror the simulator's bias channels one-to-one:
-//! hotness-weighted L1I/L2 set-pressure histograms (conflict misses),
+//! hotness-weighted L1I/L2 set pressure (conflict misses),
 //! BTB/gshare index collisions between hot branch sites (mispredict and
 //! refill churn), fetch-window straddles at function entries and loop
 //! headers (front-end waste), and stack-placement residue classes as a
 //! function of the environment size (the env-size channel).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use biaslab_isa::Inst;
 use biaslab_toolchain::layout::{align_down, PAGE_SIZE, STACK_ALIGN, STACK_TOP};
@@ -36,12 +36,10 @@ pub struct BranchSite {
     pub weight: f64,
 }
 
-/// Weighted set-pressure histogram: how much hot code each cache set
-/// holds, and how much of it cannot co-reside.
+/// Weighted set pressure: how much of the hot code mapped to a cache's
+/// sets cannot co-reside.
 #[derive(Debug, Clone)]
 pub struct SetPressure {
-    /// Per-set total weight of mapped lines.
-    pub histogram: Vec<f64>,
     /// Weighted fraction of lines that exceed their set's associativity
     /// (each set keeps its `ways` heaviest lines; the rest overflow).
     pub overflow: f64,
@@ -117,23 +115,20 @@ pub fn image_facts(
         .collect();
     let total_weight: f64 = funcs.iter().map(|f| f.3).sum();
 
-    // --- cache-set and TLB-set pressure histograms ---------------------
+    // --- cache-set and TLB-set pressure ---------------------------------
     let l1i = set_pressure(
-        machine.l1i.sets() as usize,
         machine.l1i.ways as usize,
         &funcs,
         |addr| (machine.l1i.set_of(addr), machine.l1i.tag_of(addr)),
         machine.l1i.line,
     );
     let l2 = set_pressure(
-        machine.l2.sets() as usize,
         machine.l2.ways as usize,
         &funcs,
         |addr| (machine.l2.set_of(addr), machine.l2.tag_of(addr)),
         machine.l2.line,
     );
     let itlb = set_pressure(
-        machine.itlb.sets() as usize,
         machine.itlb.ways as usize,
         &funcs,
         |addr| (machine.itlb.set_of(addr), machine.itlb.tag_of(addr)),
@@ -259,56 +254,60 @@ pub fn image_facts(
     }
 }
 
-/// Builds a weighted pressure histogram over `sets` for the lines (of
-/// `granule` bytes) covered by each function range, then measures the
-/// weight that exceeds each set's associativity.
+/// Measures the weight of the lines (of `granule` bytes) covered by each
+/// function range that exceeds their set's associativity, as a fraction
+/// of the weight of all distinct lines. Only the sets the code maps to
+/// are visited: the distinct `(set, tag)` lines, sorted.
 fn set_pressure(
-    sets: usize,
     ways: usize,
     funcs: &[(&str, u32, u32, f64)],
     index: impl Fn(u32) -> (u32, u32),
     granule: u32,
 ) -> SetPressure {
-    // Distinct (set, tag) pairs with accumulated weight: the same line
-    // touched twice is still one way.
-    let mut lines: HashMap<(u32, u32), f64> = HashMap::new();
+    let mut lines: Vec<(u32, u32, f64)> = Vec::new();
     for &(_, addr, size, w) in funcs {
         if w == 0.0 {
             continue;
         }
         let first = addr / granule;
         let last = (addr + size - 1) / granule;
-        for line in first..=last {
+        lines.extend((first..=last).map(|line| {
             let (set, tag) = index(line * granule);
-            let e = lines.entry((set, tag)).or_insert(0.0);
-            *e = e.max(w);
+            (set, tag, w)
+        }));
+    }
+    // The same line touched twice is still one way, at its heaviest.
+    lines.sort_unstable_by_key(|&(set, tag, _)| (set, tag));
+    lines.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 = kept.2.max(next.2);
         }
-    }
-    let mut histogram = vec![0.0f64; sets];
-    let mut per_set: Vec<Vec<f64>> = vec![Vec::new(); sets];
-    for (&(set, _), &w) in &lines {
-        histogram[set as usize] += w;
-        per_set[set as usize].push(w);
-    }
-    let total: f64 = histogram.iter().sum();
-    let mut over = 0.0;
-    for ws in &mut per_set {
+        same
+    });
+    let (mut total, mut over) = (0.0, 0.0);
+    let mut ws: Vec<f64> = Vec::new();
+    for set in lines.chunk_by(|a, b| a.0 == b.0) {
+        ws.clear();
+        ws.extend(set.iter().map(|l| l.2));
+        total += ws.iter().sum::<f64>();
         if ws.len() > ways {
             ws.sort_by(|a, b| b.partial_cmp(a).expect("weights are finite"));
             over += ws[ways..].iter().sum::<f64>();
         }
     }
     SetPressure {
-        histogram,
         overflow: if total > 0.0 { over / total } else { 0.0 },
     }
 }
 
 /// Weighted conflict mass of sites grouped by a direct-mapped index:
 /// within each index, everything but the heaviest site is in conflict.
-/// Returns the conflicting weight as a fraction of the total.
+/// Returns the conflicting weight as a fraction of the total. Groups are
+/// summed in index order, so the result is one function of the sites,
+/// bit for bit.
 fn index_conflict(sites: impl Iterator<Item = (u32, f64)>) -> f64 {
-    let mut groups: HashMap<u32, (f64, f64)> = HashMap::new(); // (sum, max)
+    let mut groups: BTreeMap<u32, (f64, f64)> = BTreeMap::new(); // (sum, max)
     for (idx, w) in sites {
         let g = groups.entry(idx).or_insert((0.0, 0.0));
         g.0 += w;
@@ -490,15 +489,141 @@ mod tests {
         assert!(facts.total_weight > 0.0);
     }
 
-    #[test]
-    fn pressure_histogram_covers_the_text() {
-        let (facts, _) = facts_for(0, &MachineConfig::core2());
-        let mapped: f64 = facts.l1i.histogram.iter().sum();
-        assert!(mapped > 0.0);
-        assert_eq!(
-            facts.l1i.histogram.len(),
-            MachineConfig::core2().l1i.sets() as usize
+    /// The overflow a dense per-set table gives: one list of distinct
+    /// tags per set, filled byte by byte, each line at its heaviest
+    /// function's weight.
+    fn dense_overflow(sets: u32, ways: usize, line: u32, funcs: &[(&str, u32, u32, f64)]) -> f64 {
+        let mut table: Vec<Vec<(u32, f64)>> = vec![Vec::new(); sets as usize];
+        for &(_, addr, size, w) in funcs.iter().filter(|f| f.3 != 0.0) {
+            for byte in addr..addr + size {
+                let tags = &mut table[(byte / line % sets) as usize];
+                let tag = byte / line / sets;
+                match tags.iter_mut().find(|t| t.0 == tag) {
+                    Some(t) => t.1 = t.1.max(w),
+                    None => tags.push((tag, w)),
+                }
+            }
+        }
+        let (mut total, mut over) = (0.0, 0.0);
+        for tags in &mut table {
+            tags.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            for (rank, &(_, w)) in tags.iter().enumerate() {
+                total += w;
+                if rank >= ways {
+                    over += w;
+                }
+            }
+        }
+        if total > 0.0 {
+            over / total
+        } else {
+            0.0
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+        /// Weights are multiples of 1/16, so every sum is exact and the
+        /// two sides must agree bit for bit whatever order they add in.
+        #[test]
+        fn set_pressure_overflow_matches_a_dense_table(
+            set_bits in 0u32..7,
+            ways in 1u32..9,
+            line_bits in 2u32..8,
+            spec in proptest::collection::vec((0u32..0x3000, 1u32..0x400, 0u32..17), 1..12),
+        ) {
+            let (sets, line) = (1u32 << set_bits, 1u32 << line_bits);
+            let geometry = biaslab_uarch::cache::CacheConfig {
+                size: sets * ways * line,
+                ways,
+                line,
+                hit_latency: 1,
+            };
+            let funcs: Vec<(&str, u32, u32, f64)> = spec
+                .iter()
+                .map(|&(at, size, w)| ("f", 0x0040_0000 + at, size, f64::from(w) / 16.0))
+                .collect();
+            let sparse = set_pressure(
+                ways as usize,
+                &funcs,
+                |addr| (geometry.set_of(addr), geometry.tag_of(addr)),
+                line,
+            );
+            let dense = dense_overflow(sets, ways as usize, line, &funcs);
+            proptest::prop_assert_eq!(
+                sparse.overflow.to_bits(),
+                dense.to_bits(),
+                "{} vs {} on {} sets x {} ways of {} B: {:?}",
+                sparse.overflow,
+                dense,
+                sets,
+                ways,
+                line,
+                spec
+            );
+        }
+    }
+
+    /// Every float `image_facts` reports, named, as bits.
+    fn fact_bits(f: &ImageFacts) -> Vec<(&'static str, u64)> {
+        let mut bits = vec![
+            ("total_weight", f.total_weight),
+            ("l1i.overflow", f.l1i.overflow),
+            ("l2.overflow", f.l2.overflow),
+            ("itlb.overflow", f.itlb.overflow),
+            ("btb_conflict", f.btb_conflict),
+            ("gshare_conflict", f.gshare_conflict),
+            ("entry_straddle", f.entry_straddle),
+            ("loop_fetch_excess", f.loop_fetch_excess),
+            ("loop_line_excess", f.loop_line_excess),
+            ("page_crossers", f.page_crossers),
+        ];
+        bits.extend(
+            f.branch_sites
+                .iter()
+                .map(|s| ("branch site weight", s.weight)),
         );
+        bits.into_iter()
+            .map(|(name, v)| (name, v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn image_facts_are_bit_identical_when_recomputed() {
+        // Every suite image the analyzer reads: each benchmark at O2 and
+        // O3, linked in the default layout, on all three machines. A sum
+        // taken in a hash map's iteration order changes in its last bits
+        // from one map to the next.
+        let machines = MachineConfig::all();
+        for b in suite() {
+            for level in [OptLevel::O2, OptLevel::O3] {
+                let opt = optimize(b.module(), level);
+                let hot = ModuleHotness::of(&opt, b.entry(), level);
+                let exe = Linker::new()
+                    .link(&compile(&opt, level), b.entry())
+                    .expect("links");
+                for machine in &machines {
+                    let first = fact_bits(&image_facts(&exe, &hot, machine));
+                    for round in 0..8 {
+                        let again = fact_bits(&image_facts(&exe, &hot, machine));
+                        assert_eq!(again.len(), first.len());
+                        if let Some((was, now)) = first.iter().zip(&again).find(|(x, y)| x != y) {
+                            panic!(
+                                "{} {level} on {}: recomputation {round} changed {} from {} to {}",
+                                b.name(),
+                                machine.name,
+                                was.0,
+                                f64::from_bits(was.1),
+                                f64::from_bits(now.1),
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    call-graph-propagated function weights that say *which* code is hot;
 //! 2. [`image`] — address-space analyses of the linked `Executable`
 //!    against the indexing geometry the `biaslab-uarch` config types
-//!    expose: set-pressure histograms, index-collision detection,
+//!    expose: set pressure, index-collision detection,
 //!    straddle detection, and stack-residue classes;
 //! 3. [`predict`] — per-factor scores (env size, link order, text
 //!    offset) and a ranking index, rendered as a [`SensitivityReport`].
@@ -38,12 +38,12 @@ pub mod passes;
 pub mod predict;
 
 pub use cfg::{CfgAnalysis, Dominators, NaturalLoop};
-pub use driver::{analyze_benchmark, analyze_harness, rank_suite};
+pub use driver::{analyze_benchmark, analyze_harness, rank_suite, LevelFacts};
 pub use hotness::ModuleHotness;
 pub use image::{ImageFacts, StackFacts};
 pub use lint::{
     lint_benchmark, lint_harness, lint_suite, lint_suite_jsonl, validate_lint_line, Finding,
     FindingClass, LintReport, Remedy,
 };
-pub use passes::PassManager;
+pub use passes::{PassManager, PassSession};
 pub use predict::{Factor, FactorScore, SensitivityReport};

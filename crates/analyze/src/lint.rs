@@ -42,10 +42,10 @@ use biaslab_toolchain::link::Executable;
 use biaslab_toolchain::opt::OptLevel;
 use biaslab_uarch::MachineConfig;
 
-use crate::driver::{env_grid, LEVELS};
+use crate::driver::{env_grid, LevelFacts, LEVELS};
 use crate::hotness::{compress, ModuleHotness};
 use crate::image::{image_facts, ImageFacts, StackFacts};
-use crate::passes::PassManager;
+use crate::passes::PassSession;
 
 /// Compressed image-weight floor below which a site or function is not
 /// "hot" enough to lint (the compression maps even 1%-weight helpers
@@ -362,7 +362,7 @@ struct LevelLint<'a> {
     harness: &'a Harness,
     setup: &'a ExperimentSetup,
     hot: &'a ModuleHotness,
-    pm: &'a PassManager<'a>,
+    passes: &'a PassSession<'a>,
     base: &'a ImageFacts,
     funcs: &'a [(String, u32, u32, f64)],
 }
@@ -383,12 +383,13 @@ impl LevelLint<'_> {
     /// Largest loop trip bound the value-range pass can prove for
     /// `function`, if any loop's bound folds to a constant.
     fn trip_bound(&self, function: &str) -> Option<u64> {
-        let fi = self.pm.find(function)?;
-        let f = self.pm.function(fi);
+        let pm = self.passes.manager();
+        let fi = pm.find(function)?;
+        let f = pm.function(fi);
         if f.loops.is_empty() {
             return None;
         }
-        let ranges = self.pm.ranges(fi);
+        let ranges = self.passes.ranges(fi);
         f.loops
             .iter()
             .filter_map(|lp| {
@@ -638,9 +639,9 @@ impl LevelLint<'_> {
         let (mut dead, mut uninit) = (0usize, 0usize);
         for (fi, fh) in self.hot.functions.iter().enumerate() {
             let w = compress(fh.weight);
-            let f = self.pm.function(fi);
+            let f = self.passes.manager().function(fi);
             if dead < PER_CLASS_CAP {
-                for (bi, oi) in self.pm.liveness(fi).dead_stores(f) {
+                for (bi, oi) in self.passes.liveness(fi).dead_stores(f) {
                     if dead >= PER_CLASS_CAP {
                         break;
                     }
@@ -665,7 +666,7 @@ impl LevelLint<'_> {
                 }
             }
             if uninit < PER_CLASS_CAP {
-                for r in self.pm.reaching(fi).maybe_uninit_reads(f) {
+                for r in self.passes.reaching(fi).maybe_uninit_reads(f) {
                     if uninit >= PER_CLASS_CAP {
                         break;
                     }
@@ -702,23 +703,23 @@ pub fn lint_harness(harness: &Harness, machine: &MachineConfig) -> Result<LintRe
     let mut findings = Vec::new();
     let (mut passes_run, mut functions_analyzed) = (0u64, 0u64);
     for level in LEVELS {
-        let optimized = harness.optimized(level);
-        let hot = ModuleHotness::of(&optimized, bench.entry(), level);
-        let pm = PassManager::new(&optimized, level);
+        let facts = LevelFacts::of(harness, level);
+        let hot = &facts.hot;
+        let passes = facts.passes.session();
 
         let setup = ExperimentSetup::default_on(machine.clone(), level);
         let base_exe = harness
             .link(&setup)
             .map_err(|e| format!("{}/{}: link failed: {e:?}", bench.name(), level.name()))?;
-        let base = image_facts(&base_exe, &hot, machine);
-        let funcs = text_functions(&base_exe, &hot);
-        let stack = StackFacts::of(&hot, machine, &grid);
+        let base = image_facts(&base_exe, hot, machine);
+        let funcs = text_functions(&base_exe, hot);
+        let stack = StackFacts::of(hot, machine, &grid);
 
         let ctx = LevelLint {
             harness,
             setup: &setup,
-            hot: &hot,
-            pm: &pm,
+            hot,
+            passes: &passes,
             base: &base,
             funcs: &funcs,
         };
@@ -727,8 +728,8 @@ pub fn lint_harness(harness: &Harness, machine: &MachineConfig) -> Result<LintRe
         ctx.stack_residue(&stack, &mut findings);
         ctx.dataflow_defects(&mut findings);
 
-        passes_run += pm.passes_run();
-        functions_analyzed += pm.functions_analyzed();
+        passes_run += passes.passes_run();
+        functions_analyzed += passes.functions_analyzed();
     }
 
     findings.sort_by(|a, b| {

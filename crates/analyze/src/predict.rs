@@ -439,18 +439,9 @@ mod tests {
         ImageFacts {
             text_bytes: 1024,
             total_weight: 1.0,
-            l1i: crate::image::SetPressure {
-                histogram: vec![],
-                overflow: x,
-            },
-            l2: crate::image::SetPressure {
-                histogram: vec![],
-                overflow: 0.0,
-            },
-            itlb: crate::image::SetPressure {
-                histogram: vec![],
-                overflow: 0.0,
-            },
+            l1i: crate::image::SetPressure { overflow: x },
+            l2: crate::image::SetPressure { overflow: 0.0 },
+            itlb: crate::image::SetPressure { overflow: 0.0 },
             branch_sites: vec![],
             btb_conflict: x / 2.0,
             gshare_conflict: 0.0,

@@ -1,4 +1,4 @@
-//! Micro-benchmarks of the simulator's hot loops: paged-memory access,
+//! Micro-benchmarks of the simulator's hot loops: simulated-memory access,
 //! cache way scans, and the simulator with and without attribution and on
 //! the per-instruction oracle. `scripts/bench.sh` runs this executable for
 //! the parent commit and the change in alternating rounds and guards
@@ -6,9 +6,10 @@
 //! hangs on.
 
 use biaslab_toolchain::codegen::compile;
-use biaslab_toolchain::link::Linker;
+use biaslab_toolchain::layout::{DATA_BASE, DATA_MAX, STACK_TOP};
+use biaslab_toolchain::link::{Executable, Linker};
 use biaslab_toolchain::load::{Environment, Loader};
-use biaslab_toolchain::mem::PagedMem;
+use biaslab_toolchain::mem::{PagedMem, RegionMem};
 use biaslab_toolchain::opt::{optimize, OptLevel};
 use biaslab_uarch::cache::{Cache, CacheConfig};
 use biaslab_uarch::{KernelMode, Machine, MachineConfig};
@@ -25,37 +26,57 @@ fn configured() -> Criterion {
         .measurement_time(std::time::Duration::from_secs(3))
 }
 
+/// hmmer at O2, linked in declaration order: the image every simulator
+/// bench runs.
+fn hmmer() -> Executable {
+    let module = benchmark_by_name("hmmer").expect("known").module().clone();
+    let cm = compile(&optimize(&module, OptLevel::O2), OptLevel::O2);
+    Linker::new().link(&cm, "main").expect("links")
+}
+
 fn bench_mem(c: &mut Criterion) {
-    // Sequential word traffic on one page: the last-page cache's best case.
+    // Block dispatch's memory, built from a loaded process's pages the
+    // way `Machine::run` builds it.
+    let exe = hmmer();
+    let region_mem = || {
+        let process = Loader::new()
+            .load(&exe, &Environment::new(), &[2])
+            .expect("loads");
+        RegionMem::from(process.mem)
+    };
+
+    // Sequential word traffic on one page of the data region.
     c.bench_function("mem-seq-u32-rw", |b| {
-        let mut mem = PagedMem::new();
+        let mut mem = region_mem();
         b.iter(|| {
-            let mut acc = 0u32;
+            let mut acc = 0u64;
             for i in 0..1024u32 {
-                mem.write_u32(0x1000_0000 + i * 4, i);
-                acc = acc.wrapping_add(mem.read_u32(0x1000_0000 + i * 4));
+                mem.write_le(DATA_BASE + i * 4, 4, u64::from(i));
+                acc = acc.wrapping_add(mem.read_le(DATA_BASE + i * 4, 4));
             }
             std::hint::black_box(acc)
         })
     });
 
-    // Strided traffic across many pages, including stack-height addresses:
-    // exercises the two-level table walk rather than the last-page cache.
+    // Strided traffic across the data segment's pages and the stack: each
+    // access touches another page, and the first round grows both regions.
     c.bench_function("mem-page-stride-rw", |b| {
-        let mut mem = PagedMem::new();
+        let mut mem = region_mem();
+        let stride = DATA_MAX / 256;
         b.iter(|| {
             let mut acc = 0u64;
             for i in 0..256u32 {
-                let addr = 0x1000_0000 + i * 0x1_1000;
-                mem.write_u64(addr, u64::from(i));
-                acc = acc.wrapping_add(mem.read_u64(addr));
-                acc = acc.wrapping_add(mem.read_u64(0x7FFE_0000 + i * 8));
+                let addr = DATA_BASE + i * stride;
+                mem.write_le(addr, 8, u64::from(i));
+                acc = acc.wrapping_add(mem.read_le(addr, 8));
+                acc = acc.wrapping_add(mem.read_le(STACK_TOP - 0x1_0000 + i * 8, 8));
             }
             std::hint::black_box(acc)
         })
     });
 
-    // Fresh process image at stack height: page mapping must stay cheap.
+    // Fresh process image at stack height: the loader's page mapping must
+    // stay cheap.
     c.bench_function("mem-fresh-image", |b| {
         b.iter(|| {
             let mut mem = PagedMem::new();
@@ -86,10 +107,7 @@ fn bench_cache(c: &mut Criterion) {
 }
 
 fn bench_machine(c: &mut Criterion) {
-    let bench = benchmark_by_name("hmmer").expect("known");
-    let module = bench.module().clone();
-    let cm = compile(&optimize(&module, OptLevel::O2), OptLevel::O2);
-    let exe = Linker::new().link(&cm, "main").expect("links");
+    let exe = hmmer();
     let env = Environment::new();
 
     // The unprofiled run: attribution bookkeeping compiled out.

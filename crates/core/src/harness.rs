@@ -4,10 +4,12 @@
 //! Every measurement is **verified**: the run's checksum and return value
 //! must match the IR interpreter's reference outcome, so an experiment can
 //! never silently measure a miscompiled program. Compilation is cached per
-//! optimization level (and so is the optimized IR, once a static analyzer
-//! asks for it), and linking per (level, order, offset, symbol layout),
-//! since sweeps re-measure the same binary under hundreds of environments.
-//! The cached layouts of a level share one data image.
+//! optimization level (and so is the optimized IR, with whatever a static
+//! analyzer derives from it, once an analyzer asks for it), and linking per
+//! (level, order, offset, symbol layout), since sweeps re-measure the same
+//! binary under hundreds of environments. The cached layouts of a level
+//! share one data image. Every cache is a set of once-cells: a map lock, if
+//! any, is held only to fetch a cell, never while its value is computed.
 //!
 //! A setup's warm-up runs ([`ExperimentSetup::warmup_runs`]) run on the
 //! measured run's machine, each verified, so a warm measurement is one
@@ -17,6 +19,7 @@
 //! orchestrator seeds a new harness with a persisted outcome instead of
 //! interpreting it again.
 
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -123,6 +126,11 @@ impl From<RunError> for MeasureError {
 type LinkKey = (OptLevel, Vec<usize>, u32, Option<SymbolLayout>);
 /// A once-initialized link outcome; see the `linked` field.
 type LinkCell = Arc<OnceLock<Result<Arc<Executable>, LinkError>>>;
+/// One once-cell per optimization level, indexed by `level as usize`.
+type PerLevel<T> = [OnceLock<T>; OptLevel::ALL.len()];
+/// A once-initialized value derived from the optimized IR; see the
+/// `derived` field.
+type DerivedCell = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 
 /// A measurement harness for one benchmark.
 ///
@@ -144,11 +152,14 @@ type LinkCell = Arc<OnceLock<Result<Arc<Executable>, LinkError>>>;
 #[derive(Debug)]
 pub struct Harness {
     bench: Benchmark,
-    compiled: Mutex<HashMap<OptLevel, Arc<CompiledModule>>>,
+    compiled: PerLevel<Arc<CompiledModule>>,
     // Kept only once a static analyzer asks for it: a measurement needs
     // the compiled module alone, and the IR holds a copy of every
     // global's initial data.
-    optimized: Mutex<HashMap<OptLevel, Arc<Module>>>,
+    optimized: PerLevel<Arc<Module>>,
+    // What static analyzers derive from `optimized`, one cell per (level,
+    // type): this crate cannot name the analyzers' types.
+    derived: Mutex<HashMap<(OptLevel, TypeId), DerivedCell>>,
     // Each entry is a once-cell so concurrent first requests for the same
     // (level, order, offset, layout) link exactly once: the map lock is held
     // only to fetch the cell, never across the link itself.
@@ -163,8 +174,9 @@ impl Harness {
     pub fn new(bench: Benchmark) -> Harness {
         Harness {
             bench,
-            compiled: Mutex::new(HashMap::new()),
-            optimized: Mutex::new(HashMap::new()),
+            compiled: Default::default(),
+            optimized: Default::default(),
+            derived: Mutex::new(HashMap::new()),
             linked: Mutex::new(HashMap::new()),
             module_digest: OnceLock::new(),
         }
@@ -180,11 +192,9 @@ impl Harness {
     /// from [`Harness::optimized`]'s IR when that is already cached.
     #[must_use]
     pub fn compiled(&self, level: OptLevel) -> Arc<CompiledModule> {
-        self.compiled
-            .lock()
-            .entry(level)
-            .or_insert_with(|| {
-                let cached = self.optimized.lock().get(&level).cloned();
+        self.compiled[level as usize]
+            .get_or_init(|| {
+                let cached = self.optimized[level as usize].get().cloned();
                 let optimized =
                     cached.unwrap_or_else(|| Arc::new(opt::optimize(self.bench.module(), level)));
                 Arc::new(codegen::compile(&optimized, level))
@@ -198,11 +208,28 @@ impl Harness {
     /// [`Harness::compiled`] compiles it.
     #[must_use]
     pub fn optimized(&self, level: OptLevel) -> Arc<Module> {
-        self.optimized
-            .lock()
-            .entry(level)
-            .or_insert_with(|| Arc::new(opt::optimize(self.bench.module(), level)))
+        self.optimized[level as usize]
+            .get_or_init(|| Arc::new(opt::optimize(self.bench.module(), level)))
             .clone()
+    }
+
+    /// The value `derive` computes from [`Harness::optimized`]'s IR at
+    /// `level`, computed once per level and type `T` and shared by every
+    /// caller on every thread: the slot a static analyzer keeps its
+    /// machine-independent facts in. Concurrent first callers wait for
+    /// the one that computes; no lock is held while it does.
+    #[must_use]
+    pub fn derived<T: Any + Send + Sync>(
+        &self,
+        level: OptLevel,
+        derive: impl FnOnce(Arc<Module>) -> T,
+    ) -> Arc<T> {
+        let key = (level, TypeId::of::<T>());
+        let cell = self.derived.lock().entry(key).or_default().clone();
+        let value = cell.get_or_init(|| Arc::new(derive(self.optimized(level))));
+        Arc::clone(value)
+            .downcast()
+            .expect("the cell is keyed by its type")
     }
 
     /// The object symbol names, in declaration order (what
@@ -508,6 +535,37 @@ mod tests {
                 assert!(Arc::ptr_eq(&ir, &h.optimized(level)));
             }
         }
+    }
+
+    #[test]
+    fn derived_facts_are_computed_once_per_level_and_type_across_threads() {
+        let h = harness("mcf");
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let derive = |module: Arc<Module>| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            module.functions.len()
+        };
+        // Released together, the threads race for the first request.
+        let start = std::sync::Barrier::new(4);
+        let shared: Vec<Arc<usize>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        h.derived(OptLevel::O2, derive)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|j| j.join().unwrap()).collect()
+        });
+        assert!(shared.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
+        assert_eq!(*shared[0], h.optimized(OptLevel::O2).functions.len());
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1);
+        // Another level or another type is another cell.
+        let _ = h.derived(OptLevel::O3, derive);
+        let name = h.derived(OptLevel::O2, |m| m.functions[0].name.clone());
+        assert_eq!(*name, h.optimized(OptLevel::O2).functions[0].name);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -1064,8 +1064,9 @@ impl Orchestrator {
             }
         }
 
-        // Pre-warm compilation serially: `Harness::compiled` serializes
-        // on a lock anyway, and warming here keeps workers measuring.
+        // Pre-warm compilation serially: `Harness::compiled` makes
+        // concurrent callers wait for one compile of a level anyway, and
+        // warming here keeps workers measuring.
         let mut warmed: Vec<OptLevel> = work.iter().map(|(k, _)| k.opt).collect();
         warmed.sort_unstable();
         warmed.dedup();

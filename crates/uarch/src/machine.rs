@@ -873,33 +873,24 @@ impl Machine {
                 L2Port::new(l2, hot.stall_l2_hit, hot.stall_l2_miss)
             };
         }
-        // One body (non-terminator) instruction. `$hoisted` is a literal:
-        // `true` compiles the static counter bumps away (they were applied
-        // at block entry) and reconstructs the retired-instruction index
-        // from `$base + $i`; `false` is the interpreted per-instruction
-        // accounting.
+        // One body (non-terminator) instruction, with the interpreted
+        // per-instruction accounting: the budget and profiled paths.
         macro_rules! body_inst {
-            ($inst:expr, $i:expr, $base:expr, $hoisted:expr) => {{
-                if !$hoisted {
-                    c.instructions += 1;
-                    c.cycles += 1;
-                }
+            ($inst:expr) => {{
+                c.instructions += 1;
+                c.cycles += 1;
                 match $inst {
                     Inst::Alu { op, rd, rs1, rs2 } => {
                         wr!(rd, op.eval(rd!(rs1), rd!(rs2)));
-                        if !$hoisted {
-                            let extra = hot.alu_extra(op);
-                            c.cycles += extra;
-                            c.stall_compute += extra;
-                        }
+                        let extra = hot.alu_extra(op);
+                        c.cycles += extra;
+                        c.stall_compute += extra;
                     }
                     Inst::AluImm { op, rd, rs1, imm } => {
                         wr!(rd, op.eval(rd!(rs1), op.extend_imm(imm)));
-                        if !$hoisted {
-                            let extra = hot.alu_extra(op);
-                            c.cycles += extra;
-                            c.stall_compute += extra;
-                        }
+                        let extra = hot.alu_extra(op);
+                        c.cycles += extra;
+                        c.stall_compute += extra;
                     }
                     Inst::Lui { rd, imm } => wr!(rd, u64::from(imm) << 16),
                     Inst::Load {
@@ -909,12 +900,8 @@ impl Machine {
                         offset,
                     } => {
                         let addr = (rd!(base) as u32).wrapping_add(offset as i32 as u32);
-                        let idx = if $hoisted {
-                            $base + $i as u64 + 1
-                        } else {
-                            c.loads += 1;
-                            c.instructions
-                        };
+                        c.loads += 1;
+                        let idx = c.instructions;
                         dmem.access(&mut c, addr, width.bytes(), false, idx, &mut l2_port!());
                         wr!(rd, mem.read_le(addr, width.bytes()));
                     }
@@ -925,12 +912,8 @@ impl Machine {
                         offset,
                     } => {
                         let addr = (rd!(base) as u32).wrapping_add(offset as i32 as u32);
-                        let idx = if $hoisted {
-                            $base + $i as u64 + 1
-                        } else {
-                            c.stores += 1;
-                            c.instructions
-                        };
+                        c.stores += 1;
+                        let idx = c.instructions;
                         dmem.access(&mut c, addr, width.bytes(), true, idx, &mut l2_port!());
                         mem.write_le(addr, width.bytes(), rd!(rs));
                     }
@@ -998,7 +981,7 @@ impl Machine {
                         return Err(RunError::Budget(hot.max_instructions));
                     }
                     crossing!(i as u32);
-                    body_inst!(inst, i, inst_base, false);
+                    body_inst!(inst);
                 }
                 return Err(RunError::Budget(hot.max_instructions));
             }
@@ -1019,7 +1002,7 @@ impl Machine {
                 let body = &text[b.word as usize..(b.word + b.body_len) as usize];
                 for (i, &inst) in body.iter().enumerate() {
                     crossing!(i as u32);
-                    body_inst!(inst, i, inst_base, false);
+                    body_inst!(inst);
                 }
             } else {
                 // The uop fast path: one fused match per body instruction,
