@@ -34,8 +34,6 @@ pub struct FunctionHotness {
     pub name: String,
     /// Call-graph weight, normalized so the hottest function is 1.0.
     pub weight: f64,
-    /// Layer-1 control-flow analysis of the function.
-    pub cfg: CfgAnalysis,
     /// Frequency-weighted count of stack memory operations: accesses to
     /// *memory-resident* locals (register-promoted locals produce none —
     /// the codegen's own [`frame_plan`] decides which is which) plus the
@@ -165,7 +163,6 @@ impl ModuleHotness {
                 FunctionHotness {
                     name: f.name.clone(),
                     weight: w / max,
-                    cfg,
                     stack_ops,
                     frame: plan.frame,
                     mem_ops,

@@ -1,8 +1,8 @@
 //! The static-analysis pass manager.
 //!
 //! `biaslint` (and any future diagnostic) wants several per-function
-//! analyses — control flow, liveness, reaching definitions, value
-//! ranges — over the *same* optimized module, and different lints want
+//! analyses — liveness, reaching definitions, value ranges — over the
+//! *same* optimized module, and different lints want
 //! different subsets. The [`PassManager`] memoizes each analysis per
 //! function so a pass runs at most once no matter how many lints, reports
 //! or threads ask: it is `Sync`, and one manager per benchmark and level
@@ -11,9 +11,10 @@
 //! ## Contract
 //!
 //! * A *pass* is a pure function of one IR [`Function`] (the dataflow
-//!   passes live in `biaslab_toolchain::dataflow`; the CFG pass is this
-//!   crate's [`CfgAnalysis`]). Passes never see addresses — address
-//!   facts come from `crate::image` and are layered on top by the lints.
+//!   passes live in `biaslab_toolchain::dataflow`). Passes never see
+//!   addresses — address facts come from `crate::image` and are layered
+//!   on top by the lints. Control flow is not a pass: the hotness model
+//!   computes what it needs of it (`crate::cfg`) once per level.
 //! * Results are computed lazily on first request and cached for the
 //!   lifetime of the manager.
 //! * Results are asked for through a [`PassSession`], one per client
@@ -37,22 +38,18 @@ use biaslab_toolchain::dataflow::{Liveness, ReachingDefs, ValueRanges};
 use biaslab_toolchain::ir::{Function, Module};
 use biaslab_toolchain::opt::OptLevel;
 
-use crate::cfg::CfgAnalysis;
-
 /// Per-function memoization slots, one `OnceLock` per registered pass.
 #[derive(Default)]
 struct FunctionSlot {
-    cfg: OnceLock<CfgAnalysis>,
     liveness: OnceLock<Liveness>,
     reaching: OnceLock<ReachingDefs>,
     ranges: OnceLock<ValueRanges>,
 }
 
 /// A session's record bit for each pass.
-const CFG: u8 = 1;
-const LIVENESS: u8 = 2;
-const REACHING: u8 = 4;
-const RANGES: u8 = 8;
+const LIVENESS: u8 = 1;
+const REACHING: u8 = 2;
+const RANGES: u8 = 4;
 
 /// Lazily-memoized per-function analyses over one optimized module,
 /// shared by every [`PassSession`] on every thread.
@@ -145,16 +142,6 @@ impl<'p> PassSession<'p> {
         cell(&self.pm.slots[func]).get_or_init(|| run(self.pm.function(func)))
     }
 
-    /// Control-flow analysis (dominators, natural loops, frequencies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is out of range.
-    #[must_use]
-    pub fn cfg(&self, func: usize) -> &'p CfgAnalysis {
-        self.memo(func, CFG, |s| &s.cfg, CfgAnalysis::of)
-    }
-
     /// Backward liveness of local-slot cells.
     ///
     /// # Panics
@@ -224,12 +211,11 @@ mod tests {
 
         let _ = s.reaching(0);
         let _ = s.ranges(0);
-        let _ = s.cfg(0);
-        assert_eq!(s.passes_run(), 4);
+        assert_eq!(s.passes_run(), 3);
         assert_eq!(s.functions_analyzed(), 1);
 
         let _ = s.liveness(1);
-        assert_eq!(s.passes_run(), 5);
+        assert_eq!(s.passes_run(), 4);
         assert_eq!(s.functions_analyzed(), 2);
 
         // A second session shares the results but counts only its own use.
@@ -237,7 +223,7 @@ mod tests {
         assert_eq!(t.liveness(0) as *const Liveness, l1);
         assert_eq!(t.passes_run(), 1);
         assert_eq!(t.functions_analyzed(), 1);
-        assert_eq!(s.passes_run(), 5);
+        assert_eq!(s.passes_run(), 4);
     }
 
     #[test]

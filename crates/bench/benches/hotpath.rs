@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulator's hot loops: simulated-memory access,
-//! cache way scans, and the simulator with and without attribution and on
-//! the per-instruction oracle. `scripts/bench.sh` runs this executable for
+//! cache way scans, and the simulator with and without attribution, as a
+//! lockstep group of the three paper machines, and on the per-instruction
+//! oracle. `scripts/bench.sh` runs this executable for
 //! the parent commit and the change in alternating rounds and guards
 //! `simulate-unprofiled`, the number every simulated measurement's time
 //! hangs on.
@@ -118,6 +119,48 @@ fn bench_machine(c: &mut Criterion) {
             std::hint::black_box(machine.run(&exe, process).expect("runs"))
         })
     });
+
+    // The three paper machines driven by one functional pass.
+    let group = || {
+        let process = Loader::new().load(&exe, &env, &[2]).expect("loads");
+        let mut machines: Vec<Machine> =
+            MachineConfig::all().into_iter().map(Machine::new).collect();
+        std::hint::black_box(Machine::run_group(&mut machines, &exe, process).expect("runs"))
+    };
+    c.bench_function("simulate-group", |b| b.iter(group));
+
+    // The group's speed over its members run one by one: the three solo
+    // medians, summed, over the group's median, from 101 alternating
+    // rounds of the three solo runs and the group.
+    let solo = |config: &MachineConfig| {
+        let process = Loader::new().load(&exe, &env, &[2]).expect("loads");
+        let mut machine = Machine::new(config.clone());
+        std::hint::black_box(machine.run(&exe, process).expect("runs"))
+    };
+    let configs = MachineConfig::all();
+    let mut times = vec![Vec::new(); configs.len() + 1];
+    for _ in 0..101 {
+        for (side, config) in configs.iter().enumerate() {
+            let start = std::time::Instant::now();
+            solo(config);
+            times[side].push(start.elapsed());
+        }
+        let start = std::time::Instant::now();
+        group();
+        times[configs.len()].push(start.elapsed());
+    }
+    let medians: Vec<f64> = times
+        .into_iter()
+        .map(|mut t| {
+            t.sort_unstable();
+            t[t.len() / 2].as_secs_f64()
+        })
+        .collect();
+    let (solos, grouped) = medians.split_at(configs.len());
+    println!(
+        "stat group-over-solo {:.3}",
+        solos.iter().sum::<f64>() / grouped[0]
+    );
 
     // The profiled run pays for per-instruction attribution.
     c.bench_function("simulate-profiled", |b| {

@@ -14,7 +14,10 @@
 //! A setup's warm-up runs ([`ExperimentSetup::warmup_runs`]) run on the
 //! measured run's machine, each verified, so a warm measurement is one
 //! deterministic function of its setup like any other and the orchestrator
-//! caches it under its key. Reference outcomes are identified by a digest
+//! caches it under its key. Setups that differ only in their machines
+//! share one functional pass and can be measured as one lockstep group
+//! ([`Harness::measure_group`]): one link and one load per pass, one run
+//! driving every member's machine. Reference outcomes are identified by a digest
 //! of the module and arguments they were computed from, which is how the
 //! orchestrator seeds a new harness with a persisted outcome instead of
 //! interpreting it again.
@@ -280,16 +283,9 @@ impl Harness {
                 Some(SymbolLayout::Pad { symbol, bytes }) => linker.pad_symbol(symbol, *bytes),
                 Some(SymbolLayout::Align { symbol, align }) => linker.align_symbol(symbol, *align),
             };
-            let mut exe = linker.link(&cm, self.bench.entry())?;
-            // Layouts differ in text only, so every cached layout at a
-            // level shares the declaration-order executable's data image.
-            let declared: Vec<usize> = (0..cm.objects.len()).collect();
-            if (order, text_offset, symbol_layout) != (declared.as_slice(), 0, None) {
-                if let Ok(base) = self.executable(level, &declared, 0) {
-                    exe.share_data_with(&base);
-                }
-            }
-            Ok(Arc::new(exe))
+            // Layouts differ in text only: every cached layout at a level
+            // shares the compiled module's one data image.
+            Ok(Arc::new(linker.link(&cm, self.bench.entry())?))
         })
         .clone()
     }
@@ -347,7 +343,7 @@ impl Harness {
     /// → run → stat, on a fresh (cold) machine — or, with
     /// [`ExperimentSetup::warmup_runs`] set, on one that has already run
     /// that many verified runs of the same executable, each on a freshly
-    /// loaded process.
+    /// loaded process. A lockstep group of one ([`Harness::measure_group`]).
     ///
     /// With [`telemetry`] enabled every stage runs inside a phase span,
     /// under the span already open on this thread (the orchestrator's
@@ -366,48 +362,105 @@ impl Harness {
         setup: &ExperimentSetup,
         size: InputSize,
     ) -> Result<Measurement, MeasureError> {
+        self.measure_group(&[setup], size)
+            .pop()
+            .expect("one result per member")
+    }
+
+    /// Takes one verified measurement per setup of a lockstep group: setups
+    /// that [share a functional pass](ExperimentSetup::shares_functional_pass)
+    /// and differ only in their machines. The group links and loads once
+    /// per pass, and one run ([`Machine::run_group`]) drives every member's
+    /// machine; each member's counters are bit-identical to its own
+    /// [`Harness::measure`], and each member is verified. With warm-up runs
+    /// the group makes that many verified lockstep passes first, on the
+    /// same machines. Results come back in member order.
+    ///
+    /// In a trace the group's stages are one `link` span and one `load`,
+    /// `run` and `stat` span per pass, like a single measurement's. Only a
+    /// group of one is profiled.
+    ///
+    /// A failure before or during the run (link, load, run, or a warm-up
+    /// run's verification) is every member's error: all of them are
+    /// properties of the shared functional pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `setups` is empty, holds more than
+    /// [`biaslab_uarch::MAX_GROUP`] setups, or holds two that do not share
+    /// a functional pass.
+    pub fn measure_group(
+        &self,
+        setups: &[&ExperimentSetup],
+        size: InputSize,
+    ) -> Vec<Result<Measurement, MeasureError>> {
+        let first = *setups.first().expect("a lockstep group has a member");
+        assert!(
+            setups.iter().all(|s| s.shares_functional_pass(first)),
+            "a lockstep group shares one functional pass"
+        );
         if crate::faults::active() {
             crate::faults::delay(crate::faults::site::MEASURE_DELAY);
         }
         let bench = self.bench.name();
-        let stages = || {
-            telemetry::in_span("compile", bench, |_| self.compiled(setup.opt));
-            let exe = telemetry::in_span("link", bench, |_| self.link(setup))?;
-            let new_machine = || Machine::new(setup.machine.clone());
-            let mut warmed = None;
-            for _ in 0..setup.warmup_runs {
-                let process = telemetry::in_span("load", bench, |_| self.load(&exe, setup, size))?;
-                let result = telemetry::in_span("run", bench, |_| {
-                    warmed.get_or_insert_with(new_machine).run(&exe, process)
+        let stages = || -> Result<Vec<Result<Measurement, MeasureError>>, MeasureError> {
+            telemetry::in_span("compile", bench, |_| self.compiled(first.opt));
+            let exe = telemetry::in_span("link", bench, |_| self.link(first))?;
+            let new_machines = || -> Vec<Machine> {
+                setups
+                    .iter()
+                    .map(|s| Machine::new(s.machine.clone()))
+                    .collect()
+            };
+            let mut machines: Option<Vec<Machine>> = None;
+            for _ in 0..first.warmup_runs {
+                let process = telemetry::in_span("load", bench, |_| self.load(&exe, first, size))?;
+                let results = telemetry::in_span("run", bench, |_| {
+                    let machines = machines.get_or_insert_with(new_machines);
+                    Machine::run_group(machines, &exe, process)
                 })?;
-                telemetry::in_span("stat", bench, |_| self.verify(setup, size, &result))?;
+                telemetry::in_span("stat", bench, |_| {
+                    setups
+                        .iter()
+                        .zip(&results)
+                        .try_for_each(|(s, r)| self.verify(s, size, r).map(drop))
+                })?;
             }
-            let process = telemetry::in_span("load", bench, |_| self.load(&exe, setup, size))?;
-            let (machine, result) = telemetry::in_span("run", bench, |span| {
-                let mut machine = warmed.unwrap_or_else(new_machine);
+            let process = telemetry::in_span("load", bench, |_| self.load(&exe, first, size))?;
+            let (machines, results) = telemetry::in_span("run", bench, |span| {
+                let mut machines = machines.unwrap_or_else(new_machines);
                 // `span` is 0 unless tracing is on: profiles need both.
-                let result = if span != 0 && telemetry::profiles_enabled() {
-                    machine
+                let results = match machines.as_mut_slice() {
+                    [machine] if span != 0 && telemetry::profiles_enabled() => machine
                         .run_profiled(&exe, process)
                         .map(|(result, profile)| {
                             telemetry::emit_profile(span, bench, &profile);
-                            result
-                        })
-                } else {
-                    machine.run(&exe, process)
+                            vec![result]
+                        }),
+                    members => Machine::run_group(members, &exe, process),
                 };
-                (machine, result)
+                (machines, results)
             });
-            let result = result?;
-            // The machine (and so its block cache) lives across the
-            // warm-up runs; one export covers them all.
-            Self::export_block_stats(&machine);
-            telemetry::in_span("stat", bench, |_| self.verify(setup, size, &result))
+            let results = results?;
+            // The machines (and so their block caches) live across the
+            // warm-up runs; one export each covers them all.
+            for machine in &machines {
+                Self::export_block_stats(machine);
+            }
+            Ok(telemetry::in_span("stat", bench, |_| {
+                setups
+                    .iter()
+                    .zip(&results)
+                    .map(|(s, r)| self.verify(s, size, r))
+                    .collect()
+            }))
         };
-        if telemetry::enabled() && telemetry::current_span() == 0 {
-            return telemetry::in_span("measure", bench, |_| stages());
-        }
-        stages()
+        let outcome = if telemetry::enabled() && telemetry::current_span() == 0 {
+            telemetry::in_span("measure", bench, |_| stages())
+        } else {
+            stages()
+        };
+        outcome.unwrap_or_else(|e| vec![Err(e); setups.len()])
     }
 
     /// The (cached) executable for `setup`'s level, link order, text

@@ -12,11 +12,13 @@
 //!   optimization level, link order, text offset, stack shift, environment,
 //!   input size, warm-up runs, symbol layout);
 //! - **one measurement protocol**: [`Orchestrator::measure`] and every
-//!   worker of [`Orchestrator::sweep`] take a key through the same
+//!   worker of [`Orchestrator::sweep`] take their keys through the same
 //!   single-flight leader/waiter loop, so the cache never runs the same
 //!   simulation twice, however callers overlap;
 //! - **work-stealing parallel execution** over the deduplicated set of
-//!   uncached setups;
+//!   uncached setups, in lockstep groups: setups that differ only in
+//!   their machines share one simulated functional pass
+//!   ([`Harness::measure_group`]);
 //! - a **capacity bound**: the cache can be capped (oldest-record-first
 //!   eviction) via [`Orchestrator::set_cache_cap`] or, for the global
 //!   instance, the `BIASLAB_CACHE_CAP` environment variable — evictions
@@ -64,7 +66,7 @@ use std::time::Instant;
 
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
-use biaslab_uarch::{Counters, MachineConfig, RunError};
+use biaslab_uarch::{Counters, MachineConfig, RunError, MAX_GROUP};
 use biaslab_workloads::{benchmark_by_name, benchmark_names, Expected, InputSize};
 use parking_lot::Mutex;
 
@@ -497,7 +499,7 @@ enum CellState {
     /// `Pending`, the result only passes through on the way to the cache).
     Done(Box<Result<Measurement, MeasureError>>),
     /// The leader died without publishing (it panicked). Waiters go back
-    /// to [`Orchestrator::measure_request`] and elect a new leader.
+    /// to [`Orchestrator::group_request`] and elect a new leader.
     Abandoned,
 }
 
@@ -549,6 +551,10 @@ impl fmt::Display for DeadlineExceeded {
 }
 
 impl std::error::Error for DeadlineExceeded {}
+
+/// A deadline-bounded request's answer: the measurement's result, or
+/// [`DeadlineExceeded`] when the deadline passed before one was available.
+type Answer = Result<Result<Measurement, MeasureError>, DeadlineExceeded>;
 
 /// Everything the orchestrator's one cache lock guards: the records,
 /// their FIFO insertion order, the capacity bound and the in-flight
@@ -795,7 +801,10 @@ impl Orchestrator {
         let key = MeasureKey::new(harness.benchmark().name(), setup, size);
         let span = telemetry::enabled()
             .then(|| telemetry::Span::open("measure", &key.bench).with_key(key.digest()));
-        let (r, outcome) = self.measure_request(harness, setup, size, &key, deadline, true);
+        let (r, outcome) = self
+            .group_request(harness, &[(&key, setup)], size, deadline, true)
+            .pop()
+            .expect("one answer per member");
         if let Some(span) = span {
             span.with_outcome(outcome).close();
         }
@@ -803,170 +812,226 @@ impl Orchestrator {
     }
 
     /// The single-flight measurement protocol behind
-    /// [`Orchestrator::measure`] and every [`Orchestrator::sweep`] worker.
-    /// With `count` set, the request counts one hit or miss (a sweep
-    /// counts its requests in its lookup pass instead).
+    /// [`Orchestrator::measure`] (a group of one) and every
+    /// [`Orchestrator::sweep`] worker, for the keys of one lockstep group:
+    /// setups that share a functional pass
+    /// ([`ExperimentSetup::shares_functional_pass`]). Each key is recalled
+    /// when cached, waited for when another request leads it, and led
+    /// otherwise; the keys this request leads run as one group
+    /// ([`Orchestrator::simulate_group`]), and each is logged and
+    /// published on its own. With `count` set, each key counts one hit or
+    /// miss (a sweep counts its requests in its lookup pass instead).
+    /// Results come back in member order.
     ///
-    /// The protocol is a loop because a leader can die: a waiter woken on
-    /// an `Abandoned` cell goes around again and — finding neither a
-    /// cached record nor an in-flight cell — elects itself the new leader.
-    /// A leader that panics on an injected *recoverable* fault
-    /// ([`site::LEADER_PANIC`]) retries in place; any other leader panic
-    /// unwinds out (its [`LeaderGuard`] abandons the cell on the way), so
-    /// the panic stays visible to the panicking caller while the waiters
-    /// recover. Stats count once per request whatever the number of
-    /// takeover rounds.
-    fn measure_request(
+    /// The protocol is a loop because a leader can die: a key whose
+    /// leader abandoned it goes around again and — finding neither a
+    /// cached record nor an in-flight cell — is led by this request. A
+    /// leader that panics on an injected *recoverable* fault
+    /// ([`site::LEADER_PANIC`]) retries its whole group in place; any
+    /// other leader panic unwinds out (each key's [`LeaderGuard`] abandons
+    /// its cell on the way), so the panic stays visible to the panicking
+    /// caller while the waiters recover. Stats count once per key whatever
+    /// the number of takeover rounds.
+    fn group_request(
         &self,
         harness: &Harness,
-        setup: &ExperimentSetup,
+        members: &[(&MeasureKey, &ExperimentSetup)],
         size: InputSize,
-        key: &MeasureKey,
         deadline: Option<Instant>,
         count: bool,
-    ) -> (
-        Result<Result<Measurement, MeasureError>, DeadlineExceeded>,
-        CacheOutcome,
-    ) {
-        enum Role {
-            Done(Result<Measurement, MeasureError>),
-            Wait(Arc<InflightCell>),
-            Lead(Arc<InflightCell>),
-        }
-        let mut noted: Option<CacheOutcome> = None;
-        let mut note_once = |outcome: CacheOutcome| {
-            *noted.get_or_insert_with(|| {
+    ) -> Vec<(Answer, CacheOutcome)> {
+        let mut answers: Vec<Option<Answer>> = vec![None; members.len()];
+        let mut noted: Vec<Option<CacheOutcome>> = vec![None; members.len()];
+        let mut note_once = |i: usize, outcome: CacheOutcome| {
+            *noted[i].get_or_insert_with(|| {
                 if count {
-                    self.note(outcome, key);
+                    self.note(outcome, members[i].0);
                 }
                 outcome
             })
         };
-        loop {
-            let role = {
+        let mut pending: Vec<usize> = (0..members.len()).collect();
+        while !pending.is_empty() {
+            let (mut cached, mut waits, mut leads) = (Vec::new(), Vec::new(), Vec::new());
+            {
                 let mut cache = self.cache.lock();
-                if let Some(r) = cache.records.get(key) {
-                    Role::Done(r.clone())
-                } else if let Some(cell) = cache.inflight.get(key) {
-                    Role::Wait(cell.clone())
-                } else {
-                    let cell = Arc::new(InflightCell::default());
-                    cache.inflight.insert(key.clone(), cell.clone());
-                    Role::Lead(cell)
-                }
-            };
-            match role {
-                Role::Done(r) => return (Ok(r), note_once(CacheOutcome::Hit)),
-                Role::Wait(cell) => {
-                    let outcome = note_once(CacheOutcome::Hit);
-                    let mut state = lock_unpoisoned(&cell.state);
-                    loop {
-                        match &*state {
-                            CellState::Done(r) => return (Ok((**r).clone()), outcome),
-                            CellState::Abandoned => break, // take over: go around
-                            CellState::Pending => match deadline {
-                                None => state = wait_unpoisoned(&cell.ready, state),
-                                Some(d) => {
-                                    // Timed wait: walk away when the
-                                    // deadline passes first; the leader's
-                                    // result still lands in the cache.
-                                    let now = Instant::now();
-                                    if now >= d {
-                                        return (Err(DeadlineExceeded), outcome);
-                                    }
-                                    let (g, _) =
-                                        wait_timeout_unpoisoned(&cell.ready, state, d - now);
-                                    state = g;
-                                }
-                            },
-                        }
+                for i in pending.drain(..) {
+                    let key = members[i].0;
+                    if let Some(r) = cache.records.get(key) {
+                        cached.push((i, r.clone()));
+                    } else if let Some(cell) = cache.inflight.get(key) {
+                        waits.push((i, cell.clone()));
+                    } else {
+                        let cell = Arc::new(InflightCell::default());
+                        cache.inflight.insert(key.clone(), cell.clone());
+                        leads.push((i, cell));
                     }
                 }
-                Role::Lead(cell) => {
-                    let outcome = note_once(CacheOutcome::Miss);
-                    let mut guard = LeaderGuard {
-                        orch: self,
-                        key,
-                        cell: &cell,
-                        armed: true,
-                    };
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        // Expired before simulating: don't burn the run.
-                        // Returning drops the still-armed guard, which
-                        // retires the cell as `Abandoned` so any waiters
-                        // take over leadership instead of wedging.
-                        drop(guard);
-                        return (Err(DeadlineExceeded), outcome);
-                    }
-                    let r = loop {
-                        if !faults::active() {
-                            break self.simulate_one(harness, setup, size);
-                        }
-                        // Injected panics carry a marker payload: a
-                        // recoverable one is swallowed and the leader
-                        // retries in place; anything else (including the
-                        // deliberately unrecoverable hard site) unwinds
-                        // out through the guard so waiters take over.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            faults::maybe_panic_leader();
-                            self.simulate_one(harness, setup, size)
-                        })) {
-                            Ok(r) => break r,
-                            Err(payload) => {
-                                if faults::injected_panic(payload.as_ref())
-                                    .is_some_and(|p| p.recoverable)
-                                {
-                                    faults::recovered("leader.retry");
-                                    continue;
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                    };
-                    // Log a successful record before publishing it: every
-                    // record another request can see is then written or
-                    // queued, so any caller's sync covers it.
-                    if let (Some(log), Ok(m)) = (self.log.get(), &r) {
-                        self.queued.lock().push(record_line(key, m));
-                        self.write_queued(log);
-                    }
-                    // Publish to the cache and retire the in-flight entry
-                    // in one critical section: a new requester sees either
-                    // the cached record or the in-flight cell, never a gap
-                    // between them. This is the only place a measured
-                    // result enters the cache.
-                    let evicted = {
-                        let mut cache = self.cache.lock();
-                        cache.inflight.remove(key);
-                        cache.insert(key.clone(), r.clone())
-                    };
-                    guard.armed = false;
-                    self.note_evicted(&evicted);
-                    *lock_unpoisoned(&cell.state) = CellState::Done(Box::new(r.clone()));
-                    cell.ready.notify_all();
-                    return (Ok(r), outcome);
+            }
+            for (i, r) in cached {
+                note_once(i, CacheOutcome::Hit);
+                answers[i] = Some(Ok(r));
+            }
+            if !leads.is_empty() {
+                for &(i, _) in &leads {
+                    note_once(i, CacheOutcome::Miss);
                 }
+                for (i, r) in self.lead(harness, members, &leads, size, deadline) {
+                    answers[i] = Some(r);
+                }
+            }
+            // Wait only once this request's own keys are published, so a
+            // waiter on them never waits on this request's waits.
+            for (i, cell) in waits {
+                note_once(i, CacheOutcome::Hit);
+                match Self::wait(&cell, deadline) {
+                    Some(answer) => answers[i] = Some(answer),
+                    None => pending.push(i), // abandoned: take over
+                }
+            }
+        }
+        answers
+            .into_iter()
+            .zip(noted)
+            .map(|(answer, outcome)| {
+                (
+                    answer.expect("every key is answered"),
+                    outcome.expect("every key is noted"),
+                )
+            })
+            .collect()
+    }
+
+    /// Waits on another leader's in-flight cell: its result, or
+    /// `DeadlineExceeded` once the deadline passes first (the leader's
+    /// result still lands in the cache), or `None` if the leader abandoned
+    /// the cell and the key must be led again.
+    fn wait(cell: &InflightCell, deadline: Option<Instant>) -> Option<Answer> {
+        let mut state = lock_unpoisoned(&cell.state);
+        loop {
+            match &*state {
+                CellState::Done(r) => return Some(Ok((**r).clone())),
+                CellState::Abandoned => return None,
+                CellState::Pending => match deadline {
+                    None => state = wait_unpoisoned(&cell.ready, state),
+                    Some(d) => {
+                        let now = Instant::now();
+                        if now >= d {
+                            return Some(Err(DeadlineExceeded));
+                        }
+                        let (g, _) = wait_timeout_unpoisoned(&cell.ready, state, d - now);
+                        state = g;
+                    }
+                },
             }
         }
     }
 
-    /// Runs one simulation with the watchdog and the orchestrator's
-    /// simulated/busy accounting. Only the single-flight leader calls it;
-    /// each call counts as one simulation.
-    ///
-    /// The watchdog converts a runaway simulation — the machine's
-    /// instruction budget exhausting ([`RunError::Budget`]), or an
-    /// injected [`site::MEASURE_RUNAWAY`] fault — into
-    /// [`MeasureError::Watchdog`], retries once (the retry never
-    /// re-injects, so injected runaways always recover), and on a second
-    /// trip quarantines the key: the error is returned, and the caller
-    /// caches it like any other, so re-requests fail fast.
-    fn simulate_one(
+    /// Leads the keys `leads` (indices into `members`, each with the
+    /// in-flight cell this request registered for it) through one group
+    /// simulation, then logs and publishes each key's result.
+    fn lead(
         &self,
         harness: &Harness,
-        setup: &ExperimentSetup,
+        members: &[(&MeasureKey, &ExperimentSetup)],
+        leads: &[(usize, Arc<InflightCell>)],
         size: InputSize,
-    ) -> Result<Measurement, MeasureError> {
+        deadline: Option<Instant>,
+    ) -> Vec<(usize, Answer)> {
+        let mut guards: Vec<LeaderGuard<'_>> = leads
+            .iter()
+            .map(|(i, cell)| LeaderGuard {
+                orch: self,
+                key: members[*i].0,
+                cell,
+                armed: true,
+            })
+            .collect();
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            // Expired before simulating: don't burn the run. Dropping the
+            // still-armed guards retires each cell as `Abandoned`, so any
+            // waiters take over leadership instead of wedging.
+            drop(guards);
+            return leads
+                .iter()
+                .map(|&(i, _)| (i, Err(DeadlineExceeded)))
+                .collect();
+        }
+        let setups: Vec<&ExperimentSetup> = leads.iter().map(|&(i, _)| members[i].1).collect();
+        let results = loop {
+            if !faults::active() {
+                break self.simulate_group(harness, &setups, size);
+            }
+            // Injected panics carry a marker payload: a recoverable one is
+            // swallowed and the leader retries the whole group in place;
+            // anything else (including the deliberately unrecoverable hard
+            // site) unwinds out through the guards so waiters take over.
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                faults::maybe_panic_leader();
+                self.simulate_group(harness, &setups, size)
+            })) {
+                Ok(r) => break r,
+                Err(payload) => {
+                    if faults::injected_panic(payload.as_ref()).is_some_and(|p| p.recoverable) {
+                        faults::recovered("leader.retry");
+                        continue;
+                    }
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        };
+        leads
+            .iter()
+            .zip(&mut guards)
+            .zip(results)
+            .map(|((&(i, ref cell), guard), r)| {
+                let key = members[i].0;
+                // Log a successful record before publishing it: every
+                // record another request can see is then written or
+                // queued, so any caller's sync covers it.
+                if let (Some(log), Ok(m)) = (self.log.get(), &r) {
+                    self.queued.lock().push(record_line(key, m));
+                    self.write_queued(log);
+                }
+                // Publish to the cache and retire the in-flight entry in
+                // one critical section: a new requester sees either the
+                // cached record or the in-flight cell, never a gap between
+                // them. This is the only place a measured result enters
+                // the cache.
+                let evicted = {
+                    let mut cache = self.cache.lock();
+                    cache.inflight.remove(key);
+                    cache.insert(key.clone(), r.clone())
+                };
+                guard.armed = false;
+                self.note_evicted(&evicted);
+                *lock_unpoisoned(&cell.state) = CellState::Done(Box::new(r.clone()));
+                cell.ready.notify_all();
+                (i, Ok(r))
+            })
+            .collect()
+    }
+
+    /// Runs one lockstep group's simulation with the watchdog and the
+    /// orchestrator's simulated/busy accounting, returning one result per
+    /// setup. Only a single-flight leader calls it; each setup counts as
+    /// one simulation, and the group's time counts once as busy time.
+    ///
+    /// The watchdog works per setup. An injected [`site::MEASURE_RUNAWAY`]
+    /// fault fires per setup, and a setup it fires on is answered without
+    /// joining the group. A runaway — the instruction budget exhausting
+    /// ([`RunError::Budget`]), or the injected fault — becomes
+    /// [`MeasureError::Watchdog`], and the setup is retried once on its
+    /// own (the retry never re-injects, so injected runaways always
+    /// recover); on a second trip the key is quarantined: the error is
+    /// returned, and the caller caches it like any other, so re-requests
+    /// fail fast.
+    fn simulate_group(
+        &self,
+        harness: &Harness,
+        setups: &[&ExperimentSetup],
+        size: InputSize,
+    ) -> Vec<Result<Measurement, MeasureError>> {
         fn watchdogify(e: MeasureError) -> MeasureError {
             match e {
                 MeasureError::Run(RunError::Budget(limit)) => MeasureError::Watchdog { limit },
@@ -974,26 +1039,52 @@ impl Orchestrator {
             }
         }
         let start = Instant::now();
-        let mut r = if faults::fire(site::MEASURE_RUNAWAY) {
-            Err(MeasureError::Watchdog {
-                limit: setup.machine.max_instructions,
-            })
+        let runaway: Vec<bool> = setups
+            .iter()
+            .map(|_| faults::fire(site::MEASURE_RUNAWAY))
+            .collect();
+        let joined: Vec<&ExperimentSetup> = setups
+            .iter()
+            .zip(&runaway)
+            .filter(|&(_, &fired)| !fired)
+            .map(|(&s, _)| s)
+            .collect();
+        let mut grouped = if joined.is_empty() {
+            Vec::new()
         } else {
-            harness.measure(setup, size).map_err(watchdogify)
-        };
-        if matches!(r, Err(MeasureError::Watchdog { .. })) {
-            self.watchdog_fired.add(1);
-            self.watchdog_retries.add(1);
-            r = harness.measure(setup, size).map_err(watchdogify);
-            if matches!(r, Err(MeasureError::Watchdog { .. })) {
-                self.watchdog_quarantined.add(1);
-            } else {
-                faults::recovered("watchdog.retry");
-            }
+            harness.measure_group(&joined, size)
         }
-        self.simulated.add(1);
+        .into_iter();
+        let results = setups
+            .iter()
+            .zip(runaway)
+            .map(|(setup, fired)| {
+                let mut r = if fired {
+                    Err(MeasureError::Watchdog {
+                        limit: setup.machine.max_instructions,
+                    })
+                } else {
+                    grouped
+                        .next()
+                        .expect("one result per joined setup")
+                        .map_err(watchdogify)
+                };
+                if matches!(r, Err(MeasureError::Watchdog { .. })) {
+                    self.watchdog_fired.add(1);
+                    self.watchdog_retries.add(1);
+                    r = harness.measure(setup, size).map_err(watchdogify);
+                    if matches!(r, Err(MeasureError::Watchdog { .. })) {
+                        self.watchdog_quarantined.add(1);
+                    } else {
+                        faults::recovered("watchdog.retry");
+                    }
+                }
+                self.simulated.add(1);
+                r
+            })
+            .collect();
         self.busy_us.add(start.elapsed().as_micros() as u64);
-        r
+        results
     }
 
     /// Measures many setups, preserving request order.
@@ -1073,6 +1164,15 @@ impl Orchestrator {
         for level in warmed {
             let _ = harness.compiled(level);
         }
+        // Uncached keys that share a functional pass run as lockstep
+        // groups, one work item each. Profiled runs are single-machine, so
+        // with profiles on every group has one member.
+        let cap = if telemetry::profiles_enabled() {
+            1
+        } else {
+            MAX_GROUP
+        };
+        let work = lockstep_groups(&work, cap);
         // An all-hit sweep spawns no worker and skips the parallelism
         // query, which std documents as potentially expensive (on Linux it
         // consults cgroup quotas).
@@ -1098,24 +1198,28 @@ impl Orchestrator {
                             telemetry::set_scope(caller_scope);
                         }
                         let mut done = Vec::new();
-                        while let Some(&(key, setup)) =
-                            work.get(next.fetch_add(1, Ordering::Relaxed))
-                        {
+                        while let Some(group) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
                             if faults::active() {
                                 faults::delay(site::WORKER_DELAY);
                             }
-                            let span = traced.then(|| {
+                            // The group's stages nest under its first key's
+                            // `measure` span; each other key gets its own
+                            // `measure` span right after.
+                            let span = |(key, _): &(&MeasureKey, _)| {
                                 telemetry::Span::open("measure", &key.bench)
                                     .with_key(key.digest())
                                     .with_outcome(CacheOutcome::Miss)
-                            });
-                            // The lookup pass already counted this request.
-                            let (r, _) =
-                                self.measure_request(harness, setup, size, key, deadline, false);
-                            if let Some(span) = span {
-                                span.close();
+                            };
+                            let first = traced.then(|| span(&group[0]));
+                            // The lookup pass already counted these requests.
+                            let rs = self.group_request(harness, group, size, deadline, false);
+                            if let Some(first) = first {
+                                first.close();
+                                for member in &group[1..] {
+                                    span(member).close();
+                                }
                             }
-                            done.push((key, r));
+                            done.extend(group.iter().zip(rs).map(|(&(key, _), (r, _))| (key, r)));
                         }
                         done
                     })
@@ -1547,6 +1651,41 @@ impl Orchestrator {
 // Version 4: added the `warmup` and `layout` key factors and the
 // reference-outcome lines; a v3 record does not say which setup it
 // measured in those terms, so v3 files prune wholesale.
+/// Partitions a sweep's uncached work into lockstep groups of at most
+/// `cap` keys: in request order, each key joins the open group whose
+/// setups share its functional pass
+/// ([`ExperimentSetup::shares_functional_pass`]; a sweep's keys share
+/// their benchmark and input size), or opens one, and a full group
+/// closes.
+fn lockstep_groups<'a>(
+    work: &[(&'a MeasureKey, &'a ExperimentSetup)],
+    cap: usize,
+) -> Vec<Vec<(&'a MeasureKey, &'a ExperimentSetup)>> {
+    let mut groups: Vec<Vec<(&MeasureKey, &ExperimentSetup)>> = Vec::new();
+    let mut open: Vec<usize> = Vec::new();
+    for &(key, setup) in work {
+        match open
+            .iter()
+            .position(|&g| groups[g][0].1.shares_functional_pass(setup))
+        {
+            Some(at) => {
+                let g = open[at];
+                groups[g].push((key, setup));
+                if groups[g].len() == cap {
+                    open.remove(at);
+                }
+            }
+            None => {
+                if cap > 1 {
+                    open.push(groups.len());
+                }
+                groups.push(vec![(key, setup)]);
+            }
+        }
+    }
+    groups
+}
+
 const RECORD_VERSION: u64 = 4;
 
 /// The fields of one record line, in order.
@@ -2637,6 +2776,121 @@ mod tests {
             .iter()
             .all(Result::is_ok));
         assert_eq!(orch.stats().simulated, 4, "each remaining key once");
+    }
+
+    /// The three paper machines at each of `envs` environment sizes, at
+    /// O2: one functional identity per environment.
+    fn machine_setups(envs: &[u32]) -> Vec<ExperimentSetup> {
+        envs.iter()
+            .flat_map(|&bytes| {
+                MachineConfig::all().into_iter().map(move |m| {
+                    ExperimentSetup::default_on(m, OptLevel::O2)
+                        .with_env(Environment::of_total_size(bytes))
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sweeps_partition_their_work_into_lockstep_groups() {
+        let mut setups = machine_setups(&[64, 128]);
+        // Two more core2 setups at 64 bytes: a fourth member for the first
+        // identity (which opens a second group) and a warm one (another
+        // identity).
+        let mut core2 = setups[1].clone();
+        core2.machine.l1d_next_line_prefetch = true;
+        setups.push(core2);
+        setups.push(setups[1].with_warmup_runs(1));
+        let keys: Vec<MeasureKey> = setups
+            .iter()
+            .map(|s| MeasureKey::new("hmmer", s, InputSize::Test))
+            .collect();
+        let work: Vec<(&MeasureKey, &ExperimentSetup)> = keys.iter().zip(&setups).collect();
+        let shape = |cap| -> Vec<Vec<usize>> {
+            lockstep_groups(&work, cap)
+                .iter()
+                .map(|g| {
+                    g.iter()
+                        .map(|(k, _)| keys.iter().position(|x| x == *k).expect("a key"))
+                        .collect()
+                })
+                .collect()
+        };
+        assert_eq!(
+            shape(MAX_GROUP),
+            vec![vec![0, 1, 2], vec![3, 4, 5], vec![6], vec![7]]
+        );
+        assert_eq!(shape(1), (0..8).map(|i| vec![i]).collect::<Vec<_>>());
+        for group in lockstep_groups(&work, MAX_GROUP) {
+            assert!(group
+                .iter()
+                .all(|(_, s)| s.shares_functional_pass(group[0].1)));
+        }
+    }
+
+    #[test]
+    fn a_grouped_sweep_equals_per_setup_measurement_and_simulates_each_key_once() {
+        let orch = Orchestrator::new();
+        let h = orch.harness("milc").expect("known benchmark");
+        let mut setups = machine_setups(&[64, 640]);
+        setups.extend(machine_setups(&[64]).iter().map(|s| s.with_warmup_runs(2)));
+        setups.push(setups[0].clone());
+        let swept = orch.sweep(&h, &setups, InputSize::Test);
+        let solo = Harness::new(benchmark_by_name("milc").expect("known benchmark"));
+        for (setup, r) in setups.iter().zip(&swept) {
+            let want = solo.measure(setup, InputSize::Test).expect("measures");
+            let got = r.as_ref().expect("measures");
+            assert_eq!(got.counters, want.counters, "{}", setup.summary());
+            assert_eq!(got.checksum, want.checksum);
+            assert_eq!(got.setup, want.setup);
+        }
+        let stats = orch.stats();
+        assert_eq!(stats.simulated, 9, "one simulation per distinct key");
+        assert_eq!(stats.misses, 10, "one count per request");
+        assert_eq!(stats.cached, 9);
+    }
+
+    #[test]
+    fn a_concurrent_measure_of_a_group_member_simulates_it_once() {
+        for member in 0..3 {
+            let orch = Orchestrator::new();
+            let h = orch.harness("hmmer").expect("known benchmark");
+            let setups = machine_setups(&[256]);
+            let barrier = std::sync::Barrier::new(2);
+            let (swept, measured) = std::thread::scope(|s| {
+                let sweep = s.spawn(|| {
+                    barrier.wait();
+                    orch.sweep(&h, &setups, InputSize::Test)
+                });
+                barrier.wait();
+                let measured = orch
+                    .measure(&h, &setups[member], InputSize::Test)
+                    .expect("measures");
+                (sweep.join().expect("sweep"), measured)
+            });
+            assert_eq!(orch.stats().simulated, 3, "member {member}: once per key");
+            assert_eq!(
+                swept[member].as_ref().expect("ok").counters,
+                measured.counters
+            );
+            assert!(orch.cache.lock().inflight.is_empty());
+        }
+    }
+
+    #[test]
+    fn an_expired_deadline_simulates_no_group() {
+        let orch = Orchestrator::new();
+        let h = orch.harness("hmmer").expect("known benchmark");
+        let setups = machine_setups(&[64, 128]);
+        let results = orch.sweep_deadline(&h, &setups, InputSize::Test, Some(Instant::now()));
+        assert!(results.iter().all(|r| matches!(r, Err(DeadlineExceeded))));
+        assert_eq!(orch.stats().simulated, 0);
+        assert!(orch.cache.lock().inflight.is_empty());
+        assert!(orch
+            .sweep(&h, &setups, InputSize::Test)
+            .iter()
+            .all(Result::is_ok));
+        assert_eq!(orch.stats().simulated, 6);
     }
 
     #[test]

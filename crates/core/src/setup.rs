@@ -175,6 +175,36 @@ impl ExperimentSetup {
         }
     }
 
+    /// Whether `self` and `other` run the same functional pass: the same
+    /// executable, the same process image and the same instruction budget,
+    /// so one pass of the program's instructions, values, addresses and
+    /// branch outcomes serves both and only their machines' timing differs.
+    /// Such setups can be measured in one lockstep group
+    /// ([`crate::harness::Harness::measure_group`]).
+    #[must_use]
+    pub fn shares_functional_pass(&self, other: &ExperimentSetup) -> bool {
+        // Exhaustive on purpose: a new setup factor must decide here
+        // whether it changes the functional pass.
+        let ExperimentSetup {
+            machine,
+            opt,
+            link_order,
+            env,
+            stack_shift,
+            text_offset,
+            warmup_runs,
+            symbol_layout,
+        } = self;
+        machine.max_instructions == other.machine.max_instructions
+            && *opt == other.opt
+            && *link_order == other.link_order
+            && *env == other.env
+            && *stack_shift == other.stack_shift
+            && *text_offset == other.text_offset
+            && *warmup_runs == other.warmup_runs
+            && *symbol_layout == other.symbol_layout
+    }
+
     /// A short human-readable summary, e.g. `core2/O3/env=612B/order=rand(7)`.
     /// Warm-up runs and a symbol layout add `/warmup=2` and
     /// `/layout=pad(main,8)` or `/layout=align(main,64)`; a setup without

@@ -48,11 +48,7 @@ pub fn compile(module: &Module, level: OptLevel) -> CompiledModule {
         .iter()
         .map(|f| compile_function(module, f, level))
         .collect();
-    CompiledModule {
-        objects,
-        globals: module.globals.clone(),
-        level,
-    }
+    CompiledModule::new(objects, module.globals.clone(), level)
 }
 
 /// Where a local slot lives at run time.

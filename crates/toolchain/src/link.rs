@@ -95,16 +95,6 @@ impl Executable {
         &self.data
     }
 
-    /// Makes this executable share `other`'s data image when the two hold
-    /// the same bytes, as every executable linked from one compiled module
-    /// does: the image depends on the module's globals, never on the
-    /// layout. A cache of many layouts then keeps one copy.
-    pub fn share_data_with(&mut self, other: &Executable) {
-        if self.data == other.data {
-            self.data = Arc::clone(&other.data);
-        }
-    }
-
     /// The global-pointer value the ABI expects in `gp`.
     #[must_use]
     pub fn gp(&self) -> u32 {
@@ -334,9 +324,9 @@ impl Linker {
         }
 
         // Globals (declaration order; link order moves only code).
-        let global_addrs = layout_globals(&cm.globals);
+        let global_addrs = layout_globals(cm.globals());
         let mut global_map: HashMap<&str, u32> = HashMap::new();
-        for (g, &a) in cm.globals.iter().zip(&global_addrs) {
+        for (g, &a) in cm.globals().iter().zip(&global_addrs) {
             global_map.insert(g.name.as_str(), a);
         }
 
@@ -399,17 +389,6 @@ impl Linker {
             }
         }
 
-        // Data image.
-        let data_size = global_addrs
-            .last()
-            .zip(cm.globals.last())
-            .map_or(0, |(&a, g)| a + g.size - crate::layout::DATA_BASE);
-        let mut data = vec![0u8; data_size as usize];
-        for (g, &a) in cm.globals.iter().zip(&global_addrs) {
-            let start = (a - crate::layout::DATA_BASE) as usize;
-            data[start..start + g.init.len()].copy_from_slice(&g.init);
-        }
-
         // Symbol table: shim, functions, globals.
         let mut symbols = vec![Symbol {
             name: "__start".into(),
@@ -424,7 +403,7 @@ impl Linker {
                 size: obj.size(),
             });
         }
-        for (g, &a) in cm.globals.iter().zip(&global_addrs) {
+        for (g, &a) in cm.globals().iter().zip(&global_addrs) {
             symbols.push(Symbol {
                 name: g.name.clone(),
                 addr: a,
@@ -436,7 +415,9 @@ impl Linker {
             text_base,
             insts,
             data_base: crate::layout::DATA_BASE,
-            data: Arc::new(data),
+            // The image depends on the globals alone, so every layout of
+            // the module shares the one its compilation built.
+            data: Arc::clone(cm.data_image()),
             gp: GP_VALUE,
             entry: text_base,
             symbols,
@@ -758,23 +739,24 @@ mod tests {
     }
 
     #[test]
-    fn layouts_of_one_module_can_share_their_data_image() {
+    fn every_layout_of_one_module_shares_its_data_image() {
         let cm = compiled(OptLevel::O2);
         let base = Linker::new().link(&cm, "main").unwrap();
-        let mut moved = Linker::new().text_offset(64).link(&cm, "main").unwrap();
-        let bytes = moved.data().to_vec();
-        assert!(!std::ptr::eq(moved.data(), base.data()));
-        moved.share_data_with(&base);
+        let moved = Linker::new()
+            .text_offset(64)
+            .object_order((0..cm.objects.len()).rev().collect())
+            .link(&cm, "main")
+            .unwrap();
         assert!(std::ptr::eq(moved.data(), base.data()));
-        assert_eq!(moved.data(), bytes.as_slice());
+        assert!(std::ptr::eq(base.data(), cm.data_image().as_slice()));
 
-        // A different image is never shared.
-        let mut other = cm.clone();
-        other.globals[0].init = vec![9; 8];
-        let mut foreign = Linker::new().link(&other, "main").unwrap();
-        foreign.share_data_with(&base);
-        assert!(!std::ptr::eq(foreign.data(), base.data()));
+        // Another module's globals build another image.
+        let mut globals = cm.globals().to_vec();
+        globals[0].init = vec![9; 8];
+        let other = CompiledModule::new(cm.objects.clone(), globals, cm.level);
+        let foreign = Linker::new().link(&other, "main").unwrap();
         assert_ne!(foreign.data(), base.data());
+        assert_eq!(&foreign.data()[..8], &[9; 8]);
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! tests) so they can be cached or shipped like real `.o` files.
 
 use std::fmt;
+use std::sync::Arc;
 
 use biaslab_isa::{decode, encode, Inst};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use crate::ir::Global;
+use crate::layout::{layout_globals, DATA_BASE};
 use crate::opt::OptLevel;
 
 /// A relocation to apply at link time.
@@ -231,20 +233,64 @@ impl fmt::Display for ObjFormatError {
 impl std::error::Error for ObjFormatError {}
 
 /// The output of compiling a whole module: one object per function plus the
-/// module's globals, in declaration order.
+/// module's globals, in declaration order, and the data image they lay out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledModule {
     /// One object per function, in the module's declaration order. Permute
     /// this vector (or pass an order to the linker) to exercise link-order
     /// bias.
     pub objects: Vec<ObjectFile>,
-    /// Module globals, laid out by the linker in this order.
-    pub globals: Vec<Global>,
     /// The optimization level the module was compiled at.
     pub level: OptLevel,
+    /// Module globals, laid out by the linker in this order.
+    globals: Vec<Global>,
+    /// The initialized data segment the globals lay out. Link order and
+    /// text placement move only code, so every executable linked from this
+    /// module shares this one image.
+    data: Arc<Vec<u8>>,
 }
 
 impl CompiledModule {
+    /// Assembles a compiled module and builds its data image once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packed globals exceed the data segment (see
+    /// [`layout_globals`]).
+    #[must_use]
+    pub fn new(objects: Vec<ObjectFile>, globals: Vec<Global>, level: OptLevel) -> CompiledModule {
+        let addrs = layout_globals(&globals);
+        let size = addrs
+            .last()
+            .zip(globals.last())
+            .map_or(0, |(&a, g)| a + g.size - DATA_BASE);
+        let mut data = vec![0u8; size as usize];
+        for (g, &a) in globals.iter().zip(&addrs) {
+            let start = (a - DATA_BASE) as usize;
+            data[start..start + g.init.len()].copy_from_slice(&g.init);
+        }
+        CompiledModule {
+            objects,
+            level,
+            globals,
+            data: Arc::new(data),
+        }
+    }
+
+    /// Module globals, in declaration order (the linker's data layout
+    /// order).
+    #[must_use]
+    pub fn globals(&self) -> &[Global] {
+        &self.globals
+    }
+
+    /// The initialized data image: zeroes, with each global's initializer
+    /// at its address. Shared by every executable linked from the module.
+    #[must_use]
+    pub fn data_image(&self) -> &Arc<Vec<u8>> {
+        &self.data
+    }
+
     /// Total text size in bytes, before link-time alignment padding.
     #[must_use]
     pub fn code_size(&self) -> u32 {
@@ -343,11 +389,7 @@ mod tests {
 
     #[test]
     fn compiled_module_lookup() {
-        let cm = CompiledModule {
-            objects: vec![sample()],
-            globals: vec![],
-            level: OptLevel::O2,
-        };
+        let cm = CompiledModule::new(vec![sample()], vec![], OptLevel::O2);
         assert_eq!(cm.object_index("f"), Some(0));
         assert_eq!(cm.object_index("missing"), None);
         assert_eq!(cm.code_size(), 12);

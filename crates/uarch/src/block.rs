@@ -689,7 +689,7 @@ pub fn decode(text: &[Inst], word: u32, p: &DecodeParams, boundaries: &[u32]) ->
     debug_assert_eq!(uops.len() as u32, body_len);
 
     // A crossing is kept unless it stays in the previous crossing's line
-    // and page (the entry counting as a crossing); see `run_blocks` for
+    // and page (the entry counting as a crossing); see `Machine::run_lockstep` for
     // why the front end then has nothing to look up.
     let line_page = |pc: u32| (pc >> p.line_shift, pc / PAGE_SIZE);
     let mut crossings = 0u32;

@@ -1,5 +1,9 @@
 //! Set-associative caches with true-LRU replacement.
 //!
+//! LRU order is kept as 16-bit stamps from a per-set clock, renumbered by
+//! rank when a set's clock would wrap (see [`Cache`]'s `renumber`), which
+//! keeps a core2 L2's state at 256 KiB instead of 448.
+//!
 //! The cache's address → set mapping is the central transmission channel of
 //! the paper's biases: moving a data structure (with the environment size)
 //! or a function (with the link order) changes which sets its lines occupy,
@@ -112,9 +116,12 @@ pub struct Cache {
     tags: Vec<u32>,
     /// Per-set packed valid mask: bit `way` set ⇔ that way holds a line.
     valid: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    clock: u64,
+    /// LRU stamps parallel to `tags`, from each set's own clock.
+    stamps: Vec<u16>,
+    /// Per-set LRU clock: the newest stamp handed out in the set. When
+    /// it would wrap, [`Cache::renumber`] rewrites the set's stamps by
+    /// rank first.
+    clocks: Vec<u16>,
     /// Per-set MRU filter: `mru[set]` is the line number
     /// (`addr >> line_shift`, widened; `u64::MAX` = none — a `u32` line
     /// number can never equal it, so no sentinel aliasing) of the set's
@@ -147,7 +154,7 @@ impl Cache {
             tags: vec![0; entries],
             valid: vec![0; sets as usize],
             stamps: vec![0; entries],
-            clock: 0,
+            clocks: vec![0; sets as usize],
             mru: vec![u64::MAX; sets as usize],
         })
     }
@@ -211,37 +218,62 @@ impl Cache {
     /// The way scan behind the MRU filter: LRU bookkeeping, and fill on
     /// a miss.
     fn access_scan(&mut self, addr: u32, line_no: u32, set: u32) -> bool {
-        self.clock += 1;
         let tag = self.tag_of(addr);
         let base = (set * self.config.ways) as usize;
         let ways = self.config.ways as usize;
         let valid = self.valid[set as usize];
+        if self.clocks[set as usize] == u16::MAX {
+            self.renumber(base, ways, valid, set);
+        }
+        self.clocks[set as usize] += 1;
+        let clock = self.clocks[set as usize];
         // Slice the set once so the way scan is bounds-checked once.
         let set_tags = &mut self.tags[base..base + ways];
 
         if let Some(way) = (0..ways).find(|&w| valid >> w & 1 == 1 && set_tags[w] == tag) {
-            self.stamps[base + way] = self.clock;
+            self.stamps[base + way] = clock;
             self.mru[set as usize] = u64::from(line_no);
             return true;
         }
         // Miss: evict LRU. Invalid ways carry stamp 0 and are always older
-        // than any filled way (the clock starts at 1), so they fill first.
+        // than any filled way (a set's clock hands out stamps from 1), so
+        // they fill first.
         let set_stamps = &self.stamps[base..base + ways];
         let victim = (0..ways)
             .min_by_key(|&w| set_stamps[w])
             .expect("cache has at least one way");
         set_tags[victim] = tag;
         self.valid[set as usize] = valid | 1 << victim;
-        self.stamps[base + victim] = self.clock;
+        self.stamps[base + victim] = clock;
         self.mru[set as usize] = u64::from(line_no);
         false
+    }
+
+    /// Rewrites one set's stamps by rank before its clock wraps: the
+    /// valid ways get 1 to `k` in their existing order, invalid ways keep
+    /// 0, and the clock restarts at `k`. Replacement compares stamps only
+    /// within a set, to find its oldest way, and filled ways' stamps are
+    /// distinct (each access stamps one way with a fresh clock value), so
+    /// every comparison it will make comes out as before and the
+    /// renumbering changes no hit, miss or victim.
+    #[cold]
+    fn renumber(&mut self, base: usize, ways: usize, valid: u64, set: u32) {
+        let stamps = &mut self.stamps[base..base + ways];
+        let old: Vec<u16> = stamps.to_vec();
+        let filled = |w: usize| valid >> w & 1 == 1;
+        let mut k = 0;
+        for w in (0..ways).filter(|&w| filled(w)) {
+            stamps[w] = 1 + (0..ways).filter(|&v| filled(v) && old[v] < old[w]).count() as u16;
+            k += 1;
+        }
+        self.clocks[set as usize] = k;
     }
 
     /// Invalidates all lines (used between measurement repetitions).
     pub fn flush(&mut self) {
         self.valid.fill(0);
         self.stamps.fill(0);
-        self.clock = 0;
+        self.clocks.fill(0);
         self.mru.fill(u64::MAX);
     }
 }
@@ -381,6 +413,96 @@ mod tests {
             wide.try_sets(),
             Err(GeometryError::WaysUnsupported { ways: 128 })
         );
+    }
+
+    /// A naive true-LRU cache: per set, the resident lines, most recent
+    /// last.
+    struct ListLru {
+        sets: Vec<Vec<u32>>,
+        ways: usize,
+        line: u32,
+    }
+
+    impl ListLru {
+        fn access(&mut self, addr: u32) -> bool {
+            let line_no = addr / self.line;
+            let n = self.sets.len();
+            let set = &mut self.sets[line_no as usize % n];
+            let hit = match set.iter().position(|&l| l == line_no) {
+                Some(at) => {
+                    set.remove(at);
+                    true
+                }
+                None => {
+                    if set.len() == self.ways {
+                        set.remove(0);
+                    }
+                    false
+                }
+            };
+            set.push(line_no);
+            hit
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+        /// Every set's clock starts just below `u16::MAX`, so a stream
+        /// wraps each set it touches a few times; hits and misses must
+        /// still match a true-LRU list access for access.
+        #[test]
+        fn stamps_renumbered_at_the_wrap_match_a_true_lru_list(
+            set_bits in 0u32..4,
+            ways in 1u32..9,
+            start_below_wrap in 0u16..40,
+            stream in proptest::collection::vec(0u32..48, 1..400),
+        ) {
+            let (sets, line) = (1u32 << set_bits, 64u32);
+            let mut cache = Cache::new(CacheConfig {
+                size: sets * ways * line,
+                ways,
+                line,
+                hit_latency: 1,
+            });
+            cache.clocks.fill(u16::MAX - start_below_wrap);
+            let mut oracle = ListLru {
+                sets: vec![Vec::new(); sets as usize],
+                ways: ways as usize,
+                line,
+            };
+            for (i, &l) in stream.iter().enumerate() {
+                let addr = l * line + (i as u32 % line);
+                proptest::prop_assert_eq!(
+                    cache.access(addr),
+                    oracle.access(addr),
+                    "access {} to line {} on {} sets x {} ways, clock from {}",
+                    i,
+                    l,
+                    sets,
+                    ways,
+                    u16::MAX - start_below_wrap
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn renumbering_keeps_the_order_and_restarts_the_clock() {
+        let mut c = tiny();
+        // Fill set 0's two ways, then let its clock reach the wrap.
+        let (a, b, d) = (0, 256, 512);
+        assert!(!c.access(a));
+        assert!(!c.access(b));
+        c.clocks[0] = u16::MAX;
+        assert!(c.access(a), "the renumbered set still holds a");
+        assert_eq!(c.clocks[0], 3, "two ranks, then the access's stamp");
+        assert_eq!(&c.stamps[0..2], &[3, 2]);
+        assert!(!c.access(d), "d evicts b, the older way");
+        assert!(c.access(a));
+        assert!(!c.access(b));
     }
 
     #[test]

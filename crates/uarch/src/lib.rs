@@ -21,7 +21,8 @@
 //! ([`front::FrontEnd`]) and a memory hierarchy ([`dmem::MemSystem`]) over
 //! explicit ports ([`ports`]), with a shared unified L2 between them. It
 //! dispatches whole basic blocks through a decoded trace cache
-//! ([`block::BlockCache`], [`KernelMode::Block`]);
+//! ([`block::BlockCache`], [`KernelMode::Block`]), and one functional pass
+//! can drive up to [`MAX_GROUP`] machines at once ([`Machine::run_group`]);
 //! [`KernelMode::Collapsed`] keeps the per-instruction loop as the test
 //! oracle, and differential tests pin both paths to bit-identical
 //! counters.
@@ -66,5 +67,5 @@ pub mod tlb;
 pub use block::{BlockCache, BlockCacheStats, DecodedBlock};
 pub use counters::Counters;
 pub use geometry::{ConfigError, GeometryError};
-pub use machine::{KernelMode, Machine, MachineConfig, RunError, RunResult};
+pub use machine::{KernelMode, Machine, MachineConfig, RunError, RunResult, MAX_GROUP};
 pub use profile::{Profile, ProfileEntry};

@@ -29,7 +29,9 @@ use biaslab_toolchain::load::Process;
 use biaslab_toolchain::mem::RegionMem;
 use serde::{Deserialize, Serialize};
 
-use crate::block::{BlockCache, BlockCacheStats, BlockEnd, DecodeParams, UopKind, REG_SLOTS};
+use crate::block::{
+    BlockCache, BlockCacheStats, BlockEnd, DecodeParams, DecodedBlock, UopKind, REG_SLOTS,
+};
 use crate::branch::BranchConfig;
 use crate::cache::{Cache, CacheConfig};
 use crate::counters::Counters;
@@ -421,6 +423,11 @@ impl HotConfig {
     }
 }
 
+/// The most machines one lockstep run ([`Machine::run_group`]) drives.
+/// Each member holds its own caches, and larger groups would coarsen a
+/// sweep's work items, so the executor is monomorphized for one to three.
+pub const MAX_GROUP: usize = 3;
+
 /// Which execution path [`Machine::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
@@ -535,7 +542,8 @@ impl Machine {
         self.l2.flush();
     }
 
-    /// Runs `process` against `exe` until `halt`.
+    /// Runs `process` against `exe` until `halt`: a lockstep group of one
+    /// (see [`Machine::run_group`]).
     ///
     /// # Errors
     ///
@@ -543,11 +551,69 @@ impl Machine {
     /// (a toolchain bug) or [`RunError::Budget`] if the configured
     /// instruction budget runs out (likely an infinite loop).
     pub fn run(&mut self, exe: &Executable, process: Process) -> Result<RunResult, RunError> {
-        self.run_inner(exe, process, None)
+        match self.kernel {
+            KernelMode::Block => {
+                Machine::run_lockstep::<1, false>([self], exe, process, None).map(|[result]| result)
+            }
+            KernelMode::Collapsed => self.run_loop::<false>(exe, process, None),
+        }
+    }
+
+    /// Runs one process on every member machine at once: one functional
+    /// pass (instructions, values, addresses, branch outcomes) drives each
+    /// member's front end, memory hierarchy and shared L2, each in exactly
+    /// the order it would see running the process alone, so every member's
+    /// result is bit-identical to its own [`Machine::run`]. The results
+    /// come back in member order.
+    ///
+    /// The members must share one instruction budget (`max_instructions`,
+    /// which the functional pass checks), and a group of more than one runs
+    /// block dispatch only: the per-instruction oracle stays a
+    /// single-machine loop, so it shares no code with the lockstep path it
+    /// checks.
+    ///
+    /// # Errors
+    ///
+    /// The run's [`RunError`], which is the same for every member: both
+    /// kinds are properties of the functional pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty group, a group of more than [`MAX_GROUP`]
+    /// machines, members with different budgets, or a group of more than
+    /// one that holds a [`KernelMode::Collapsed`] machine.
+    pub fn run_group(
+        members: &mut [Machine],
+        exe: &Executable,
+        process: Process,
+    ) -> Result<Vec<RunResult>, RunError> {
+        let budget = members.first().map(|m| m.hot.max_instructions);
+        assert!(
+            members
+                .iter()
+                .all(|m| Some(m.hot.max_instructions) == budget),
+            "a lockstep group shares one instruction budget"
+        );
+        assert!(
+            members.len() == 1 || members.iter().all(|m| m.kernel == KernelMode::Block),
+            "a lockstep group of more than one runs block dispatch"
+        );
+        match members {
+            [a] => a.run(exe, process).map(|r| vec![r]),
+            [a, b] => Machine::run_lockstep::<2, false>([a, b], exe, process, None).map(Vec::from),
+            [a, b, c] => {
+                Machine::run_lockstep::<3, false>([a, b, c], exe, process, None).map(Vec::from)
+            }
+            _ => panic!(
+                "a lockstep group holds 1 to {MAX_GROUP} machines, not {}",
+                members.len()
+            ),
+        }
     }
 
     /// Like [`Machine::run`], additionally attributing every instruction's
-    /// cycles to the function containing it.
+    /// cycles to the function containing it: a group of one with
+    /// attribution.
     ///
     /// # Errors
     ///
@@ -558,31 +624,19 @@ impl Machine {
         process: Process,
     ) -> Result<(RunResult, crate::profile::Profile), RunError> {
         let mut attr = crate::profile::Attributor::new(exe);
-        let result = self.run_inner(exe, process, Some(&mut attr))?;
+        let result = match self.kernel {
+            KernelMode::Block => {
+                Machine::run_lockstep::<1, true>([self], exe, process, Some(&mut attr))
+                    .map(|[result]| result)
+            }
+            KernelMode::Collapsed => self.run_loop::<true>(exe, process, Some(&mut attr)),
+        }?;
         Ok((result, attr.finish()))
-    }
-
-    fn run_inner(
-        &mut self,
-        exe: &Executable,
-        process: Process,
-        attr: Option<&mut crate::profile::Attributor>,
-    ) -> Result<RunResult, RunError> {
-        // Monomorphize the execution loop on (attributor, path): the plain
-        // `run` carries no per-instruction bookkeeping at all, and the
-        // profiled instantiations still observe identical counters
-        // (attribution only reads them).
-        match (self.kernel, attr) {
-            (KernelMode::Block, None) => self.run_blocks::<false>(exe, process, None),
-            (KernelMode::Block, Some(a)) => self.run_blocks::<true>(exe, process, Some(a)),
-            (KernelMode::Collapsed, None) => self.run_loop::<false>(exe, process, None),
-            (KernelMode::Collapsed, Some(a)) => self.run_loop::<true>(exe, process, Some(a)),
-        }
     }
 
     /// The per-instruction reference loop ([`KernelMode::Collapsed`]):
     /// every instruction is fetched, executed and charged on its own. It
-    /// is the oracle `run_blocks` is differentially tested
+    /// is the oracle the block executor is differentially tested
     /// against, so it takes none of the block path's shortcuts.
     fn run_loop<const PROFILE: bool>(
         &mut self,
@@ -758,12 +812,29 @@ impl Machine {
         }
     }
 
-    /// The block-at-a-time path ([`KernelMode::Block`]): decode each basic
-    /// block once into the [`BlockCache`], then dispatch whole blocks over
-    /// a [`RegionMem`] built from the process's pages.
+    /// The block executor ([`KernelMode::Block`]) for a lockstep group of
+    /// `N` members: decode each basic block once per member into its
+    /// [`BlockCache`], then dispatch whole blocks over one [`RegionMem`]
+    /// built from the process's pages. The first member's uops drive the
+    /// one functional pass; every member replays its own block's timing
+    /// summary and events. Monomorphized per group size and on `PROFILE`
+    /// (profiled runs are groups of one), so a plain run carries no
+    /// per-instruction bookkeeping at all.
     ///
-    /// Bit-identity argument, piece by piece:
+    /// Bit-identity argument, piece by piece, for each member:
     ///
+    /// * **Functional pass**: block boundaries are a function of the text
+    ///   and its symbols alone (decode cuts at control transfers, symbol
+    ///   starts, the length cap and the end of text), so every member
+    ///   decodes the same blocks with the same uops, and one pass over the
+    ///   first member's uops computes the values, addresses and branch
+    ///   outcomes each member would compute alone. Only a member's fetch
+    ///   tables and ALU extras depend on its configuration, so each member
+    ///   decodes its own blocks for those.
+    /// * **Member order**: members share no timing state. A member's
+    ///   counters depend only on the order of its own events, and each
+    ///   member's events below fire in its solo order; interleaving two
+    ///   members' events changes neither.
     /// * **Memory**: a [`RegionMem`] holds the same bytes as the
     ///   [`PagedMem`](biaslab_toolchain::mem::PagedMem) it was built from
     ///   would after the same accesses (its property test pins this), and
@@ -790,31 +861,35 @@ impl Machine {
     ///   So a crossing in its predecessor's line and page looks nothing
     ///   up, and decode drops it; the rest replay through
     ///   [`FrontEnd::fetch_line`] at their exact instruction positions,
-    ///   preserving the I-side/D-side interleaving into the shared
-    ///   (LRU-stateful) L2, and their lookups compare against the front
-    ///   end's own line and page. The block's last window is written back
+    ///   preserving the I-side/D-side interleaving into the member's
+    ///   shared (LRU-stateful) L2, and their lookups compare against the
+    ///   front end's own line and page. A block body runs in segments cut
+    ///   at every member's kept crossings, so each crossing fires before
+    ///   the data access of its own instruction and after those of the
+    ///   instructions before it. The block's last window is written back
     ///   after the block, where the interpreted loop leaves it. The plain,
     ///   profiled and budget paths all replay this one table.
     /// * **Bank conflicts** read the retired-instruction index; the
     ///   hoisted path reconstructs the interpreted value as
-    ///   `entry_instructions + i + 1`.
-    /// * **Budget**: a block that would cross `max_instructions` falls
-    ///   back to per-instruction execution with the interpreted check
-    ///   order, so the error fires at the same instruction and leaves
-    ///   identical warm state behind (the window it leaves is not warm
-    ///   state: every run starts by resetting it).
+    ///   `entry_instructions + i + 1`, the same for every member.
+    /// * **Budget**: members share one budget and retire the same
+    ///   instructions, so one check serves them all. A block that would
+    ///   cross `max_instructions` falls back to per-instruction execution
+    ///   of every member with the interpreted check order, so the error
+    ///   fires at the same instruction and leaves each member's warm state
+    ///   identical to the interpreted path's (the window it leaves is not
+    ///   warm state: every run starts by resetting it).
     /// * **Profile attribution** accrues one span per block (the entry
     ///   bucket covers the whole block because decode cuts at function
     ///   symbols); the deltas telescope to the per-instruction sums, with
     ///   the final halt's own fetch excluded via a cycle snapshot, exactly
     ///   as the interpreted attributor never records the halt.
-    fn run_blocks<const PROFILE: bool>(
-        &mut self,
+    fn run_lockstep<const N: usize, const PROFILE: bool>(
+        members: [&mut Machine; N],
         exe: &Executable,
         process: Process,
         mut attr: Option<&mut crate::profile::Attributor>,
-    ) -> Result<RunResult, RunError> {
-        let mut c = Counters::default();
+    ) -> Result<[RunResult; N], RunError> {
         let mut mem = RegionMem::from(process.mem);
         // The uop executor's register file: 32 architectural slots, the
         // zero-write scratch slot, padded so masked indexing elides the
@@ -833,28 +908,43 @@ impl Machine {
 
         let text = exe.text();
         let text_base = exe.text_base();
-        let hot = self.hot;
-        let dp = DecodeParams {
-            text_base,
-            fetch_shift: hot.fetch_shift,
-            line_shift: self.config.l1i.line.trailing_zeros(),
-            mul_extra: hot.mul_extra,
-            div_extra: hot.div_extra,
-        };
-        let Machine {
-            ref mut front,
-            ref mut dmem,
-            ref mut l2,
-            ref mut blocks,
-            ..
-        } = *self;
-        blocks.sync(
-            exe.image_generation(),
-            text_base,
-            text.len(),
-            exe.symbols().iter().map(|s| s.addr),
-        );
-        front.begin_run();
+        let max_instructions = members[0].hot.max_instructions;
+        // Split-borrow each member once: its timing components become a
+        // lane the core drives through ports for the whole run, and its
+        // block cache a decoder.
+        let (mut lanes, mut decoders) = unzip(members.map(|m| {
+            m.blocks.sync(
+                exe.image_generation(),
+                text_base,
+                text.len(),
+                exe.symbols().iter().map(|s| s.addr),
+            );
+            m.front.begin_run();
+            let dp = DecodeParams {
+                text_base,
+                fetch_shift: m.hot.fetch_shift,
+                line_shift: m.config.l1i.line.trailing_zeros(),
+                mul_extra: m.hot.mul_extra,
+                div_extra: m.hot.div_extra,
+            };
+            let Machine {
+                front,
+                dmem,
+                l2,
+                blocks,
+                hot,
+                ..
+            } = m;
+            let lane = Lane {
+                front,
+                dmem,
+                l2,
+                hot: *hot,
+                c: Counters::default(),
+                li: 0,
+            };
+            (lane, (blocks, dp))
+        }));
 
         macro_rules! rd {
             ($r:expr) => {
@@ -868,29 +958,27 @@ impl Machine {
                 }
             };
         }
-        macro_rules! l2_port {
-            () => {
-                L2Port::new(l2, hot.stall_l2_hit, hot.stall_l2_miss)
-            };
-        }
-        // One body (non-terminator) instruction, with the interpreted
-        // per-instruction accounting: the budget and profiled paths.
+        // One body (non-terminator) instruction on every member, with the
+        // interpreted per-instruction accounting: the budget and profiled
+        // paths.
         macro_rules! body_inst {
             ($inst:expr) => {{
-                c.instructions += 1;
-                c.cycles += 1;
+                for lane in &mut lanes {
+                    lane.c.instructions += 1;
+                    lane.c.cycles += 1;
+                }
                 match $inst {
                     Inst::Alu { op, rd, rs1, rs2 } => {
                         wr!(rd, op.eval(rd!(rs1), rd!(rs2)));
-                        let extra = hot.alu_extra(op);
-                        c.cycles += extra;
-                        c.stall_compute += extra;
+                        for lane in &mut lanes {
+                            lane.compute(op);
+                        }
                     }
                     Inst::AluImm { op, rd, rs1, imm } => {
                         wr!(rd, op.eval(rd!(rs1), op.extend_imm(imm)));
-                        let extra = hot.alu_extra(op);
-                        c.cycles += extra;
-                        c.stall_compute += extra;
+                        for lane in &mut lanes {
+                            lane.compute(op);
+                        }
                     }
                     Inst::Lui { rd, imm } => wr!(rd, u64::from(imm) << 16),
                     Inst::Load {
@@ -900,9 +988,10 @@ impl Machine {
                         offset,
                     } => {
                         let addr = (rd!(base) as u32).wrapping_add(offset as i32 as u32);
-                        c.loads += 1;
-                        let idx = c.instructions;
-                        dmem.access(&mut c, addr, width.bytes(), false, idx, &mut l2_port!());
+                        for lane in &mut lanes {
+                            lane.c.loads += 1;
+                            lane.data(addr, width.bytes(), false, lane.c.instructions);
+                        }
                         wr!(rd, mem.read_le(addr, width.bytes()));
                     }
                     Inst::Store {
@@ -912,9 +1001,10 @@ impl Machine {
                         offset,
                     } => {
                         let addr = (rd!(base) as u32).wrapping_add(offset as i32 as u32);
-                        c.stores += 1;
-                        let idx = c.instructions;
-                        dmem.access(&mut c, addr, width.bytes(), true, idx, &mut l2_port!());
+                        for lane in &mut lanes {
+                            lane.c.stores += 1;
+                            lane.data(addr, width.bytes(), true, lane.c.instructions);
+                        }
                         mem.write_le(addr, width.bytes(), rd!(rs));
                     }
                     Inst::Chk { rs } => checksum = checksum_fold(checksum, rd!(rs)),
@@ -930,9 +1020,11 @@ impl Machine {
 
         loop {
             // Same check order as the interpreted loop's block-entry
-            // instruction: budget, then pc alignment/bounds.
-            if c.instructions >= hot.max_instructions {
-                return Err(RunError::Budget(hot.max_instructions));
+            // instruction: budget, then pc alignment/bounds. Members retire
+            // the same instructions, so the first one's count serves all.
+            let inst_base = lanes[0].c.instructions;
+            if inst_base >= max_instructions {
+                return Err(RunError::Budget(max_instructions));
             }
             let word = pc.wrapping_sub(text_base);
             if word & 3 != 0 {
@@ -942,32 +1034,24 @@ impl Machine {
             if wi as usize >= text.len() {
                 return Err(RunError::InvalidPc(pc));
             }
-            let b = blocks.get_or_decode(wi, text, &dp);
+            let bs: [&DecodedBlock; N] = decoders
+                .each_mut()
+                .map(|(blocks, dp)| blocks.get_or_decode(wi, text, dp));
+            // The first member's block drives the functional pass.
+            let b = bs[0];
             if PROFILE {
                 if let Some(a) = attr.as_deref_mut() {
                     if let Some((span_pc, span_cycles, span_len)) = span {
-                        a.record_span(span_pc, c.cycles - span_cycles, u64::from(span_len));
+                        let cycles = lanes[0].c.cycles;
+                        a.record_span(span_pc, cycles - span_cycles, u64::from(span_len));
                     }
-                    span = Some((pc, c.cycles, b.len));
+                    span = Some((pc, lanes[0].c.cycles, b.len));
                 }
             }
-            let inst_base = c.instructions;
-            let lines = &b.lines[..];
-            let mut li = 0usize;
-            // Replays the fetch crossing that belongs to instruction `$i`,
-            // if any: the entry's same-window check at 0, a kept line
-            // crossing elsewhere.
-            macro_rules! crossing {
-                ($i:expr) => {
-                    if $i == 0 {
-                        front.fetch(b.entry, b.entry_window, &mut l2_port!(), &mut c);
-                    } else if lines.get(li).is_some_and(|f| f.idx == $i) {
-                        front.fetch_line(lines[li].pc, &mut l2_port!(), &mut c);
-                        li += 1;
-                    }
-                };
+            for lane in &mut lanes {
+                lane.li = 0;
             }
-            if inst_base + u64::from(b.len) > hot.max_instructions {
+            if inst_base + u64::from(b.len) > max_instructions {
                 // The budget expires inside this block: execute it per
                 // instruction with the interpreted check order. The budget
                 // trips before the terminator can execute (base + len >
@@ -977,23 +1061,27 @@ impl Machine {
                 // state identical to the interpreted path's.
                 let body = &text[b.word as usize..(b.word + b.body_len) as usize];
                 for (i, &inst) in body.iter().enumerate() {
-                    if c.instructions >= hot.max_instructions {
-                        return Err(RunError::Budget(hot.max_instructions));
+                    if lanes[0].c.instructions >= max_instructions {
+                        return Err(RunError::Budget(max_instructions));
                     }
-                    crossing!(i as u32);
+                    for (lane, mb) in lanes.iter_mut().zip(bs) {
+                        lane.crossing(mb, i as u32);
+                    }
                     body_inst!(inst);
                 }
-                return Err(RunError::Budget(hot.max_instructions));
+                return Err(RunError::Budget(max_instructions));
             }
-            c.fetches += u64::from(b.crossings);
-            if !PROFILE {
-                // Replay the block's static summary in one step; see the
-                // method docs for why this is exact.
-                c.instructions += u64::from(b.len);
-                c.cycles += u64::from(b.len) + b.extra_cycles;
-                c.stall_compute += b.extra_cycles;
-                c.loads += u64::from(b.loads);
-                c.stores += u64::from(b.stores);
+            for (lane, mb) in lanes.iter_mut().zip(bs) {
+                lane.c.fetches += u64::from(mb.crossings);
+                if !PROFILE {
+                    // Replay the block's static summary in one step; see
+                    // the method docs for why this is exact.
+                    lane.c.instructions += u64::from(mb.len);
+                    lane.c.cycles += u64::from(mb.len) + mb.extra_cycles;
+                    lane.c.stall_compute += mb.extra_cycles;
+                    lane.c.loads += u64::from(mb.loads);
+                    lane.c.stores += u64::from(mb.stores);
+                }
             }
 
             if PROFILE {
@@ -1001,7 +1089,9 @@ impl Machine {
                 // so they execute the raw text with full accounting.
                 let body = &text[b.word as usize..(b.word + b.body_len) as usize];
                 for (i, &inst) in body.iter().enumerate() {
-                    crossing!(i as u32);
+                    for (lane, mb) in lanes.iter_mut().zip(bs) {
+                        lane.crossing(mb, i as u32);
+                    }
                     body_inst!(inst);
                 }
             } else {
@@ -1025,20 +1115,25 @@ impl Machine {
                         regs[$u.rd as usize & (REG_SLOTS - 1)] = $v
                     };
                 }
-                // Walk the body a segment at a time: replay the crossing
-                // that opens the segment, then run its uops in a tight
-                // inner loop with no per-instruction fetch test. Order is
-                // unchanged — a crossing at index `idx` fires immediately
-                // before the instruction at `idx`, exactly as the
-                // interpreted loop interleaves them. A crossing at
-                // `body_len` belongs to the terminator and fires after.
+                // Walk the body a segment at a time: replay the crossings
+                // that open the segment, then run its uops in a tight
+                // inner loop with no per-instruction fetch test. A segment
+                // ends at the next kept crossing of any member. Order is
+                // unchanged for every member — a crossing at index `idx`
+                // fires immediately before the instruction at `idx`,
+                // exactly as the interpreted loop interleaves them. A
+                // crossing at `body_len` belongs to the terminator and
+                // fires after.
                 let uops = &b.uops[..];
                 let mut seg_start = 0usize;
                 while seg_start < uops.len() {
-                    crossing!(seg_start as u32);
-                    let seg_end = lines
-                        .get(li)
-                        .map_or(uops.len(), |f| (f.idx as usize).min(uops.len()));
+                    let mut seg_end = uops.len();
+                    for (lane, mb) in lanes.iter_mut().zip(bs) {
+                        lane.crossing(mb, seg_start as u32);
+                        if let Some(f) = mb.lines.get(lane.li) {
+                            seg_end = seg_end.min(f.idx as usize);
+                        }
+                    }
                     for (k, u) in uops[seg_start..seg_end].iter().enumerate() {
                         let i = seg_start + k;
                         match u.kind {
@@ -1119,8 +1214,8 @@ impl Machine {
                                 let addr = (a!(u) as u32).wrapping_add(u.imm as u32);
                                 let idx = inst_base + i as u64 + 1;
                                 let width = u32::from(u.width);
-                                if !dmem.access_fast(&mut c, addr, width, false, idx) {
-                                    dmem.access_lines(&mut c, addr, width, false, &mut l2_port!());
+                                for lane in &mut lanes {
+                                    lane.data(addr, width, false, idx);
                                 }
                                 set!(u, mem.read_le(addr, width));
                             }
@@ -1128,8 +1223,8 @@ impl Machine {
                                 let addr = (a!(u) as u32).wrapping_add(u.imm as u32);
                                 let idx = inst_base + i as u64 + 1;
                                 let width = u32::from(u.width);
-                                if !dmem.access_fast(&mut c, addr, width, true, idx) {
-                                    dmem.access_lines(&mut c, addr, width, true, &mut l2_port!());
+                                for lane in &mut lanes {
+                                    lane.data(addr, width, true, idx);
                                 }
                                 mem.write_le(addr, width, b!(u));
                             }
@@ -1143,16 +1238,18 @@ impl Machine {
 
             // Cycles at the terminator's top, before its fetch: the halt
             // is never attributed, so its span ends here.
-            let cycles_at_term = if PROFILE { c.cycles } else { 0 };
+            let cycles_at_term = if PROFILE { lanes[0].c.cycles } else { 0 };
             // The terminator's crossing: the entry's when the body is
             // empty, else the one kept line crossing left, if any (a cut
             // block has none). Then the window the block leaves.
-            if b.body_len == 0 {
-                front.fetch(b.entry, b.entry_window, &mut l2_port!(), &mut c);
-            } else if let Some(f) = lines.get(li) {
-                front.fetch_line(f.pc, &mut l2_port!(), &mut c);
+            for (lane, mb) in lanes.iter_mut().zip(bs) {
+                if mb.body_len == 0 {
+                    lane.fetch(mb.entry, mb.entry_window);
+                } else if let Some(f) = mb.lines.get(lane.li) {
+                    lane.fetch_line(f.pc);
+                }
+                lane.front.set_window(mb.last_window);
             }
-            front.set_window(b.last_window);
             if b.body_len == b.len {
                 // Cut block (symbol boundary, length cap, end of text):
                 // no terminator, fall through.
@@ -1160,8 +1257,10 @@ impl Machine {
                 continue;
             }
             if PROFILE {
-                c.instructions += 1;
-                c.cycles += 1;
+                for lane in &mut lanes {
+                    lane.c.instructions += 1;
+                    lane.c.cycles += 1;
+                }
             }
             match b.end {
                 BlockEnd::Branch {
@@ -1170,34 +1269,39 @@ impl Machine {
                     rs2,
                     taken_target,
                 } => {
-                    c.branches += 1;
                     let taken = cond.eval(rd!(rs1), rd!(rs2));
-                    front.branch_direction(b.term_pc, taken, &mut c);
-                    if taken {
-                        front.taken_transfer(b.term_pc, taken_target, &mut c);
-                        pc = taken_target;
-                    } else {
-                        pc = b.next_pc;
+                    for lane in &mut lanes {
+                        lane.c.branches += 1;
+                        lane.front.branch_direction(b.term_pc, taken, &mut lane.c);
+                        if taken {
+                            lane.front
+                                .taken_transfer(b.term_pc, taken_target, &mut lane.c);
+                        }
                     }
+                    pc = if taken { taken_target } else { b.next_pc };
                 }
                 BlockEnd::Jal { rd, target } => {
-                    if rd == Reg::RA {
-                        front.push_return(b.next_pc);
+                    for lane in &mut lanes {
+                        if rd == Reg::RA {
+                            lane.front.push_return(b.next_pc);
+                        }
+                        lane.front.taken_transfer(b.term_pc, target, &mut lane.c);
                     }
-                    front.taken_transfer(b.term_pc, target, &mut c);
                     wr!(rd, u64::from(b.next_pc));
                     pc = target;
                 }
                 BlockEnd::Jalr { rd, rs1, offset } => {
                     let target = (rd!(rs1) as u32).wrapping_add(offset as i32 as u32);
-                    if rd.is_zero() && rs1 == Reg::RA {
-                        // Return: predicted by the RAS.
-                        front.predict_return(target, &mut c);
-                    } else {
-                        if rd == Reg::RA {
-                            front.push_return(b.next_pc);
+                    for lane in &mut lanes {
+                        if rd.is_zero() && rs1 == Reg::RA {
+                            // Return: predicted by the RAS.
+                            lane.front.predict_return(target, &mut lane.c);
+                        } else {
+                            if rd == Reg::RA {
+                                lane.front.push_return(b.next_pc);
+                            }
+                            lane.front.taken_transfer(b.term_pc, target, &mut lane.c);
                         }
-                        front.taken_transfer(b.term_pc, target, &mut c);
                     }
                     wr!(rd, u64::from(b.next_pc));
                     pc = target;
@@ -1214,16 +1318,92 @@ impl Machine {
                             }
                         }
                     }
-                    return Ok(RunResult {
-                        counters: c,
+                    let return_value = regs[1];
+                    return Ok(lanes.map(|lane| RunResult {
+                        counters: lane.c,
                         checksum,
-                        return_value: regs[1],
-                    });
+                        return_value,
+                    }));
                 }
                 BlockEnd::FallThrough => unreachable!("cut blocks have no terminator"),
             }
         }
     }
+}
+
+/// One member of a lockstep run: the machine's timing components, the
+/// counters they charge, and its cursor into the current block's kept
+/// line crossings ([`DecodedBlock::lines`]).
+struct Lane<'m> {
+    front: &'m mut FrontEnd,
+    dmem: &'m mut MemSystem,
+    l2: &'m mut Cache,
+    hot: HotConfig,
+    c: Counters,
+    li: usize,
+}
+
+impl Lane<'_> {
+    /// The front end's fetch of `pc` in `window`, through the L2 port.
+    #[inline(always)]
+    fn fetch(&mut self, pc: u32, window: u32) {
+        let mut l2 = L2Port::new(self.l2, self.hot.stall_l2_hit, self.hot.stall_l2_miss);
+        self.front.fetch(pc, window, &mut l2, &mut self.c);
+    }
+
+    /// The front end's replay of a kept line crossing at `pc`.
+    #[inline(always)]
+    fn fetch_line(&mut self, pc: u32) {
+        let mut l2 = L2Port::new(self.l2, self.hot.stall_l2_hit, self.hot.stall_l2_miss);
+        self.front.fetch_line(pc, &mut l2, &mut self.c);
+    }
+
+    /// Replays the fetch crossing that belongs to instruction `i` of `b`,
+    /// if any: the entry's same-window check at 0, a kept line crossing
+    /// elsewhere.
+    #[inline(always)]
+    fn crossing(&mut self, b: &DecodedBlock, i: u32) {
+        if i == 0 {
+            self.fetch(b.entry, b.entry_window);
+        } else if let Some(f) = b.lines.get(self.li).filter(|f| f.idx == i) {
+            self.fetch_line(f.pc);
+            self.li += 1;
+        }
+    }
+
+    /// One data access of retired instruction `idx`: the fused fast path,
+    /// and the L2 port only when it misses.
+    #[inline(always)]
+    fn data(&mut self, addr: u32, width: u32, is_store: bool, idx: u64) {
+        if !self
+            .dmem
+            .access_fast(&mut self.c, addr, width, is_store, idx)
+        {
+            let mut l2 = L2Port::new(self.l2, self.hot.stall_l2_hit, self.hot.stall_l2_miss);
+            self.dmem
+                .access_lines(&mut self.c, addr, width, is_store, &mut l2);
+        }
+    }
+
+    /// An ALU instruction's extra cycles on this member.
+    #[inline(always)]
+    fn compute(&mut self, op: biaslab_isa::AluOp) {
+        let extra = self.hot.alu_extra(op);
+        self.c.cycles += extra;
+        self.c.stall_compute += extra;
+    }
+}
+
+/// Splits an array of pairs into a pair of arrays.
+fn unzip<A, B, const N: usize>(pairs: [(A, B); N]) -> ([A; N], [B; N]) {
+    let mut seconds: [Option<B>; N] = std::array::from_fn(|_| None);
+    let mut i = 0;
+    let firsts = pairs.map(|(a, b)| {
+        seconds[i] = Some(b);
+        i += 1;
+        a
+    });
+    (firsts, seconds.map(|b| b.expect("every pair was split")))
 }
 
 #[cfg(test)]
@@ -1414,6 +1594,19 @@ mod tests {
             let oracle = run_with(KernelMode::Collapsed);
             assert_eq!(block, oracle, "{}", config.name);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one instruction budget")]
+    fn a_lockstep_group_shares_one_budget() {
+        let exe = build_exe(OptLevel::O2);
+        let process = Loader::new()
+            .load(&exe, &Environment::new(), &[10])
+            .unwrap();
+        let mut short = MachineConfig::core2();
+        short.max_instructions = 1_000;
+        let mut members = [Machine::new(MachineConfig::core2()), Machine::new(short)];
+        let _ = Machine::run_group(&mut members, &exe, process);
     }
 
     #[test]

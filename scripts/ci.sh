@@ -209,6 +209,15 @@ loaded="$(sed -n 's/.*"orch\.loaded":\([0-9]*\).*/\1/p' "$tmp/restart-restarted.
 [ "$simulated" = 0 ] && [ "$loaded" = 3 ] \
     || { echo "FATAL: the restarted daemon simulated $simulated and loaded $loaded (want 0 and 3)" >&2; exit 1; }
 
+echo "==> lockstep sweep smoke (perfbench sweep-ref: every child's counters digest must match its pin)"
+# The quick suite's sweeps run one machine each, so this is the one
+# end-to-end run of sweeps whose setups share a functional pass: 432
+# simulations in lockstep groups of three. perfbench exits non-zero when a
+# child's digest differs from the pinned one or an operation fails.
+CARGO_TARGET_DIR=target bash perfbench/run.sh --workload sweep-ref --seed 1 --seconds 1 \
+    --trace 0 > /dev/null \
+    || { echo "FATAL: sweep-ref failed or its counters drifted from the pins" >&2; exit 1; }
+
 echo "==> telemetry overhead guard (traced vs untraced quick suite, alternating runs)"
 # perfbench alternates untraced and traced quick-suite runs and reports
 # traced median / untraced median - 1; it also checks every run's stdout.

@@ -2,7 +2,9 @@
 //! execution must produce bit-identical [`Counters`], checksums and
 //! profiles against the per-instruction oracle ([`KernelMode::Collapsed`]),
 //! on every machine model, with and without attribution, across warm
-//! repetitions and across the layout factors the experiments vary.
+//! repetitions and across the layout factors the experiments vary — and
+//! so must every member of a lockstep group ([`Machine::run_group`]),
+//! where one functional pass drives several machines.
 //!
 //! The block cache hoists static counter sums to block entry, pre-decodes
 //! bodies to uops, replays fetch crossings per I-cache line from a
@@ -16,11 +18,11 @@ use biaslab_isa::{Cond, Width};
 use biaslab_toolchain::codegen::compile;
 use biaslab_toolchain::interp::Interpreter;
 use biaslab_toolchain::ir::Global;
-use biaslab_toolchain::link::Linker;
-use biaslab_toolchain::load::{Environment, Loader};
+use biaslab_toolchain::link::{Executable, Linker};
+use biaslab_toolchain::load::{Environment, Loader, Process};
 use biaslab_toolchain::opt::optimize;
 use biaslab_toolchain::{Module, ModuleBuilder, OptLevel};
-use biaslab_uarch::{KernelMode, Machine, MachineConfig, RunResult};
+use biaslab_uarch::{KernelMode, Machine, MachineConfig, RunError, RunResult};
 use biaslab_workloads::{benchmark_by_name, suite, InputSize};
 
 /// Runs `setup` at the test input size on a machine pinned to `mode`.
@@ -196,10 +198,193 @@ fn warm_repetitions_match_the_oracle() {
     );
 }
 
+/// Runs `passes` processes from `load` on one lockstep group of `configs`
+/// and, member by member, on the per-instruction oracle of the same
+/// machine, each kept warm across passes like the group: every member's
+/// result must equal its oracle's.
+fn check_group(
+    what: &str,
+    exe: &Executable,
+    load: &dyn Fn() -> Process,
+    configs: &[MachineConfig],
+    passes: usize,
+) {
+    let mut group: Vec<Machine> = configs.iter().cloned().map(Machine::new).collect();
+    let mut oracles: Vec<Machine> = configs
+        .iter()
+        .map(|c| Machine::with_kernel(c.clone(), KernelMode::Collapsed))
+        .collect();
+    let names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
+    for pass in 0..passes {
+        let grouped = Machine::run_group(&mut group, exe, load())
+            .unwrap_or_else(|e| panic!("{what}: group {names:?}: {e}"));
+        assert_eq!(grouped.len(), configs.len());
+        for ((oracle, got), name) in oracles.iter_mut().zip(&grouped).zip(&names) {
+            let want = oracle.run(exe, load()).expect("runs");
+            assert_eq!(
+                got, &want,
+                "{what}, pass {pass}: {name} in group {names:?} vs its oracle"
+            );
+        }
+    }
+}
+
+/// Loads `setup`'s process for `exe` at the test input size.
+fn load_setup(h: &Harness, setup: &ExperimentSetup, exe: &Executable) -> Process {
+    Loader::new()
+        .stack_shift(setup.stack_shift)
+        .load(exe, &setup.env, h.benchmark().args(InputSize::Test))
+        .unwrap_or_else(|e| panic!("{}: {e}", h.benchmark().name()))
+}
+
+/// Three machines whose I-cache lines and fetch windows all differ, the
+/// widest line first (the paper machines share 64-byte lines, so their
+/// blocks keep their line crossings at the same instructions, and a
+/// narrower line's crossings include a wider one's).
+fn unlike_front_ends() -> Vec<MachineConfig> {
+    let mut narrow = MachineConfig {
+        name: "narrow".into(),
+        fetch_bytes: 8,
+        ..MachineConfig::o3cpu()
+    };
+    narrow.l1i.line = 32;
+    let mut wide = MachineConfig {
+        name: "wide".into(),
+        fetch_bytes: 64,
+        ..MachineConfig::core2()
+    };
+    wide.l1i.line = 128;
+    vec![wide, MachineConfig::pentium4(), narrow]
+}
+
+#[test]
+fn lockstep_groups_match_the_oracle_on_every_benchmark() {
+    // Every benchmark at O2 and O3 in a group of all three machines, and
+    // in one of four more shapes in rotation: two machines, one, one
+    // configuration twice, and three whose fetch tables differ. Alternate
+    // pairs make a warm second pass on the same machines.
+    let all = MachineConfig::all();
+    let shapes = [
+        vec![all[1].clone(), all[2].clone()],
+        vec![all[0].clone()],
+        vec![all[2].clone(), all[2].clone()],
+        unlike_front_ends(),
+    ];
+    for (i, bench) in suite().into_iter().enumerate() {
+        let h = Harness::new(bench);
+        for (j, opt) in [OptLevel::O2, OptLevel::O3].into_iter().enumerate() {
+            let setup = ExperimentSetup::default_on(all[0].clone(), opt);
+            let exe = h.link(&setup).expect("links");
+            let load = || load_setup(&h, &setup, &exe);
+            let what = format!("{}/{opt}", h.benchmark().name());
+            let passes = 1 + (i + j) % 2;
+            check_group(&what, &exe, &load, &all, passes);
+            check_group(&what, &exe, &load, &shapes[(i + j) % shapes.len()], passes);
+        }
+    }
+}
+
+#[test]
+fn lockstep_groups_match_the_oracle_across_a_moved_layout() {
+    // A random link order, a text offset and a stack shift move code and
+    // stack at once; the group runs cold, then warm.
+    let h = Harness::new(benchmark_by_name("perlbench").expect("known benchmark"));
+    let setup = ExperimentSetup {
+        link_order: LinkOrder::Random(23),
+        text_offset: 76,
+        stack_shift: 120,
+        ..ExperimentSetup::default_on(MachineConfig::core2(), OptLevel::O3)
+    };
+    let exe = h.link(&setup).expect("links");
+    let load = || load_setup(&h, &setup, &exe);
+    check_group("perlbench moved", &exe, &load, &MachineConfig::all(), 2);
+    check_group("perlbench moved", &exe, &load, &unlike_front_ends(), 2);
+}
+
+/// A module whose `main` loads and sums the first `loads` words of a
+/// 64-word table in one straight line of code, then, when `loop_after`,
+/// spins forever.
+fn straight_line_program(loads: i32, loop_after: bool) -> Module {
+    let words: Vec<u64> = (1..=64).collect();
+    let mut mb = ModuleBuilder::new();
+    let table = mb.global(Global::from_words("table", &words));
+    mb.function("main", 0, true, |fb| {
+        let g = fb.addr_global(table);
+        let mut acc = fb.load(Width::B8, g, 0);
+        for k in 1..loads {
+            let v = fb.load(Width::B8, g, 8 * k);
+            acc = fb.add(acc, v);
+        }
+        fb.chk(acc);
+        if loop_after {
+            let spin = fb.new_block();
+            fb.jump(spin);
+            fb.switch_to(spin);
+            fb.jump(spin);
+        } else {
+            fb.ret(Some(acc));
+        }
+    });
+    mb.finish().expect("verifies")
+}
+
+#[test]
+fn a_budget_that_trips_mid_block_leaves_every_member_as_a_solo_run_does() {
+    // The first program's entry block is one straight line of 40 loads
+    // and adds across several I-cache lines, and each budget trips inside
+    // it on its first, cold pass, where the executor steps every member
+    // per instruction. The error must be each solo run's, and so must
+    // the warm state left behind: a short second program, laid out from
+    // the same text and data addresses and within the budget, must give
+    // each tripped member the counters it gives a tripped solo machine
+    // and the tripped oracle.
+    let link = |module: &Module| {
+        Linker::new()
+            .link(
+                &compile(&optimize(module, OptLevel::O2), OptLevel::O2),
+                "main",
+            )
+            .expect("links")
+    };
+    let long = link(&straight_line_program(40, true));
+    let short = link(&straight_line_program(6, false));
+    let load = |exe: &Executable| {
+        Loader::new()
+            .load(exe, &Environment::new(), &[])
+            .expect("loads")
+    };
+    for budget in [28, 41, 57] {
+        let configs: Vec<MachineConfig> = MachineConfig::all()
+            .into_iter()
+            .map(|c| MachineConfig {
+                max_instructions: budget,
+                ..c
+            })
+            .collect();
+        let mut group: Vec<Machine> = configs.iter().cloned().map(Machine::new).collect();
+        let tripped = Machine::run_group(&mut group, &long, load(&long));
+        assert_eq!(tripped, Err(RunError::Budget(budget)));
+        let warm = Machine::run_group(&mut group, &short, load(&short)).expect("halts in budget");
+        for (config, got) in configs.iter().zip(&warm) {
+            for kernel in [KernelMode::Block, KernelMode::Collapsed] {
+                let mut solo = Machine::with_kernel(config.clone(), kernel);
+                assert_eq!(solo.run(&long, load(&long)), Err(RunError::Budget(budget)));
+                let want = solo.run(&short, load(&short)).expect("halts in budget");
+                assert_eq!(
+                    got, &want,
+                    "budget {budget}: {} after the trip vs {kernel:?} alone",
+                    config.name
+                );
+            }
+        }
+    }
+}
+
 /// Runs `main` of `module` through the IR interpreter, then, compiled at
-/// `level`, on every machine through the oracle and block dispatch. All
-/// three must agree on the checksum and return value, and block dispatch
-/// must match the oracle on every counter. Returns the oracle's runs.
+/// `level`, on every machine through the oracle and block dispatch, alone
+/// and as one lockstep group. All must agree on the checksum and return
+/// value, and block dispatch must match the oracle on every counter.
+/// Returns the oracle's runs.
 fn run_three_ways(module: &Module, level: OptLevel) -> Vec<RunResult> {
     let reference = Interpreter::new(module)
         .call_by_name("main", &[])
@@ -207,6 +392,12 @@ fn run_three_ways(module: &Module, level: OptLevel) -> Vec<RunResult> {
     let exe = Linker::new()
         .link(&compile(&optimize(module, level), level), "main")
         .expect("links");
+    let load = || {
+        Loader::new()
+            .load(&exe, &Environment::new(), &[])
+            .expect("loads")
+    };
+    check_group(&format!("{level}"), &exe, &load, &MachineConfig::all(), 1);
     let mut oracles = Vec::new();
     for machine in MachineConfig::all() {
         let run = |mode: KernelMode| {

@@ -191,3 +191,41 @@ fn persist_degrades_to_in_memory_when_the_disk_keeps_failing() {
     assert_eq!(again.counters, m.counters);
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_runaway_fired_on_one_group_member_leaves_the_others_unchanged() {
+    // The three machines at one level are one lockstep group. The second
+    // member's `measure.runaway` fires, so the watchdog answers it with a
+    // solo retry while the other two run as a group of two: every
+    // member's counters must still be its own solo measurement's.
+    let _guard = faults::scoped(&spec("seed=3,measure.runaway=@2"));
+    let orch = Orchestrator::new();
+    let h = orch.harness("mcf").expect("known benchmark");
+    let setups: Vec<ExperimentSetup> = MachineConfig::all()
+        .into_iter()
+        .map(|m| ExperimentSetup::default_on(m, OptLevel::O2))
+        .collect();
+    let swept = orch.sweep(&h, &setups, InputSize::Test);
+    let solo = biaslab_core::harness::Harness::new(
+        biaslab_workloads::benchmark_by_name("mcf").expect("known benchmark"),
+    );
+    for (setup, r) in setups.iter().zip(&swept) {
+        let want = solo.measure(setup, InputSize::Test).expect("measures");
+        assert_eq!(
+            r.as_ref().expect("recovered").counters,
+            want.counters,
+            "{}",
+            setup.summary()
+        );
+    }
+    let metric = |name: &str| {
+        orch.metrics()
+            .into_iter()
+            .find(|(k, _)| k == name)
+            .map_or(0, |(_, v)| v)
+    };
+    assert_eq!(metric("orch.watchdog_fired"), 1, "one member fired");
+    assert_eq!(metric("orch.watchdog_retries"), 1);
+    assert_eq!(metric("orch.watchdog_quarantined"), 0);
+    assert_eq!(orch.stats().simulated, 3, "one simulation per key");
+}

@@ -8,6 +8,9 @@
 //! miscomputed stall, a cache indexed differently — fails this test loudly
 //! rather than silently moving every figure.
 //!
+//! The same rows must come out of lockstep sweeps, where one functional
+//! pass drives all three machines at a level.
+//!
 //! To regenerate after an *intentional* timing-model change:
 //!
 //! ```text
@@ -18,6 +21,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use biaslab_core::harness::Harness;
+use biaslab_core::orchestrator::Orchestrator;
 use biaslab_core::setup::ExperimentSetup;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::{Counters, MachineConfig};
@@ -78,15 +82,7 @@ fn counters_match_golden_values() {
                     h.benchmark().name(),
                     machine.name
                 );
-                let fields = counter_fields(&m.counters).map(|v| v.to_string()).join(",");
-                writeln!(
-                    actual,
-                    "{}\t{}\t{opt}\t{}",
-                    h.benchmark().name(),
-                    machine.name,
-                    fields
-                )
-                .expect("write to String");
+                actual.push_str(&row(h.benchmark().name(), &machine, opt, c));
             }
         }
     }
@@ -102,6 +98,21 @@ fn counters_match_golden_values() {
         );
         return;
     }
+    check(&actual);
+}
+
+/// One golden line: benchmark, machine, level and every counter.
+fn row(bench: &str, machine: &MachineConfig, opt: OptLevel, c: &Counters) -> String {
+    let fields = counter_fields(c).map(|v| v.to_string()).join(",");
+    let mut line = String::new();
+    writeln!(line, "{bench}\t{}\t{opt}\t{fields}", machine.name).expect("write to String");
+    line
+}
+
+/// Compares rendered rows with the golden file, naming the first that
+/// moved.
+fn check(actual: &str) {
+    let path = golden_path();
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "cannot read {} ({e}); run `BIASLAB_BLESS=1 cargo test --test golden_counters` \
@@ -118,4 +129,32 @@ fn counters_match_golden_values() {
         );
     }
     assert_eq!(actual, expected, "entry count changed");
+}
+
+#[test]
+fn lockstep_sweeps_reproduce_the_golden_rows() {
+    // One sweep per benchmark over the three machines at O2 and O3: each
+    // level's three machines share one functional pass, so every sweep
+    // runs two lockstep groups of three, and each member must match its
+    // golden row.
+    let orch = Orchestrator::new();
+    let machines = MachineConfig::all();
+    let mut actual = String::new();
+    for bench in suite() {
+        let h = orch.harness(bench.name()).expect("suite benchmark");
+        let setups: Vec<(MachineConfig, OptLevel)> = machines
+            .iter()
+            .flat_map(|m| [OptLevel::O2, OptLevel::O3].map(|opt| (m.clone(), opt)))
+            .collect();
+        let sweep: Vec<ExperimentSetup> = setups
+            .iter()
+            .map(|(m, opt)| ExperimentSetup::default_on(m.clone(), *opt))
+            .collect();
+        for ((machine, opt), r) in setups.iter().zip(orch.sweep(&h, &sweep, InputSize::Test)) {
+            let m = r.unwrap_or_else(|e| panic!("{}/{}/{opt}: {e}", bench.name(), machine.name));
+            actual.push_str(&row(bench.name(), machine, *opt, &m.counters));
+        }
+    }
+    assert_eq!(orch.stats().simulated, 72, "one simulation per key");
+    check(&actual);
 }

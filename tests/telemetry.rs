@@ -342,3 +342,64 @@ fn concurrent_measures_of_one_key_simulate_once() {
         .iter()
         .all(|s| s.outcome == Some(CacheOutcome::Hit) || s.outcome == Some(CacheOutcome::Miss)));
 }
+
+#[test]
+fn a_lockstep_group_traces_one_run_and_profiles_force_groups_of_one() {
+    // Three machines at one level: one lockstep group. Its stages nest
+    // under the first key's `measure` span, every key has a `measure`
+    // span with the miss, and the group runs once.
+    let setups: Vec<ExperimentSetup> = MachineConfig::all()
+        .into_iter()
+        .map(|m| ExperimentSetup::default_on(m, OptLevel::O2))
+        .collect();
+    let keys: Vec<u64> = setups
+        .iter()
+        .map(|s| MeasureKey::new("hmmer", s, InputSize::Test).digest())
+        .collect();
+    let sweep = || {
+        let orch = Orchestrator::new();
+        let h = orch.harness("hmmer").expect("known benchmark");
+        let counters: Vec<Counters> = orch
+            .sweep(&h, &setups, InputSize::Test)
+            .into_iter()
+            .map(|r| r.expect("measures").counters)
+            .collect();
+        (counters, orch.stats().simulated)
+    };
+
+    let guard = traced();
+    let (grouped, simulated) = sweep();
+    let events = telemetry::drain();
+    drop(guard);
+    assert_eq!(simulated, 3, "one simulation per key");
+    let all = spans(&events);
+    let measures: Vec<_> = all.iter().filter(|s| s.name == "measure").collect();
+    assert_eq!(
+        measures.iter().map(|s| s.key).collect::<Vec<_>>(),
+        keys,
+        "one measure span per key, in request order"
+    );
+    assert!(measures
+        .iter()
+        .all(|s| s.outcome == Some(CacheOutcome::Miss)));
+    let runs: Vec<_> = all.iter().filter(|s| s.name == "run").collect();
+    assert_eq!(runs.len(), 1, "the group runs once");
+    assert_eq!(runs[0].parent, measures[0].id, "under the first key's span");
+
+    let guard = traced();
+    telemetry::enable_profiles();
+    let (profiled, simulated) = sweep();
+    let events = telemetry::drain();
+    drop(guard);
+    assert_eq!(simulated, 3);
+    assert_eq!(
+        profiled, grouped,
+        "groups and profiles never change counters"
+    );
+    let runs = spans(&events).iter().filter(|s| s.name == "run").count();
+    let profiles = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Profile(_)))
+        .count();
+    assert_eq!((runs, profiles), (3, 3), "profiled runs are groups of one");
+}
