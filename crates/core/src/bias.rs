@@ -10,8 +10,6 @@
 //! says "optimization helps" in one setup and "optimization hurts" in
 //! another.
 
-use serde::{Deserialize, Serialize};
-
 use crate::harness::{Harness, MeasureError, Measurement};
 use crate::setup::ExperimentSetup;
 use crate::stats::{Summary, ViolinSummary};
@@ -34,7 +32,7 @@ pub fn speedup(base_cycles: u64, test_cycles: u64) -> f64 {
 }
 
 /// One (setup, speedup) observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupObservation {
     /// Human-readable setup description.
     pub setup: String,
@@ -47,7 +45,7 @@ pub struct SpeedupObservation {
 }
 
 /// The bias a factor introduced into a speedup measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiasReport {
     /// What was varied (e.g. `"environment size"`).
     pub factor: String,

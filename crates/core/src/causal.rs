@@ -16,8 +16,6 @@
 //!
 //! [`CausalExperiment::run`] packages all three.
 
-use serde::{Deserialize, Serialize};
-
 use biaslab_toolchain::load::Environment;
 use biaslab_uarch::Counters;
 use biaslab_workloads::InputSize;
@@ -26,7 +24,7 @@ use crate::harness::{Harness, MeasureError};
 use crate::setup::ExperimentSetup;
 
 /// An intervention: a family of setups indexed by a dose in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Intervention {
     /// Shift the initial stack pointer down by the dose, directly in the
     /// loader (no environment involved): the suspected *mechanism* of the
@@ -80,7 +78,7 @@ impl Intervention {
 }
 
 /// One point of a dose-response curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DosePoint {
     /// The dose in bytes.
     pub dose: u32,
@@ -91,7 +89,7 @@ pub struct DosePoint {
 }
 
 /// The outcome of a causal experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CausalReport {
     /// The intervention tested.
     pub intervention_name: String,
@@ -110,7 +108,7 @@ pub struct CausalReport {
 }
 
 /// A hardware counter proposed as the mechanism's mediator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mediator {
     /// L1D bank conflicts.
     BankConflicts,

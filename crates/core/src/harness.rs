@@ -642,13 +642,12 @@ mod tests {
     fn concurrent_executable_requests_link_once_and_share() {
         let h = harness("hmmer");
         let order: Vec<usize> = (0..h.object_names().len()).collect();
-        let exes: Vec<Arc<Executable>> = crossbeam::scope(|s| {
+        let exes: Vec<Arc<Executable>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|_| h.executable(OptLevel::O2, &order, 0).unwrap()))
+                .map(|_| s.spawn(|| h.executable(OptLevel::O2, &order, 0).unwrap()))
                 .collect();
             handles.into_iter().map(|j| j.join().unwrap()).collect()
-        })
-        .unwrap();
+        });
         // With the old check-then-link cache, racing requests each linked a
         // private executable; the once-cell guarantees a single shared one.
         assert!(exes.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));

@@ -28,8 +28,8 @@
 //!   across a simulation;
 //! - **persistence**: [`Orchestrator::attach`] makes a JSON-lines file
 //!   under `results/` the one durable log. Each single-flight leader
-//!   logs its record before publishing it, and
-//!   [`Orchestrator::persist`] is a group commit, so an interrupted
+//!   logs its record before publishing it, and [`Orchestrator::sync`]
+//!   is the group commit, so an interrupted
 //!   `repro all` or a killed `biaslab serve` resumes instead of
 //!   restarting. The same file holds one line per reference outcome a
 //!   run interpreted, keyed by benchmark, input size and a digest of the
@@ -381,14 +381,13 @@ pub struct Orchestrator {
     watchdog_retries: Counter,
     watchdog_quarantined: Counter,
     persist_degraded: Counter,
-    /// Set once [`Orchestrator::persist`] gives up on the results file:
-    /// later calls skip I/O entirely (in-memory-only operation).
+    /// Set once the attached log gives up on the results file, after
+    /// repeated write failures or because another writer holds it; the
+    /// log then writes nothing (in-memory-only operation).
     degraded: AtomicBool,
-    /// The results file the cache last matched: the path last saved or
-    /// cleanly loaded, with the cache's change count and the number of
-    /// reference outcomes held at that moment. Held across each whole
-    /// save, so saves never interleave.
-    persisted: Mutex<Option<Persisted>>,
+    /// Held across each whole [`Orchestrator::save`]: `jsonl::write_atomic`
+    /// writes through one temp file per path, so saves must not interleave.
+    saving: Mutex<()>,
     /// The attached results file ([`Orchestrator::attach`]); unset, the
     /// orchestrator logs nothing, at the cost of one atomic load.
     log: OnceLock<Mutex<Log>>,
@@ -401,8 +400,8 @@ pub struct Orchestrator {
 #[derive(Debug)]
 struct Log {
     path: PathBuf,
-    /// Open for append; `None` once the log closed, after which it writes
-    /// nothing.
+    /// Open for append; `None` once the log closed, or when another writer
+    /// held the file at attach, after which it writes nothing.
     file: Option<File>,
     /// Holds the exclusive lock on the sidecar `measurements.jsonl.lock`
     /// (the path with its extension replaced by `jsonl.lock`).
@@ -447,14 +446,6 @@ impl Log {
     }
 }
 
-/// What [`Orchestrator::persist`] compares to skip an unchanged write.
-#[derive(Debug)]
-struct Persisted {
-    path: PathBuf,
-    changes: u64,
-    references: usize,
-}
-
 /// A reference outcome keyed by benchmark and input size, with the
 /// [`Harness::reference_digest`] it was computed under.
 type References = HashMap<(String, InputSize), (u64, Expected)>;
@@ -480,7 +471,7 @@ impl Default for Orchestrator {
             watchdog_quarantined: metrics.counter("orch.watchdog_quarantined"),
             persist_degraded: metrics.counter("orch.persist_degraded"),
             degraded: AtomicBool::new(false),
-            persisted: Mutex::default(),
+            saving: Mutex::default(),
             log: OnceLock::new(),
             queued: Mutex::default(),
             metrics,
@@ -580,11 +571,6 @@ struct Cache {
     /// Reference outcomes read from a results file and not yet found
     /// stale; a new harness is seeded from them.
     references: References,
-    /// Records added, replaced or evicted and loaded references dropped so
-    /// far: with the count of reference outcomes held (which otherwise
-    /// only grows), equal counts mean equal contents, which is how
-    /// [`Orchestrator::persist`] skips a rewrite.
-    changes: u64,
 }
 
 impl Cache {
@@ -597,7 +583,6 @@ impl Cache {
         key: MeasureKey,
         value: Result<Measurement, MeasureError>,
     ) -> Vec<MeasureKey> {
-        self.changes += 1;
         match self.records.entry(key) {
             Entry::Occupied(mut slot) => {
                 let _ = slot.insert(value);
@@ -619,7 +604,6 @@ impl Cache {
                 break;
             };
             self.records.remove(&oldest);
-            self.changes += 1;
             victims.push(oldest);
         }
         victims
@@ -715,7 +699,6 @@ impl Orchestrator {
                 .is_some_and(|&(d, _)| d == digest)
             {
                 cache.references.remove(&key);
-                cache.changes += 1;
                 self.pruned.add(1);
             }
         }
@@ -1188,11 +1171,12 @@ impl Orchestrator {
         // experiment scope and tag each with a 1-based worker id so trace
         // spans say which worker simulated what.
         let caller_scope = traced.then(telemetry::scope).unwrap_or_default();
-        let measured: HashMap<&MeasureKey, _> = crossbeam::scope(|scope| {
+        // A worker's panic reaches the caller once the other workers finish.
+        let measured: HashMap<&MeasureKey, _> = std::thread::scope(|scope| {
             let workers: Vec<_> = (1..=threads as u64)
                 .map(|wid| {
                     let (work, next, caller_scope) = (&work, &next, &caller_scope);
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         if traced {
                             telemetry::set_worker(wid);
                             telemetry::set_scope(caller_scope);
@@ -1229,8 +1213,7 @@ impl Orchestrator {
                 .into_iter()
                 .flat_map(|w| w.join().expect("sweep worker panicked"))
                 .collect()
-        })
-        .expect("sweep worker panicked");
+        });
 
         let out = keys
             .iter()
@@ -1276,31 +1259,30 @@ impl Orchestrator {
         out
     }
 
-    /// Persists every successful cached measurement, and every reference
+    /// Writes every successful cached measurement, and every reference
     /// outcome the process holds, as one sealed JSON line each (see the
     /// module docs), sorted, through `jsonl::write_atomic`: a crash leaves
     /// either the complete old file or the complete new one, and a failed
-    /// write leaks no temp file. Returns the number of measurement records
-    /// written.
+    /// write leaks no temp file. Saves never interleave. Returns the number
+    /// of measurement records written.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from writing or renaming. Callers that want
-    /// retry and graceful degradation use [`Orchestrator::persist`].
+    /// Propagates I/O errors from writing or renaming. The attached log
+    /// compacts through `save` and retries and degrades on its own
+    /// ([`Orchestrator::attach`]).
     pub fn save(&self, path: &Path) -> std::io::Result<usize> {
-        let mut persisted = self.persisted.lock();
+        let _saving = self.saving.lock();
         // Clone the successful records under the lock and format them
         // outside it; sort by the record line itself for a deterministic
         // file order.
-        let (records, changes): (Vec<(MeasureKey, Measurement)>, u64) = {
-            let cache = self.cache.lock();
-            let records = cache
-                .records
-                .iter()
-                .filter_map(|(k, r)| Some((k.clone(), r.as_ref().ok()?.clone())))
-                .collect();
-            (records, cache.changes)
-        };
+        let records: Vec<(MeasureKey, Measurement)> = self
+            .cache
+            .lock()
+            .records
+            .iter()
+            .filter_map(|(k, r)| Some((k.clone(), r.as_ref().ok()?.clone())))
+            .collect();
         let references = self.held_references();
         let mut lines: Vec<String> = records.iter().map(|(k, m)| record_line(k, m)).collect();
         lines.extend(
@@ -1329,49 +1311,11 @@ impl Orchestrator {
             }
             Ok(())
         })?;
-        *persisted = Some(Persisted {
-            path: path.to_owned(),
-            changes,
-            references: references.len(),
-        });
         Ok(records.len())
     }
 
-    /// [`Orchestrator::save`] with transient-failure handling: up to three
-    /// attempts with a short backoff, then graceful degradation — one
-    /// warning on stderr, the `orch.persist_degraded` counter, and
-    /// in-memory-only operation from then on (later calls return
-    /// immediately). Returns the number of records written, `0` when
-    /// degraded. Measurements are never lost to a persistence failure:
-    /// results flow to callers directly, the file is only a resume
-    /// accelerator.
-    ///
-    /// An unchanged cache is not rewritten: when `path` is the file last
-    /// saved or cleanly loaded, it still exists, no record has been
-    /// added, replaced or evicted since and no reference outcome has been
-    /// interpreted or dropped, the call writes nothing and returns the
-    /// count a write would have.
-    /// On the attached results file the call is [`Orchestrator::sync`].
-    pub fn persist(&self, path: &Path) -> usize {
-        if self.degraded.load(Ordering::Relaxed) {
-            return 0;
-        }
-        if self.log.get().is_some_and(|log| log.lock().path == path) {
-            self.sync();
-            let cache = self.cache.lock();
-            return cache.records.values().filter(|r| r.is_ok()).count();
-        }
-        if let Some(n) = self.unchanged_on_disk(path) {
-            return n;
-        }
-        jsonl::retry_io(|| self.save(path)).unwrap_or_else(|e| {
-            self.degrade(path, &e);
-            0
-        })
-    }
-
-    /// Gives up on the results file: one warning, `orch.persist_degraded`,
-    /// and no more I/O from [`Orchestrator::persist`].
+    /// Gives up on the results file: one warning and
+    /// `orch.persist_degraded`.
     fn degrade(&self, path: &Path, why: &dyn fmt::Display) {
         if !self.degraded.swap(true, Ordering::Relaxed) {
             self.persist_degraded.add(1);
@@ -1383,64 +1327,61 @@ impl Orchestrator {
         }
     }
 
-    /// The number of records a save would write, if `path` already holds
-    /// exactly them (see [`Orchestrator::persist`]).
-    fn unchanged_on_disk(&self, path: &Path) -> Option<usize> {
-        let persisted = self.persisted.lock();
-        let saved = persisted.as_ref()?;
-        if saved.path != path || !path.exists() {
-            return None;
-        }
-        if self.held_references().len() != saved.references {
-            return None;
-        }
-        let cache = self.cache.lock();
-        (cache.changes == saved.changes)
-            .then(|| cache.records.values().filter(|r| r.is_ok()).count())
-    }
-
     /// Makes the results file at `path` this orchestrator's one durable
     /// log: takes an exclusive lock on a sidecar lock file, `load`s
     /// the file, compacts it through `save` unless it matched what was
     /// loaded and ends in a newline (so no append lands on half a line),
     /// and opens it for append. From then on each leader logs its
     /// successful record before publishing it, and [`Orchestrator::sync`]
-    /// commits. When another process holds the lock, the file is loaded
-    /// and never written, with one warning, as if persistence degraded.
-    /// Attach once. Returns how many records were restored.
+    /// commits. Failed writes are retried through a compaction; when they
+    /// keep failing, the log closes and degrades: one warning, the
+    /// `orch.persist_degraded` counter, and no more I/O, while results
+    /// still flow to callers. When another process holds the lock, the
+    /// file is loaded and never written, with one warning, as if the log
+    /// degraded. Returns how many records were restored.
     ///
     /// # Errors
     ///
-    /// Errors from `load`, which leave the orchestrator unattached.
+    /// Errors from `load`, which leave the orchestrator unattached, and an
+    /// `AlreadyExists` error, before any file is opened, when a results
+    /// file is already attached: attach once.
     pub fn attach(&self, path: &Path) -> io::Result<usize> {
+        let attached = || {
+            io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "a results file is already attached",
+            )
+        };
+        if self.log.get().is_some() {
+            return Err(attached());
+        }
         let lock_path = path.with_extension("jsonl.lock");
         let locked = path
             .parent()
             .map_or(Ok(()), std::fs::create_dir_all)
             .and_then(|()| File::create(&lock_path))
             .and_then(|lock| lock.try_lock().map(|()| lock).map_err(io::Error::from));
-        let lock = match locked {
-            Ok(lock) => lock,
-            Err(e) => {
+        let lock = locked
+            .map_err(|e| {
                 let why = format!(
                     "{} is held by another writer or unwritable: {e}",
                     lock_path.display()
                 );
                 self.degrade(path, &why);
-                return self.load(path);
-            }
-        };
-        let (restored, whole) = self.load_lines(path)?;
-        let clean = whole && self.unchanged_on_disk(path).is_some();
+            })
+            .ok();
+        let (restored, matched) = self.load_lines(path)?;
         let mut log = Log {
             path: path.to_owned(),
             file: None,
-            lock: Some(lock),
             pending: false,
             references: self.held_references(),
+            lock,
         };
-        self.log_io(&mut log, !clean, Log::open);
-        let _ = self.log.set(Mutex::new(log));
+        if log.lock.is_some() {
+            self.log_io(&mut log, !matched, Log::open);
+        }
+        self.log.set(Mutex::new(log)).map_err(|_| attached())?;
         Ok(restored)
     }
 
@@ -1510,17 +1451,18 @@ impl Orchestrator {
         }
     }
 
-    /// Whether [`Orchestrator::persist`] has degraded to in-memory-only
-    /// operation after repeated write failures.
+    /// Whether the attached log has degraded to in-memory-only operation,
+    /// after repeated write failures or because another writer holds the
+    /// file.
     #[must_use]
     pub fn persist_degraded(&self) -> bool {
         self.degraded.load(Ordering::Relaxed)
     }
 
-    /// Restores measurements and reference outcomes persisted by
-    /// [`Orchestrator::save`]. Reference outcomes seed each harness built
-    /// from then on (and any already built) whose module and arguments
-    /// they were computed from.
+    /// Restores measurements and reference outcomes from a results file
+    /// written by [`Orchestrator::save`] or an attached log. Reference
+    /// outcomes seed each harness built from then on (and any already
+    /// built) whose module and arguments they were computed from.
     ///
     /// Bad lines are dropped, counted, and never fatal, in two classes:
     /// **pruned** ([`OrchestratorStats::pruned`]) — foreign record
@@ -1536,11 +1478,8 @@ impl Orchestrator {
     /// file restores zero. Transient read errors are retried (three
     /// attempts, short backoff) before propagating.
     ///
-    /// Loading into an empty orchestrator a file whose every line restores
-    /// a record or an outcome leaves it matching the file, so the next
-    /// [`Orchestrator::persist`] to it writes nothing. A file with any
-    /// pruned, quarantined or duplicate line is rewritten clean at the
-    /// next persist.
+    /// [`Orchestrator::attach`] compacts a file with any pruned,
+    /// quarantined or duplicate line.
     ///
     /// # Errors
     ///
@@ -1550,8 +1489,11 @@ impl Orchestrator {
         self.load_lines(path).map(|(restored, _)| restored)
     }
 
-    /// [`Orchestrator::load`], and whether the file ends in a newline (or
-    /// is empty or missing).
+    /// [`Orchestrator::load`], and whether the cache now matches the file:
+    /// an empty orchestrator restored a record or an outcome from every
+    /// line and evicted none, no harness holds an outcome the file lacks,
+    /// and the file is empty or ends in a newline (so an append never
+    /// lands on half a line). A missing file matches nothing.
     fn load_lines(&self, path: &Path) -> io::Result<(usize, bool)> {
         let read = jsonl::retry_io(|| match faults::io_error(site::LOAD_IO) {
             Some(e) => Err(e),
@@ -1561,7 +1503,7 @@ impl Orchestrator {
             },
         })?;
         let Some(text) = read else {
-            return Ok((0, true));
+            return Ok((0, false));
         };
         let mut pruned = 0u64;
         let mut quarantined = 0u64;
@@ -1587,7 +1529,7 @@ impl Orchestrator {
         let mut restored = 0usize;
         let mut seeded = 0usize;
         let mut evicted = Vec::new();
-        let matches_file = {
+        let every_line = {
             let mut cache = self.cache.lock();
             let was_empty = cache.records.is_empty() && cache.references.is_empty();
             for (key, m) in parsed {
@@ -1602,25 +1544,20 @@ impl Orchestrator {
                     seeded += 1;
                 }
             }
-            (was_empty && restored + seeded == lines && evicted.is_empty()).then_some(cache.changes)
+            was_empty && restored + seeded == lines && evicted.is_empty()
         };
         let harnesses: Vec<Arc<Harness>> = self.harnesses.lock().values().cloned().collect();
         for h in &harnesses {
             self.seed(h);
         }
-        let held = self.held_references().len();
-        if let Some(changes) = matches_file.filter(|_| held == seeded) {
-            *self.persisted.lock() = Some(Persisted {
-                path: path.to_owned(),
-                changes,
-                references: held,
-            });
-        }
+        let matched = every_line
+            && self.held_references().len() == seeded
+            && (text.is_empty() || text.ends_with('\n'));
         self.note_evicted(&evicted);
         self.loaded.add(restored as u64);
         self.pruned.add(pruned);
         self.quarantined.add(quarantined);
-        Ok((restored, text.is_empty() || text.ends_with('\n')))
+        Ok((restored, matched))
     }
 }
 
@@ -2214,43 +2151,7 @@ mod tests {
     }
 
     #[test]
-    fn persisting_an_unchanged_cache_writes_nothing() {
-        let dir = std::env::temp_dir().join(format!("biaslab-unchanged-{}", std::process::id()));
-        let path = dir.join("measurements.jsonl");
-        let orch = Orchestrator::new();
-        let h = orch.harness("hmmer").expect("known benchmark");
-        let setups = env_setups(3);
-        let _ = orch.sweep(&h, &setups[..2], InputSize::Test);
-        assert_eq!(orch.persist(&path), 2);
-        let saved = file_state(&path);
-        assert_eq!(orch.persist(&path), 2, "nothing changed since the save");
-        assert_eq!(file_state(&path), saved);
-
-        // A resumed run: load, serve every request from the cache, persist.
-        let resumed = Orchestrator::new();
-        assert_eq!(resumed.load(&path).expect("load"), 2);
-        let _ = resumed.sweep(&h, &setups[..2], InputSize::Test);
-        assert_eq!(resumed.stats().simulated, 0);
-        assert_eq!(resumed.persist(&path), 2, "the count a write would return");
-        assert_eq!(file_state(&path), saved, "bytes, mtime and inode untouched");
-
-        // A new record makes the next persist write.
-        let _ = resumed.sweep(&h, &setups, InputSize::Test);
-        assert_eq!(resumed.persist(&path), 3);
-        assert_ne!(file_state(&path).2, saved.2, "rewritten");
-        // So does an eviction.
-        resumed.set_cache_cap(Some(1));
-        assert_eq!(resumed.persist(&path), 1);
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert_eq!(
-            text.lines().filter(|l| l.contains("\"counters\"")).count(),
-            1
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_torn_file_is_rewritten_clean_and_other_paths_still_write() {
+    fn attaching_a_torn_file_compacts_it_clean() {
         let dir = std::env::temp_dir().join(format!("biaslab-rewrite-{}", std::process::id()));
         let path = dir.join("measurements.jsonl");
         let orch = Orchestrator::new();
@@ -2259,25 +2160,15 @@ mod tests {
         assert_eq!(orch.save(&path).expect("save"), 2);
         let clean = std::fs::read(&path).expect("read back");
 
-        // A crashed writer's torn tail: quarantined on load, and the next
-        // persist compacts the file even though no record changed.
+        // A crashed writer's torn tail: quarantined on load, and attach
+        // compacts the file even though no record changed.
         let mut torn = clean.clone();
         torn.extend_from_slice(&clean[..clean.len() / 3]);
         std::fs::write(&path, &torn).expect("tear");
         let fresh = Orchestrator::new();
-        assert_eq!(fresh.load(&path).expect("load"), 2);
+        assert_eq!(fresh.attach(&path).expect("attach"), 2);
         assert_eq!(fresh.stats().quarantined, 1);
-        assert_eq!(fresh.persist(&path), 2);
         assert_eq!(std::fs::read(&path).expect("read back"), clean);
-
-        // Another path is written even though the cache matches `path`…
-        let other = dir.join("other.jsonl");
-        assert_eq!(fresh.persist(&other), 2);
-        assert_eq!(std::fs::read(&other).expect("read other"), clean);
-        // …and so is a matched file that has since disappeared.
-        std::fs::remove_file(&other).expect("remove");
-        assert_eq!(fresh.persist(&other), 2);
-        assert_eq!(std::fs::read(&other).expect("read other"), clean);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2298,31 +2189,36 @@ mod tests {
     fn reference_outcomes_persist_and_seed_new_harnesses() {
         let dir = std::env::temp_dir().join(format!("biaslab-refs-{}", std::process::id()));
         let path = dir.join("measurements.jsonl");
+        let _ = std::fs::remove_dir_all(&dir);
         let orch = Orchestrator::new();
+        assert_eq!(orch.attach(&path).expect("attach"), 0);
         let h = orch.harness("hmmer").expect("known benchmark");
         let _ = orch.sweep(&h, &env_setups(2), InputSize::Test);
         let expected = h.benchmark().expected(InputSize::Test);
-        assert_eq!(orch.persist(&path), 2, "references are not counted");
+        orch.sync();
         let (lines, at) = reference_at(&path, InputSize::Test);
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 3, "two records, one reference");
         assert!(matches!(
             parse_record(&lines[at]),
             RecordVerdict::Reference(ReferenceRecord { ref bench, digest, .. })
                 if bench == "hmmer" && digest == h.reference_digest(InputSize::Test)
         ));
-        // An outcome interpreted after the last save is a change.
-        let saved = file_state(&path);
+        // An outcome interpreted after the last sync is appended by the
+        // next one.
+        let synced = file_state(&path);
         let _ = h.benchmark().expected(InputSize::Ref);
-        assert_eq!(orch.persist(&path), 2);
-        assert_ne!(file_state(&path).2, saved.2, "rewritten");
+        orch.sync();
+        assert_eq!(file_state(&path).2, synced.2, "appended, not rewritten");
         let (lines, _) = reference_at(&path, InputSize::Ref);
         assert_eq!(lines.len(), 4, "two records, two references");
 
         // A fresh process seeds its harness instead of interpreting, and
         // an unchanged resume writes nothing.
+        drop(orch);
         let saved = file_state(&path);
         let fresh = Orchestrator::new();
-        assert_eq!(fresh.load(&path).expect("load"), 2);
+        assert_eq!(fresh.attach(&path).expect("attach"), 2);
+        assert!(!fresh.persist_degraded(), "the first writer let go");
         let seeded = fresh.harness("hmmer").expect("known benchmark");
         assert_eq!(
             seeded.benchmark().held_expected(InputSize::Test),
@@ -2330,7 +2226,7 @@ mod tests {
         );
         assert!(seeded.benchmark().held_expected(InputSize::Ref).is_some());
         assert_eq!(fresh.stats().pruned, 0);
-        assert_eq!(fresh.persist(&path), 2);
+        fresh.sync();
         assert_eq!(file_state(&path), saved, "bytes, mtime and inode untouched");
         // Harnesses built before the load are seeded by it.
         let early = Orchestrator::new();
@@ -2384,14 +2280,14 @@ mod tests {
         assert_eq!(fresh.stats().pruned, 1);
         assert_eq!(rebuilt.benchmark().held_expected(InputSize::Test), None);
         assert_eq!(rebuilt.benchmark().expected(InputSize::Test), expected);
-        // The measurement still verifies, and the next persist writes the
+        // The measurement still verifies, and the next save writes the
         // interpreted outcome under the right digest.
         let m = fresh
             .measure(&rebuilt, &env_setups(1)[0], InputSize::Test)
             .expect("cached");
         assert_eq!(fresh.stats().simulated, 0);
         assert_eq!(m.checksum, expected.checksum);
-        assert_eq!(fresh.persist(&path), 1);
+        assert_eq!(fresh.save(&path).expect("save"), 1);
         assert_eq!(std::fs::read(&path).expect("read back"), clean);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2418,7 +2314,7 @@ mod tests {
         let h = orch.harness("milc").expect("known benchmark");
         assert_eq!(orch.stats().pruned, 1);
         orch.measure(&h, setup, InputSize::Test).expect("measures");
-        assert_eq!(orch.persist(&path), 1);
+        orch.sync();
         let (lines, _) = reference_at(&path, InputSize::Test);
         assert_eq!(lines.len(), 3, "the stale outcome, a record, the fresh one");
 
@@ -2448,12 +2344,11 @@ mod tests {
         std::fs::write(&path, &torn).expect("tear");
 
         let fresh = Orchestrator::new();
-        assert_eq!(fresh.load(&path).expect("load"), 1);
+        assert_eq!(fresh.attach(&path).expect("attach"), 1);
         assert_eq!(fresh.stats().quarantined, 1);
+        assert_eq!(std::fs::read(&path).expect("read back"), clean, "compacted");
         let seeded = fresh.harness("mcf").expect("known benchmark");
         assert!(seeded.benchmark().held_expected(InputSize::Test).is_some());
-        assert_eq!(fresh.persist(&path), 1);
-        assert_eq!(std::fs::read(&path).expect("read back"), clean, "compacted");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2487,20 +2382,28 @@ mod tests {
         std::fs::write(&path, &v3).expect("write v3");
 
         let fresh = Orchestrator::new();
-        assert_eq!(fresh.load(&path).expect("load"), 0);
+        assert_eq!(fresh.attach(&path).expect("attach"), 0);
         assert_eq!(fresh.stats().pruned, 2);
         assert_eq!(fresh.stats().quarantined, 0, "stale, not corrupt");
-        assert_eq!(fresh.persist(&path), 0);
         assert_eq!(
             std::fs::read_to_string(&path).expect("read back"),
             "",
-            "no v3 line survives the next persist"
+            "no v3 line survives the attach"
         );
         let rebuilt = fresh.harness("sphinx3").expect("known benchmark");
         let _ = fresh.sweep(&rebuilt, &setups, InputSize::Test);
         assert_eq!(fresh.stats().simulated, 2);
-        assert_eq!(fresh.persist(&path), 2);
-        assert_eq!(std::fs::read(&path).expect("read back"), v4);
+        fresh.sync();
+        // Appended in completion order: the same lines `save` sorts.
+        let sorted = |text: &str| {
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            lines.sort_unstable();
+            lines
+        };
+        assert_eq!(
+            sorted(&std::fs::read_to_string(&path).expect("read back")),
+            sorted(std::str::from_utf8(&v4).expect("utf-8"))
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2519,7 +2422,7 @@ mod tests {
             assert_eq!(orch.attach(&path).expect("attach"), 0);
             let h = orch.harness("hmmer").expect("known benchmark");
             let _ = orch.sweep(&h, &setups, InputSize::Test);
-            assert_eq!(orch.persist(&path), 2);
+            orch.sync();
         }
         let saved = file_state(&path);
         let resumed = Orchestrator::new();
@@ -2530,7 +2433,7 @@ mod tests {
         let h = resumed.harness("hmmer").expect("known benchmark");
         let _ = resumed.sweep(&h, &setups, InputSize::Test);
         assert_eq!(resumed.stats().simulated, 0);
-        assert_eq!(resumed.persist(&path), 2);
+        resumed.sync();
         assert!(!resumed.persist_degraded());
         assert_eq!(file_state(&path), saved, "bytes, mtime and inode untouched");
         std::fs::remove_dir_all(&dir).ok();

@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
@@ -22,7 +21,7 @@ use crate::setup::{ExperimentSetup, LinkOrder};
 use crate::stats::{bootstrap_ci_mean, Ci, Summary};
 
 /// Which factors the sampler randomizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomizedFactors {
     /// Randomize environment size uniformly in `0..=max_env_bytes`.
     pub environment: bool,
@@ -88,7 +87,7 @@ pub fn random_setup(
 }
 
 /// The result of a randomized evaluation of `test_opt` against `base_opt`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomizedEval {
     /// Per-setup observations.
     pub observations: Vec<SpeedupObservation>,

@@ -13,10 +13,9 @@ use biaslab_uarch::MachineConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How the benchmark's object files are ordered at link time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkOrder {
     /// Declaration order (what a Makefile author happened to write).
     Default,

@@ -6,10 +6,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Descriptive summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,
@@ -181,7 +180,7 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// A two-sided confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ci {
     /// Lower bound.
     pub lo: f64,
@@ -285,7 +284,7 @@ pub fn permutation_test(a: &[f64], b: &[f64], permutations: usize, seed: u64) ->
 
 /// A violin-plot summary: the quantiles the repro figures print for each
 /// benchmark's distribution of speedups across setups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViolinSummary {
     /// Quantile levels, fixed at 0, 5, 25, 50, 75, 95, 100 percent.
     pub levels: [f64; 7],

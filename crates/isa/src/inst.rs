@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::reg::Reg;
 
 /// Integer ALU operation, used by both register and immediate forms.
@@ -11,7 +9,7 @@ use crate::reg::Reg;
 /// All arithmetic is 64-bit two's-complement wrapping. Division follows the
 /// RISC-V convention: dividing by zero yields all-ones (`Div`) or the
 /// dividend (`Rem`) instead of trapping, which keeps the simulator total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// `rd = rs1 + rs2`
     Add,
@@ -166,7 +164,7 @@ impl AluOp {
 }
 
 /// Branch condition for compare-and-branch instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cond {
     /// Branch if `rs1 == rs2`.
     Eq,
@@ -230,7 +228,7 @@ impl Cond {
 }
 
 /// Memory access width for loads and stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Width {
     /// One byte (zero-extended on load).
     B1,
@@ -267,7 +265,7 @@ impl Width {
 ///
 /// Branch and jump offsets are in **bytes** relative to the address of the
 /// *next* instruction (i.e. `pc + 4`), and must be multiples of 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// Three-register ALU operation: `rd = op(rs1, rs2)`.
     Alu {

@@ -15,8 +15,9 @@
 //!   change program semantics.
 //!
 //! The crate provides the instruction model ([`Inst`]), a binary encoding
-//! ([`encode`]/[`decode`], used by the object format and exercised by
-//! round-trip property tests), and a disassembler (`Display` on [`Inst`]).
+//! ([`encode`]/[`decode`]: the 32-bit word that makes every instruction 4
+//! bytes, checked by round-trip property tests), and a disassembler
+//! (`Display` on [`Inst`]).
 //!
 //! # Examples
 //!

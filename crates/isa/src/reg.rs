@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One of the 32 MRV32 general-purpose registers.
 ///
 /// The wrapped index is guaranteed to be in `0..32`; use [`Reg::r`] to
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Reg::SP.to_string(), "sp");
 /// assert_eq!(Reg::r(7).index(), 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {

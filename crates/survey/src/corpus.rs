@@ -3,13 +3,12 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Total papers in the survey (the paper's number).
 pub const CORPUS_SIZE: usize = 133;
 
 /// The four surveyed venues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Venue {
     /// Architectural Support for Programming Languages and Operating Systems.
     Asplos,
@@ -49,7 +48,7 @@ impl Venue {
 }
 
 /// One aspect of an experimental setup a paper may document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReportedAspect {
     /// Names the compiler used.
     Compiler,
@@ -131,7 +130,7 @@ impl ReportedAspect {
 }
 
 /// One surveyed paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaperRecord {
     /// Synthetic identifier, stable across runs with the same seed.
     pub id: u32,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::corpus::{PaperRecord, ReportedAspect, Venue};
 
 /// One row of the survey table: an aspect and how many papers report it,
 /// per venue and in total.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurveyRow {
     /// The setup aspect.
     pub aspect: ReportedAspect,
@@ -21,7 +19,7 @@ pub struct SurveyRow {
 }
 
 /// The tabulated survey.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurveyTable {
     /// Papers per venue, in [`Venue::ALL`] order.
     pub venue_counts: [usize; 4],

@@ -144,12 +144,6 @@ impl ModuleBuilder {
         verify_module(&self.module)?;
         Ok(self.module)
     }
-
-    /// Finishes construction without verification (tests only).
-    #[must_use]
-    pub fn finish_unchecked(self) -> Module {
-        self.module
-    }
 }
 
 /// Builds one function's CFG. Created by [`ModuleBuilder::define`].
@@ -254,12 +248,6 @@ impl<'a> FunctionBuilder<'a> {
         self.terminated = false;
     }
 
-    /// The block currently being emitted into.
-    #[must_use]
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     // ----- straight-line ops ----------------------------------------------
 
     /// Emits `dst = value` and returns `dst`.
@@ -306,11 +294,6 @@ impl<'a> FunctionBuilder<'a> {
     /// `a * imm`
     pub fn mul_imm(&mut self, a: Val, imm: i64) -> Val {
         self.bin_imm(AluOp::Mul, a, imm)
-    }
-
-    /// `a & imm`
-    pub fn and_imm(&mut self, a: Val, imm: i64) -> Val {
-        self.bin_imm(AluOp::And, a, imm)
     }
 
     /// Reads the scalar stored in `local`.

@@ -25,28 +25,27 @@
 use std::fmt;
 
 use biaslab_isa::{AluOp, Cond, Width};
-use serde::{Deserialize, Serialize};
 
 /// A block-local temporary value (virtual register).
 ///
 /// Defined by exactly one [`Op`] in a block and dead at the block's end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Val(pub u32);
 
 /// Index of a local slot within a [`Function`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocalId(pub u32);
 
 /// Index of a global within a [`Module`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalId(pub u32);
 
 /// Index of a function within a [`Module`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FuncId(pub u32);
 
 /// Index of a basic block within a [`Function`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 impl fmt::Display for Val {
@@ -62,7 +61,7 @@ impl fmt::Display for BlockId {
 }
 
 /// One non-terminator IR operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// `dst = value`
     Const {
@@ -243,7 +242,7 @@ impl Op {
 }
 
 /// A basic-block terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),
@@ -331,7 +330,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line ops plus one terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Straight-line operations.
     pub ops: Vec<Op>,
@@ -340,7 +339,7 @@ pub struct Block {
 }
 
 /// A stack slot local to one function activation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalSlot {
     /// Size in bytes. Scalars are 8; buffers may be any size.
     pub size: u32,
@@ -369,7 +368,7 @@ impl LocalSlot {
 /// The shape is `header` (test, two-way branch into `body` or the exit) and
 /// `body` (single block ending with a back edge to `header`), with an
 /// induction local advanced exactly once in the body by a constant step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopInfo {
     /// The loop's test block.
     pub header: BlockId,
@@ -383,7 +382,7 @@ pub struct LoopInfo {
 ///
 /// Block 0 is the entry block. The first `param_count` locals are the
 /// parameters, initialized from argument registers on entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
     /// Symbol name; unique within the module.
     pub name: String,
@@ -442,7 +441,7 @@ impl Function {
 }
 
 /// A module-level global variable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Global {
     /// Symbol name; unique within the module.
     pub name: String,
@@ -483,7 +482,7 @@ impl Global {
 }
 
 /// A compilation unit: functions plus globals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Module {
     /// All functions. The entry function is selected at link time by name.
     pub functions: Vec<Function>,

@@ -17,14 +17,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use biaslab_isa::{Inst, Reg};
-use serde::{Deserialize, Serialize};
 
 use crate::layout::{align_up, layout_globals, GP_VALUE, TEXT_BASE, TEXT_MAX};
 use crate::obj::{CompiledModule, RelocKind};
 use crate::opt::OptLevel;
 
 /// A linked symbol: name, start address and size in bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Symbol {
     /// Symbol name.
     pub name: String,

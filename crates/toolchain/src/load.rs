@@ -21,8 +21,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::layout::{align_down, STACK_MAX, STACK_TOP};
 use crate::link::Executable;
 use crate::mem::PagedMem;
@@ -41,7 +39,7 @@ pub fn next_image_generation() -> u64 {
 }
 
 /// One environment variable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvVar {
     /// Variable name (no `=`).
     pub name: String,
@@ -76,7 +74,7 @@ impl EnvVar {
 /// let env = Environment::of_total_size(1000);
 /// assert_eq!(env.stack_bytes(), 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Environment {
     vars: Vec<EnvVar>,
 }

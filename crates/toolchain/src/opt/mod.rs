@@ -22,15 +22,13 @@ mod inline;
 mod simplify;
 mod unroll;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ir::Module;
 
 pub use inline::inline_functions;
 pub use unroll::unroll_loops;
 
 /// A compiler optimization level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptLevel {
     /// No optimization.
     O0,

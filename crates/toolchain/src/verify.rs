@@ -111,20 +111,6 @@ fn module_errors(module: &Module) -> Vec<VerifyError> {
     errors
 }
 
-/// Verifies a single function.
-///
-/// # Errors
-///
-/// Returns the first defect found, in deterministic check order.
-pub fn verify_function(module: &Module, f: &Function) -> Result<(), VerifyError> {
-    let mut errors = Vec::new();
-    function_errors(module, f, &mut errors);
-    match errors.into_iter().next() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
 fn function_errors(module: &Module, f: &Function, errors: &mut Vec<VerifyError>) {
     if f.blocks.is_empty() {
         errors.push(err(f, None, "function has no blocks".into()));

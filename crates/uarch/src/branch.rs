@@ -5,10 +5,8 @@
 //! order re-aliases branches onto different counters and BTB slots — the
 //! paper's link-order bias channel on real front ends.
 
-use serde::{Deserialize, Serialize};
-
 /// Predictor geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchConfig {
     /// log2 of the gshare pattern-history table size.
     pub gshare_bits: u32,

@@ -15,12 +15,10 @@
 //! address whose real tag happens to equal a sentinel value can never
 //! alias an invalid way into a spurious hit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::GeometryError;
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: u32,

@@ -3,12 +3,10 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Event counts collected during a simulated run — the analogue of the
 /// hardware performance counters the paper reads on real machines, except
 /// complete and deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Total simulated cycles.
     pub cycles: u64,

@@ -27,7 +27,6 @@ use biaslab_isa::{checksum_fold, Inst, Reg};
 use biaslab_toolchain::link::Executable;
 use biaslab_toolchain::load::Process;
 use biaslab_toolchain::mem::RegionMem;
-use serde::{Deserialize, Serialize};
 
 use crate::block::{
     BlockCache, BlockCacheStats, BlockEnd, DecodeParams, DecodedBlock, UopKind, REG_SLOTS,
@@ -42,7 +41,7 @@ use crate::ports::L2Port;
 use crate::tlb::TlbConfig;
 
 /// Complete parameterization of a simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Human-readable model name.
     pub name: String,
@@ -314,15 +313,6 @@ impl MachineConfig {
             ));
         }
         Ok(())
-    }
-
-    /// The fetch-window id containing `pc` — the same mapping the front
-    /// end applies (`pc / fetch_bytes`). Two instructions in the same
-    /// window are fetched together; an entry point late in its window
-    /// wastes the rest of the fetch.
-    #[must_use]
-    pub fn fetch_window_of(&self, pc: u32) -> u32 {
-        pc / self.fetch_bytes
     }
 
     /// Byte offset of `pc` within its fetch window.

@@ -15,10 +15,9 @@
 use std::fmt;
 
 use biaslab_toolchain::link::Executable;
-use serde::{Deserialize, Serialize};
 
 /// One function's share of a run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileEntry {
     /// Function symbol name.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct ProfileEntry {
 }
 
 /// A completed profile, sorted by descending cycle share.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     /// Entries, hottest first. Functions that never executed are omitted.
     pub entries: Vec<ProfileEntry>,

@@ -9,14 +9,12 @@
 //! construction and entry validity is an explicit per-set bit mask rather
 //! than a tag sentinel.
 
-use serde::{Deserialize, Serialize};
-
 use biaslab_toolchain::layout::PAGE_SIZE;
 
 use crate::geometry::GeometryError;
 
 /// Geometry of a TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total entries.
     pub entries: u32,

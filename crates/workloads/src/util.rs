@@ -71,14 +71,6 @@ pub fn lcg_words(seed: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Branch-free signed `min(a, b)`: `b + (a <s b) * (a - b)`.
-pub fn emit_min(fb: &mut FunctionBuilder<'_>, a: Val, b: Val) -> Val {
-    let lt = fb.bin(AluOp::Slt, a, b);
-    let diff = fb.sub(a, b);
-    let scaled = fb.mul(lt, diff);
-    fb.add(b, scaled)
-}
-
 /// Branch-free absolute difference `|a - b|` for unsigned-magnitude inputs
 /// below `2^63`: `(a<b ? b-a : a-b)`.
 pub fn emit_absdiff(fb: &mut FunctionBuilder<'_>, a: Val, b: Val) -> Val {
@@ -138,28 +130,5 @@ mod tests {
         let m = mb.finish().unwrap();
         let out = Interpreter::new(&m).call_by_name("t", &[]).unwrap();
         assert_eq!(out.return_value, Some(99));
-    }
-
-    #[test]
-    fn emit_min_selects_smaller_signed() {
-        let mut mb = ModuleBuilder::new();
-        mb.function("m", 2, true, |fb| {
-            let a = fb.param(0);
-            let b = fb.param(1);
-            let av = fb.get(a);
-            let bv = fb.get(b);
-            let r = emit_min(fb, av, bv);
-            fb.ret(Some(r));
-        });
-        let m = mb.finish().unwrap();
-        for (a, b, want) in [
-            (3u64, 5u64, 3u64),
-            (5, 3, 3),
-            (7, 7, 7),
-            ((-4i64) as u64, 2, (-4i64) as u64),
-        ] {
-            let out = Interpreter::new(&m).call_by_name("m", &[a, b]).unwrap();
-            assert_eq!(out.return_value, Some(want), "min({a},{b})");
-        }
     }
 }

@@ -14,7 +14,13 @@ echo "==> cargo test -q (the tier-1 run: debug build, so overflow checks and deb
 cargo test -q
 
 echo "==> cargo test -q --release --manifest-path perfbench/Cargo.toml (benchmark builds against the crates)"
+# perfbench's lock is frozen with the benchmark. Cargo rewrites it when a
+# crate perfbench builds gains or drops a dependency, and `--locked` does
+# not catch a dropped one, so compare the file itself.
+perfbench_lock="$(cksum < perfbench/Cargo.lock)"
 cargo test -q --release --manifest-path perfbench/Cargo.toml
+[ "$(cksum < perfbench/Cargo.lock)" = "$perfbench_lock" ] \
+    || { echo "FATAL: building perfbench rewrote perfbench/Cargo.lock: a crate it builds gained or dropped a dependency" >&2; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -20,7 +20,7 @@ use biaslab_bench::parallel::run_all;
 use biaslab_bench::EXPERIMENTS;
 use biaslab_core::faults::{self, FaultSpec};
 use biaslab_core::setup::{ExperimentSetup, LinkOrder};
-use biaslab_core::Orchestrator;
+use biaslab_core::{telemetry, Orchestrator};
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::{Counters, MachineConfig};
@@ -112,49 +112,96 @@ fn counters_are_identical_under_every_fault_schedule() {
     }
 }
 
+/// How many faults the process has injected at `sites`.
+fn injected(sites: &[&str]) -> u64 {
+    sites
+        .iter()
+        .map(|site| {
+            telemetry::metrics()
+                .counter(&format!("fault.injected.{site}"))
+                .get()
+        })
+        .sum()
+}
+
 #[test]
 fn repro_all_stdout_is_byte_identical_under_faults() {
     let _guard = faults::scoped(&spec("seed=1"));
+    // `table1` interprets reference outcomes; `abl-aslr` measures records.
     let exps: Vec<ExperimentInfo> = EXPERIMENTS
         .iter()
-        .filter(|e| e.id == "table1")
+        .filter(|e| ["table1", "abl-aslr"].contains(&e.id))
         .copied()
         .collect();
-    assert_eq!(exps.len(), 1);
+    assert_eq!(exps.len(), 2);
     let mut reference = Vec::new();
     run_all(&exps, Effort::Quick, 2, &mut reference, |_| {}).expect("write to Vec");
+    // The global orchestrator attaches once, as `repro all` does, so every
+    // schedule logs to the same results file until one degrades it.
+    let global = Orchestrator::global();
+    let dir = temp_dir("stdout");
+    global
+        .attach(&dir.join("measurements.jsonl"))
+        .expect("attach");
     for (name, s) in SCHEDULES {
-        faults::install(&spec(s));
-        let dir = temp_dir(name);
-        let path = dir.join("measurements.jsonl");
+        let schedule = spec(s);
+        faults::install(&schedule);
+        let sites: Vec<&str> = schedule.entries().iter().map(|(site, _)| *site).collect();
+        let saves: Vec<&str> = sites
+            .iter()
+            .copied()
+            .filter(|site| site.starts_with("save."))
+            .collect();
+        let before = (injected(&sites), injected(&saves));
+        // Evicting every record makes each one simulate again, so the
+        // schedule's faults hit leaders and the appends of real records.
+        global.set_cache_cap(Some(0));
+        global.set_cache_cap(None);
+        let snapshot = dir.join(format!("{name}.jsonl"));
         let mut out = Vec::new();
-        // Persist after each block like `repro all` does; injected save
-        // faults hit real record lines from the global cache.
+        // Sync after each block like `repro all` does. A degraded log
+        // writes nothing more, so each block also saves a snapshot of the
+        // cache, and every schedule's save faults meet a whole-file write.
         let failures = run_all(&exps, Effort::Quick, 2, &mut out, |_| {
-            Orchestrator::global().persist(&path);
+            global.sync();
+            let _ = global.save(&snapshot);
         })
         .expect("write to Vec");
         assert_eq!(failures, 0, "no experiment may panic under {name}");
         assert_eq!(out, reference, "stdout under {name}");
         assert_no_tmp_leaked(&dir);
-        fs::remove_dir_all(&dir).ok();
+        assert!(injected(&sites) > before.0, "no fault fired under {name}");
+        assert!(
+            saves.is_empty() || injected(&saves) > before.1,
+            "no save fault reached a results file under {name}"
+        );
     }
+    // p=0.5 per line fails every compaction of the log, so its retries
+    // give up and it degrades under the first schedule.
+    assert!(
+        global.persist_degraded(),
+        "the attached log met no save fault it could not retry"
+    );
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn persist_and_load_retry_through_one_shot_io_faults() {
-    let _guard = faults::scoped(&spec("seed=5,save.io=@1,load.io=@1"));
+    let _guard = faults::scoped(&spec("seed=5"));
+    let dir = temp_dir("oneshot");
+    let path = dir.join("measurements.jsonl");
     let orch = Orchestrator::new();
+    orch.attach(&path).expect("attach");
     let h = orch.harness("hmmer").expect("known benchmark");
     let setup = ExperimentSetup::default_on(MachineConfig::core2(), OptLevel::O2);
+    // The record's append hits the injected error; the bounded retry
+    // compacts the file and lands the record without degrading or leaving
+    // the temp file behind.
+    faults::install(&spec("seed=5,save.io=@1,load.io=@1"));
     let m = orch
         .measure(&h, &setup, InputSize::Test)
         .expect("measurement");
-    let dir = temp_dir("oneshot");
-    let path = dir.join("measurements.jsonl");
-    // The first write attempt hits the injected error; the bounded retry
-    // lands the record without degrading or leaving the temp file behind.
-    assert_eq!(orch.persist(&path), 1);
+    orch.sync();
     assert!(!orch.persist_degraded());
     assert_no_tmp_leaked(&dir);
     // Same on the read side: first read fails, the retry restores it.
@@ -180,13 +227,23 @@ fn persist_degrades_to_in_memory_when_the_disk_keeps_failing() {
         .expect("measurement");
     let dir = temp_dir("degraded");
     let path = dir.join("measurements.jsonl");
-    assert_eq!(orch.persist(&path), 0, "every attempt fails at p=1");
+    // Attach writes the cached record through a compaction of the missing
+    // file, and every attempt fails at p=1.
+    orch.attach(&path)
+        .expect("a write failure is not an attach error");
     assert!(orch.persist_degraded());
     assert!(!path.exists(), "no partial results file");
     assert_no_tmp_leaked(&dir);
     // Degradation is sticky (no further I/O) but purely about persistence:
-    // the orchestrator keeps serving measurements from memory.
-    assert_eq!(orch.persist(&path), 0);
+    // the orchestrator keeps measuring and serving from memory.
+    orch.measure(
+        &h,
+        &setup.with_env(Environment::of_total_size(64)),
+        InputSize::Test,
+    )
+    .expect("measurement");
+    orch.sync();
+    assert!(!path.exists(), "the closed log writes nothing");
     let again = orch.measure(&h, &setup, InputSize::Test).expect("cached");
     assert_eq!(again.counters, m.counters);
     fs::remove_dir_all(&dir).ok();

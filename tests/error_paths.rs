@@ -158,6 +158,48 @@ fn hard_leader_panic_is_confined_and_waiters_take_over() {
     );
 }
 
+/// A sweep worker that dies on the injected unrecoverable leader panic
+/// takes the sweep down: the panic reaches the caller once the other
+/// workers finish, instead of hanging or turning into a result. What the
+/// other workers published stays cached, so sweeping again simulates only
+/// the rest and returns what a fresh orchestrator measures.
+#[test]
+fn a_sweep_worker_panic_reaches_the_caller_and_a_second_sweep_finishes() {
+    let _guard = faults::scoped(&FaultSpec::parse("seed=9,leader.panic.hard=@1").expect("parses"));
+    let base = ExperimentSetup::default_on(MachineConfig::core2(), OptLevel::O2);
+    let setups: Vec<ExperimentSetup> = (0..4u32)
+        .map(|i| base.with_env(Environment::of_total_size(64 * i + 64)))
+        .collect();
+    let orch = Orchestrator::new();
+    let h = orch.harness("hmmer").expect("known benchmark");
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        orch.sweep(&h, &setups, InputSize::Test)
+    }));
+    assert!(died.is_err(), "the worker's panic reaches the caller");
+    let (published, simulated) = (orch.stats().cached, orch.stats().simulated);
+    assert_eq!(simulated, published, "every simulated key was published");
+    assert!(
+        published < setups.len() as u64,
+        "the dead leader's key was not"
+    );
+
+    let counters = |o: &Orchestrator, h: &Harness| -> Vec<_> {
+        o.sweep(h, &setups, InputSize::Test)
+            .into_iter()
+            .map(|r| r.expect("measurement").counters)
+            .collect()
+    };
+    let again = counters(&orch, &h);
+    assert_eq!(
+        orch.stats().simulated - simulated,
+        setups.len() as u64 - published,
+        "only the keys the first sweep did not publish simulate"
+    );
+    let fresh = Orchestrator::new();
+    let fh = fresh.harness("hmmer").expect("known benchmark");
+    assert_eq!(again, counters(&fresh, &fh));
+}
+
 /// A crashed writer's results file — torn tail line, bit-flipped record,
 /// foreign junk — loads what survives and quarantines the rest.
 #[test]

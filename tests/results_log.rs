@@ -78,8 +78,8 @@ fn assert_no_tmp(dir: &Path) {
 /// drops the whole line to the one that drops only its newline. Attach
 /// restores every whole line and compacts exactly when the file does not
 /// end in a newline, so the next append never lands on half a line: one
-/// more measurement and a persist leave a file in which every line
-/// verifies and a reload returns every record.
+/// more measurement and a sync leave a file in which every line verifies
+/// and a reload returns every record.
 #[test]
 fn attach_compacts_a_log_torn_at_any_byte_of_its_last_line() {
     let _guard = faults::scoped(&spec("seed=1"));
@@ -94,11 +94,11 @@ fn attach_compacts_a_log_torn_at_any_byte_of_its_last_line() {
             orch.measure(&harness, s, InputSize::Test)
                 .expect("measures");
         }
-        orch.persist(&path);
+        orch.sync();
         // The last line is a record, appended after the commit.
         orch.measure(&harness, &setups[2], InputSize::Test)
             .expect("measures");
-        orch.persist(&path);
+        orch.sync();
     }
     let full = std::fs::read(&path).expect("read back");
     let start = full[..full.len() - 1]
@@ -119,7 +119,7 @@ fn attach_compacts_a_log_torn_at_any_byte_of_its_last_line() {
         assert_eq!(compacted, cut != start, "cut at {cut}");
         orch.measure(&harness, &setups[3], InputSize::Test)
             .expect("measures");
-        orch.persist(&path);
+        orch.sync();
         assert_eq!(verified_reload(&path), restored + 1, "cut at {cut}");
     }
     assert_no_tmp(&dir);
@@ -127,8 +127,8 @@ fn attach_compacts_a_log_torn_at_any_byte_of_its_last_line() {
 }
 
 /// A short write and an I/O error on two appends: each is retried through
-/// a compaction, so `persist` recovers without degrading, no torn line
-/// and no temp file remain, and a reload returns every record.
+/// a compaction, so the log recovers without degrading, no torn line and
+/// no temp file remain, and a reload returns every record.
 #[test]
 fn append_faults_are_retried_through_a_compaction() {
     let _guard = faults::scoped(&spec("seed=1"));
@@ -144,7 +144,7 @@ fn append_faults_are_retried_through_a_compaction() {
     orch.measure(&h, &setups[1], InputSize::Test)
         .expect("measures");
     faults::install(&spec("seed=1"));
-    assert_eq!(orch.persist(&path), 2);
+    orch.sync();
     assert!(!orch.persist_degraded());
     assert_eq!(verified_reload(&path), 2);
     assert_no_tmp(&dir);
@@ -153,7 +153,7 @@ fn append_faults_are_retried_through_a_compaction() {
 
 /// One writer per file: a second orchestrator attaching the same path
 /// while the first holds it reads the file and writes nothing, even after
-/// it measures and persists; the first one's later appends survive. The
+/// it measures and syncs; the first one's later appends survive. The
 /// first attach compacts away a torn line, renaming a new file over the
 /// path, so this also checks that the lock guards the path, not only the
 /// file it replaced.
@@ -171,7 +171,7 @@ fn a_second_attach_of_a_held_file_writes_nothing() {
     first
         .measure(&h, &setups[0], InputSize::Test)
         .expect("measures");
-    first.persist(&path);
+    first.sync();
     let held = file_state(&path);
 
     let second = Orchestrator::new();
@@ -180,13 +180,59 @@ fn a_second_attach_of_a_held_file_writes_nothing() {
     second
         .measure(&h, &setups[1], InputSize::Test)
         .expect("measures");
-    assert_eq!(second.persist(&path), 0);
+    second.sync();
     assert_eq!(file_state(&path), held, "bytes, mtime and inode untouched");
 
     first
         .measure(&h, &setups[2], InputSize::Test)
         .expect("measures");
-    first.persist(&path);
+    first.sync();
     assert_eq!(verified_reload(&path), 2, "the first writer's records");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Attach once: a second attach, to another file or to the same one, is
+/// refused before it opens any file. The other file keeps its bytes,
+/// mtime and inode and gets no lock file, nothing degrades, and the first
+/// log keeps appending.
+#[test]
+fn a_second_attach_is_refused_and_the_first_log_keeps_writing() {
+    let _guard = faults::scoped(&spec("seed=1"));
+    let (dir, path) = results_file("twice");
+    let other = dir.join("other.jsonl");
+    let setups = setups(3);
+    let orch = Orchestrator::new();
+    assert_eq!(orch.attach(&path).expect("attach"), 0);
+    let h = orch.harness("milc").expect("known benchmark");
+    orch.measure(&h, &setups[0], InputSize::Test)
+        .expect("measures");
+    orch.sync();
+    // Another results file, holding a record the first log lacks.
+    let writer = Orchestrator::new();
+    let wh = writer.harness("milc").expect("known benchmark");
+    writer
+        .measure(&wh, &setups[1], InputSize::Test)
+        .expect("measures");
+    assert_eq!(writer.save(&other).expect("save"), 1);
+    let untouched = (file_state(&path), file_state(&other));
+
+    for again in [&other, &path] {
+        let err = orch.attach(again).expect_err("attach once");
+        assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists, "{err}");
+    }
+    assert_eq!((file_state(&path), file_state(&other)), untouched);
+    assert!(
+        !other.with_extension("jsonl.lock").exists(),
+        "no file opened"
+    );
+    assert!(!orch.persist_degraded());
+    assert_eq!(orch.stats().loaded, 0, "the other file was not read");
+
+    for s in &setups[1..] {
+        orch.measure(&h, s, InputSize::Test).expect("measures");
+    }
+    orch.sync();
+    assert_eq!(verified_reload(&path), 3, "the first log appended both");
+    assert_eq!(verified_reload(&other), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
