@@ -30,11 +30,12 @@ commands:
   serve                        measurement daemon: JSONL requests over a
                                unix/tcp socket, bounded admission queue,
                                explicit shed responses under overload,
-                               supervised worker pool (panicked workers
-                               respawn; `stats` reports health ok |
-                               degraded | draining), per-request
-                               deadlines, SIGTERM graceful drain; keeps
-                               what it measures in the results file
+                               a worker pool that outlives panics (a
+                               panicking request gets a typed error;
+                               `stats` reports health ok | draining),
+                               per-request deadlines, SIGTERM graceful
+                               drain; keeps what it measures in the
+                               results file
   client <op> [<benchmark>]    one-shot daemon request; op is ping,
                                stats, shutdown, measure or sweep
   survey                       print the 133-paper literature survey

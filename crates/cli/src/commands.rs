@@ -4,9 +4,9 @@ use biaslab_core::harness::Harness;
 use biaslab_core::report::Table;
 use biaslab_core::setup::ExperimentSetup;
 use biaslab_core::{orchestrator, Orchestrator};
-use biaslab_toolchain::load::{Environment, Loader};
+use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
-use biaslab_uarch::{Machine, MachineConfig};
+use biaslab_uarch::MachineConfig;
 use biaslab_workloads::{benchmark_by_name, suite, InputSize};
 
 use biaslab_core::serve;
@@ -180,30 +180,14 @@ fn run_bench(args: &RunArgs) -> Result<(), String> {
     }
 
     if args.profile {
-        // Profiled path: drive the stages directly so the profiler sees
-        // the same verified binary the harness measures.
-        let exe = harness.link(&setup).map_err(|e| e.to_string())?;
-        let process = Loader::new()
-            .load(&exe, &setup.env, harness.benchmark().args(args.size))
+        let (m, profile) = harness
+            .measure_profiled(&setup, args.size)
             .map_err(|e| e.to_string())?;
-        let (result, profile) = Machine::new(machine_config)
-            .run_profiled(&exe, process)
-            .map_err(|e| e.to_string())?;
-        let expected = harness.benchmark().expected(args.size);
-        if result.checksum != expected.checksum {
-            return Err(format!(
-                "verification failed: checksum {:#x} != reference {:#x}",
-                result.checksum, expected.checksum
-            ));
-        }
         println!(
             "{} @ {} on {} [{}]",
-            args.bench,
-            args.opt,
-            args.machine,
-            setup.summary()
+            args.bench, args.opt, args.machine, m.setup
         );
-        println!("{}\n", result.counters);
+        println!("{}\n", m.counters);
         println!("{profile}");
     } else {
         let m = Orchestrator::global()

@@ -116,10 +116,9 @@ pub mod site {
     /// request line, modelling a peer that trickles its bytes. A
     /// scheduling perturbation only — responses never depend on it.
     pub const SERVE_SLOW: &str = "serve.slow";
-    /// A serve pool worker dies mid-job, as an arbitrary bug in request
-    /// handling would make it. The job's client still receives a typed
-    /// `panic` error, and the supervisor respawns the worker under its
-    /// restart budget — the pool shrinks, then recovers.
+    /// A serve pool worker panics mid-job, as an arbitrary bug in request
+    /// handling would make it. The job's client receives a typed `panic`
+    /// error, and the worker takes the next job: the pool never shrinks.
     pub const SERVE_WORKER_PANIC: &str = "serve.worker_panic";
 
     /// Every known site, for spec validation and docs.

@@ -33,6 +33,7 @@ use biaslab_toolchain::load::{LoadError, Loader, Process};
 use biaslab_toolchain::obj::CompiledModule;
 use biaslab_toolchain::opt;
 use biaslab_toolchain::{Module, OptLevel};
+use biaslab_uarch::profile::Profile;
 use biaslab_uarch::{Counters, Machine, RunError, RunResult};
 use biaslab_workloads::{Benchmark, Expected, InputSize};
 use parking_lot::Mutex;
@@ -463,6 +464,29 @@ impl Harness {
         outcome.unwrap_or_else(|e| vec![Err(e); setups.len()])
     }
 
+    /// [`Harness::measure`] with the measured run's per-function cycle
+    /// attribution: the same link, load and verification, warm-up runs
+    /// included, on one machine. Counters are bit-identical to the
+    /// unprofiled measurement's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Harness::measure`].
+    pub fn measure_profiled(
+        &self,
+        setup: &ExperimentSetup,
+        size: InputSize,
+    ) -> Result<(Measurement, Profile), MeasureError> {
+        let exe = self.link(setup)?;
+        let mut machine = Machine::new(setup.machine.clone());
+        for _ in 0..setup.warmup_runs {
+            let result = machine.run(&exe, self.load(&exe, setup, size)?)?;
+            self.verify(setup, size, &result)?;
+        }
+        let (result, profile) = machine.run_profiled(&exe, self.load(&exe, setup, size)?)?;
+        Ok((self.verify(setup, size, &result)?, profile))
+    }
+
     /// The (cached) executable for `setup`'s level, link order, text
     /// offset and symbol layout: the image [`Harness::measure`] runs
     /// under `setup`, linked once per layout whatever the machine.
@@ -560,6 +584,39 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{level}: {e}"));
             assert!(m.cycles() > 0);
         }
+    }
+
+    #[test]
+    fn a_profiled_measurement_verifies_like_an_unprofiled_one() {
+        let setup = ExperimentSetup::default_on(MachineConfig::core2(), OptLevel::O2);
+        let h = harness("hmmer");
+        let m = h.measure(&setup, InputSize::Test).unwrap();
+        let (profiled, profile) = h.measure_profiled(&setup, InputSize::Test).unwrap();
+        assert_eq!(profiled.counters, m.counters);
+        assert_eq!(profiled.setup, m.setup);
+        assert!(!profile.entries.is_empty());
+        // The true checksum with a wrong return value: both paths refuse.
+        let truth = h.benchmark().expected(InputSize::Test);
+        let lying = harness("hmmer");
+        lying.benchmark().seed_expected(
+            InputSize::Test,
+            Expected {
+                return_value: truth.return_value ^ 1,
+                ..truth
+            },
+        );
+        let wrong = MeasureError::WrongResult {
+            expected: truth.checksum,
+            actual: truth.checksum,
+        };
+        assert_eq!(lying.measure(&setup, InputSize::Test).unwrap_err(), wrong);
+        assert_eq!(
+            lying
+                .measure_profiled(&setup, InputSize::Test)
+                .map(|(m, _)| m.checksum)
+                .unwrap_err(),
+            wrong
+        );
     }
 
     #[test]

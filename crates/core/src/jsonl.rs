@@ -687,7 +687,7 @@ mod tests {
             msg in "[ -~]{0,40}",
             limit in any::<u64>(),
             stats in prop::collection::vec(("[a-z][a-z.]{0,11}", any::<u64>()), 0..4),
-            health in select(vec!["ok", "degraded", "draining"]),
+            health in select(vec!["ok", "draining"]),
             byte in any::<u8>(),
         ) {
             let m = Measurement {

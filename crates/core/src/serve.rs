@@ -23,14 +23,14 @@
 //! client observing at worst a typed error or a torn / truncated line; it
 //! reconnects with seeded jittered backoff and retries the whole exchange,
 //! and the orchestrator's caches make the retry cheap and the response
-//! identical. Inside the daemon a supervision layer holds the same line:
-//! every pool job runs under `catch_unwind`, a panicked worker answers its
-//! client with a typed `panic` error and is respawned under a capped,
-//! seeded-jitter restart budget (`serve.worker.{panic,respawn}`, surfaced
-//! as the `health` field of `stats`); requests may carry a `deadline_ms`
-//! enforced at every control point (admission wait, single-flight wait)
-//! as a typed `deadline` response; SIGTERM / `shutdown {"mode":"drain"}`
-//! finishes in-flight work before stopping. A sweep has one execution
+//! identical. Inside the daemon the pool holds the same line: every pool
+//! job runs under `catch_unwind`, and a worker whose job panicked answers
+//! its client with a typed `panic` error (counted as `serve.worker.panic`)
+//! and takes the next job, so a panic costs one request, never a worker
+//! (`stats` reports the daemon's `health`: `ok`, or `draining`). Requests
+//! may carry a `deadline_ms` enforced at every control point (admission
+//! wait, single-flight wait) as a typed `deadline` response; SIGTERM /
+//! `shutdown {"mode":"drain"}` finishes in-flight work before stopping. A sweep has one execution
 //! path: one [`Orchestrator::sweep_deadline`] over all its setups,
 //! parallel and single-flight, with any deadline enforced per item, then
 //! one [`Orchestrator::sync`] before its first item goes out. The daemon
@@ -46,7 +46,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -141,8 +141,7 @@ pub const ITEM_FIELDS: &[&str] = &[
     "v", "ev", "id", "seq", "status", "code", "error", "setup", "checksum", "counters", "crc",
 ];
 /// Top-level fields of a stats response line. `health` is the daemon's
-/// supervision state: `ok`, `degraded` (fewer live workers than
-/// configured) or `draining`.
+/// state: `ok`, or `draining` once a drain began.
 pub const STATS_FIELDS: &[&str] = &["v", "ev", "id", "health", "counters", "crc"];
 
 /// Request operations the daemon understands.
@@ -680,8 +679,8 @@ pub fn encode_draining(id: u64) -> String {
     )
 }
 
-/// Encodes a stats response: the daemon's supervision `health`
-/// (`ok | degraded | draining`) plus named counters as a nested object.
+/// Encodes a stats response: the daemon's `health` (`ok | draining`)
+/// plus named counters as a nested object.
 #[must_use]
 pub fn encode_stats(id: u64, health: &str, counters: &[(String, u64)]) -> String {
     let pairs: Vec<String> = counters
@@ -715,8 +714,8 @@ pub fn line_status(line: &str) -> Option<&str> {
     Fields::scan(line)?.str("status")
 }
 
-/// Extracts the daemon health (`ok`, `degraded`, `draining`) from a
-/// `stats` response line.
+/// Extracts the daemon health (`ok`, `draining`) from a `stats`
+/// response line.
 #[must_use]
 pub fn line_health(line: &str) -> Option<&str> {
     Fields::scan(line)?.str("health")
@@ -774,7 +773,7 @@ pub fn schema() -> String {
         out,
         "codes: link,load,run,wrong_result,watchdog,proto,bench,machine,shed,panic,deadline,drain"
     );
-    let _ = writeln!(out, "health: ok,degraded,draining");
+    let _ = writeln!(out, "health: ok,draining");
     let _ = writeln!(out, "seal: crc = fnv64(line up to ,\"crc\":)");
     out
 }
@@ -925,17 +924,11 @@ pub struct ServerConfig {
     /// How long a graceful drain waits for in-flight work before
     /// force-stopping, in milliseconds.
     pub drain_timeout_ms: u64,
-    /// How many panicked workers the supervisor will respawn over the
-    /// daemon's lifetime; past the budget the pool stays degraded.
-    pub restart_budget: usize,
-    /// Seed for the supervisor's jittered respawn delays, so restart
-    /// timing is replayable in tests.
-    pub restart_seed: u64,
 }
 
 impl ServerConfig {
     /// Default configuration: 4 workers, queue depth 64, 5 s drain
-    /// timeout, restart budget 8. What the daemon keeps across restarts
+    /// timeout. What the daemon keeps across restarts
     /// is the orchestrator's business: it persists only when attached to
     /// a results file ([`Orchestrator::attach`]), so an in-process test
     /// server over a fresh orchestrator writes nothing.
@@ -946,8 +939,6 @@ impl ServerConfig {
             workers: 4,
             queue_depth: 64,
             drain_timeout_ms: 5_000,
-            restart_budget: 8,
-            restart_seed: 0,
         }
     }
 }
@@ -967,7 +958,6 @@ struct ServeCounters {
     torn_writes: telemetry::Counter,
     drops: telemetry::Counter,
     worker_panics: telemetry::Counter,
-    worker_respawns: telemetry::Counter,
     deadline_expired: telemetry::Counter,
     drains: telemetry::Counter,
     drain_refused: telemetry::Counter,
@@ -990,7 +980,6 @@ impl ServeCounters {
             torn_writes: m.counter("serve.torn_writes"),
             drops: m.counter("serve.drops"),
             worker_panics: m.counter("serve.worker.panic"),
-            worker_respawns: m.counter("serve.worker.respawn"),
             deadline_expired: m.counter("serve.deadline.expired"),
             drains: m.counter("serve.drain"),
             drain_refused: m.counter("serve.drain.refused"),
@@ -1067,36 +1056,19 @@ struct Shared {
     state: AtomicU8,
     readers: StdMutex<Vec<thread::JoinHandle<()>>>,
     conns: StdMutex<Vec<Arc<ConnOut>>>,
-    /// Pool-worker handles; the supervisor appends respawns, so teardown
-    /// drains this under the lock rather than owning a fixed Vec.
-    worker_handles: StdMutex<Vec<thread::JoinHandle<()>>>,
-    /// Workers the pool was configured with; `live_workers` below it means
-    /// the daemon is degraded.
-    configured_workers: usize,
-    live_workers: AtomicUsize,
     /// Jobs currently executing (popped but unanswered); drain waits for
     /// queue empty *and* this zero.
     inflight: AtomicUsize,
-    /// Panicked workers awaiting respawn; the supervisor sleeps on the
-    /// condvar.
-    dead: StdMutex<usize>,
-    dead_cv: Condvar,
-    next_wid: AtomicU64,
-    restart_budget: usize,
-    restart_seed: u64,
     drain_timeout: Duration,
     c: ServeCounters,
 }
 
 impl Shared {
-    /// The supervision state surfaced in `stats`: `draining` once a drain
-    /// began, `degraded` while the pool is below configured strength,
-    /// `ok` otherwise.
+    /// The state surfaced in `stats`: `draining` once a drain began, `ok`
+    /// otherwise.
     fn health(&self) -> &'static str {
-        if self.state.load(Ordering::SeqCst) == STATE_DRAINING {
+        if self.draining() {
             "draining"
-        } else if self.live_workers.load(Ordering::SeqCst) < self.configured_workers {
-            "degraded"
         } else {
             "ok"
         }
@@ -1107,13 +1079,13 @@ impl Shared {
     }
 }
 
-/// A running daemon. Threads: one acceptor, one supervisor (respawning
-/// panicked workers), one reader per connection, `workers` pool threads
-/// draining the bounded admission queue.
+/// A running daemon. Threads: one acceptor, one reader per connection,
+/// `workers` pool threads draining the bounded admission queue; a pool
+/// thread outlives a panic in any job it runs.
 pub struct Server {
     shared: Arc<Shared>,
     acceptor: StdMutex<Option<thread::JoinHandle<()>>>,
-    supervisor: StdMutex<Option<thread::JoinHandle<()>>>,
+    workers: StdMutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl Server {
@@ -1132,29 +1104,16 @@ impl Server {
             state: AtomicU8::new(STATE_RUNNING),
             readers: StdMutex::new(Vec::new()),
             conns: StdMutex::new(Vec::new()),
-            worker_handles: StdMutex::new(Vec::new()),
-            configured_workers: workers,
-            live_workers: AtomicUsize::new(workers),
             inflight: AtomicUsize::new(0),
-            dead: StdMutex::new(0),
-            dead_cv: Condvar::new(),
-            next_wid: AtomicU64::new(workers as u64 + 1),
-            restart_budget: cfg.restart_budget,
-            restart_seed: cfg.restart_seed,
             drain_timeout: Duration::from_millis(cfg.drain_timeout_ms),
             c: ServeCounters::new(),
         });
-        {
-            let mut handles = lock_unpoisoned(&shared.worker_handles);
-            for wid in 1..=workers {
+        let workers = (1..=workers as u64)
+            .map(|wid| {
                 let shared = Arc::clone(&shared);
-                handles.push(thread::spawn(move || worker_loop(&shared, wid as u64)));
-            }
-        }
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || supervisor_loop(&shared))
-        };
+                thread::spawn(move || worker_loop(&shared, wid))
+            })
+            .collect();
         let acceptor = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || accept_loop(&shared, &listener))
@@ -1162,7 +1121,7 @@ impl Server {
         Ok(Server {
             shared,
             acceptor: StdMutex::new(Some(acceptor)),
-            supervisor: StdMutex::new(Some(supervisor)),
+            workers: StdMutex::new(workers),
         })
     }
 
@@ -1186,14 +1145,7 @@ impl Server {
         lock_unpoisoned(&self.shared.conns).len()
     }
 
-    /// Pool workers currently alive (shrinks on a panic, recovers as the
-    /// supervisor respawns).
-    #[must_use]
-    pub fn live_workers(&self) -> usize {
-        self.shared.live_workers.load(Ordering::SeqCst)
-    }
-
-    /// The daemon's supervision health: `ok`, `degraded`, or `draining`.
+    /// The daemon's health: `ok`, or `draining` once a drain began.
     #[must_use]
     pub fn health(&self) -> &'static str {
         self.shared.health()
@@ -1266,18 +1218,10 @@ impl Server {
     /// exactly one caller joins each thread.
     pub fn stop(&self) {
         begin_shutdown(&self.shared);
-        // Join the supervisor before draining worker handles: once it has
-        // exited, no new worker can be spawned, so the drain below is
-        // complete rather than racing a respawn.
-        if let Some(h) = lock_unpoisoned(&self.supervisor).take() {
-            let _ = h.join();
-        }
         if let Some(h) = lock_unpoisoned(&self.acceptor).take() {
             let _ = h.join();
         }
-        let workers: Vec<_> = lock_unpoisoned(&self.shared.worker_handles)
-            .drain(..)
-            .collect();
+        let workers: Vec<_> = lock_unpoisoned(&self.workers).drain(..).collect();
         for h in workers {
             let _ = h.join();
         }
@@ -1310,15 +1254,13 @@ fn begin_drain(shared: &Shared) {
     }
 }
 
-/// Flips the shutdown flag, wakes the pool and the supervisor, and pokes
-/// the acceptor with a throwaway connection so its blocking `accept`
-/// returns.
+/// Flips the shutdown flag, wakes the pool, and pokes the acceptor with a
+/// throwaway connection so its blocking `accept` returns.
 fn begin_shutdown(shared: &Shared) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
     shared.ready.notify_all();
-    shared.dead_cv.notify_all();
     if let Ok(s) = Stream::connect(&shared.addr) {
         s.shutdown_both();
     }
@@ -1363,57 +1305,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
         let mut readers = lock_unpoisoned(&shared.readers);
         readers.retain(|h| !h.is_finished());
         readers.push(handle);
-    }
-}
-
-/// Deterministic full-jitter respawn delay: uniform over an exponential
-/// envelope (capped), drawn by hashing `(seed, respawn index)` — the same
-/// schedule every run, so chaos tests can pin recovery timing.
-fn respawn_delay_ms(seed: u64, respawn: u64) -> u64 {
-    let cap = (4u64 << respawn.min(6)).min(200);
-    fnv64(&format!("respawn {seed}:{respawn}")) % cap
-}
-
-/// The supervisor: sleeps until a worker dies, then — within the restart
-/// budget — waits out a seeded jittered delay and spawns a replacement.
-/// Past the budget the pool stays degraded (and `health` says so) rather
-/// than masking a crash loop.
-fn supervisor_loop(shared: &Arc<Shared>) {
-    let mut respawns = 0u64;
-    loop {
-        {
-            let mut dead = lock_unpoisoned(&shared.dead);
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if *dead > 0 {
-                    *dead -= 1;
-                    break;
-                }
-                dead = wait_unpoisoned(&shared.dead_cv, dead);
-            }
-        }
-        if respawns as usize >= shared.restart_budget {
-            continue; // budget exhausted: stay degraded
-        }
-        respawns += 1;
-        thread::sleep(Duration::from_millis(respawn_delay_ms(
-            shared.restart_seed,
-            respawns,
-        )));
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let wid = shared.next_wid.fetch_add(1, Ordering::SeqCst);
-        let worker = {
-            let shared = Arc::clone(shared);
-            thread::spawn(move || worker_loop(&shared, wid))
-        };
-        lock_unpoisoned(&shared.worker_handles).push(worker);
-        shared.live_workers.fetch_add(1, Ordering::SeqCst);
-        shared.c.worker_respawns.add(1);
-        faults::recovered("serve.worker.respawn");
     }
 }
 
@@ -1532,7 +1423,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: Stream) {
     lock_unpoisoned(&shared.conns).retain(|c| !Arc::ptr_eq(c, &out));
 }
 
-fn worker_loop(shared: &Arc<Shared>, wid: u64) {
+fn worker_loop(shared: &Shared, wid: u64) {
     telemetry::set_worker(wid);
     loop {
         let job = {
@@ -1552,26 +1443,26 @@ fn worker_loop(shared: &Arc<Shared>, wid: u64) {
         };
         let id = job.req.id();
         let out = Arc::clone(&job.out);
-        // Supervision boundary: a panic anywhere in request handling must
-        // not take the pool down with it. The client still gets exactly
-        // one terminal (typed `panic`) response, the worker announces its
-        // death to the supervisor, and this thread exits.
+        // A panic anywhere in request handling costs its request, never
+        // the worker: the client gets exactly one terminal (typed `panic`)
+        // response, and this thread takes the next job. The response goes
+        // out while the job still counts as in flight, so a drain cannot
+        // finish and tear the connection down before it is written.
         shared.inflight.fetch_add(1, Ordering::SeqCst);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             handle_job(shared, job);
         }));
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
         if outcome.is_err() {
             shared.c.worker_panics.add(1);
-            shared.live_workers.fetch_sub(1, Ordering::SeqCst);
+            // A span the panic left open must not parent the next job's.
+            telemetry::reset_thread();
+            telemetry::set_worker(wid);
             out.send(
                 shared,
                 &encode_error(id, "panic", "worker panicked executing the request"),
             );
-            *lock_unpoisoned(&shared.dead) += 1;
-            shared.dead_cv.notify_all();
-            return;
         }
+        shared.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1583,10 +1474,9 @@ fn expired(deadline: Option<Instant>) -> bool {
 fn handle_job(shared: &Shared, job: Job) {
     let Job { req, out, deadline } = job;
     if faults::fire(site::SERVE_WORKER_PANIC) {
-        // An arbitrary bug in request handling: the worker dies. The
-        // catch_unwind boundary above turns this into a typed response
-        // plus a supervised respawn; unrecoverable, because a real bug
-        // would not politely retry.
+        // An arbitrary bug in request handling. The catch_unwind boundary
+        // in `worker_loop` turns it into a typed response; unrecoverable,
+        // because a real bug would not politely retry.
         std::panic::panic_any(faults::InjectedPanic { recoverable: false });
     }
     match req {

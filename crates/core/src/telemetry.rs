@@ -328,6 +328,15 @@ pub fn clear_scope() {
     SCOPE.with(|s| s.borrow_mut().clear());
 }
 
+/// Returns this thread's telemetry state (worker id, innermost open span,
+/// experiment scope) to a fresh thread's. A thread that caught a panic
+/// calls this, so a span the panic left open parents nothing later.
+pub(crate) fn reset_thread() {
+    WORKER.with(|w| w.set(0));
+    CURRENT.with(|c| c.set(0));
+    clear_scope();
+}
+
 /// This thread's experiment scope (empty when unset).
 #[must_use]
 pub fn scope() -> String {

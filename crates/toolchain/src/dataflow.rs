@@ -30,8 +30,6 @@
 
 use std::collections::BTreeSet;
 
-#[cfg(test)]
-use crate::ir::Terminator;
 use crate::ir::{Function, LocalId, Op, Val};
 
 // ---------------------------------------------------------------------------
@@ -941,7 +939,7 @@ mod tests {
     use biaslab_isa::AluOp;
 
     use super::*;
-    use crate::ir::{Block, BlockId, LocalSlot};
+    use crate::ir::{Block, BlockId, LocalSlot, Terminator};
 
     fn func(blocks: Vec<Block>, locals: Vec<LocalSlot>, next_val: u32) -> Function {
         Function {

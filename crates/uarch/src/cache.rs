@@ -278,6 +278,8 @@ impl Cache {
 
 #[cfg(test)]
 mod tests {
+    use biaslab_toolchain::layout::PAGE_SIZE;
+
     use super::*;
 
     fn tiny() -> Cache {
@@ -450,15 +452,17 @@ mod tests {
         })]
         /// Every set's clock starts just below `u16::MAX`, so a stream
         /// wraps each set it touches a few times; hits and misses must
-        /// still match a true-LRU list access for access.
+        /// still match a true-LRU list access for access. Lines run up to
+        /// `PAGE_SIZE`, the line a TLB is simulated with.
         #[test]
         fn stamps_renumbered_at_the_wrap_match_a_true_lru_list(
             set_bits in 0u32..4,
             ways in 1u32..9,
+            line_bits in 0u32..=PAGE_SIZE.trailing_zeros(),
             start_below_wrap in 0u16..40,
             stream in proptest::collection::vec(0u32..48, 1..400),
         ) {
-            let (sets, line) = (1u32 << set_bits, 64u32);
+            let (sets, line) = (1u32 << set_bits, 1u32 << line_bits);
             let mut cache = Cache::new(CacheConfig {
                 size: sets * ways * line,
                 ways,
@@ -476,11 +480,12 @@ mod tests {
                 proptest::prop_assert_eq!(
                     cache.access(addr),
                     oracle.access(addr),
-                    "access {} to line {} on {} sets x {} ways, clock from {}",
+                    "access {} to line {} on {} sets x {} ways of {} B, clock from {}",
                     i,
                     l,
                     sets,
                     ways,
+                    line,
                     u16::MAX - start_below_wrap
                 );
             }

@@ -12,12 +12,12 @@ use biaslab_toolchain::layout::PAGE_SIZE;
 use crate::cache::{Cache, CacheConfig};
 use crate::counters::Counters;
 use crate::ports::L2Port;
-use crate::tlb::{Tlb, TlbConfig};
+use crate::tlb::TlbConfig;
 
 /// The data-side timing component.
 #[derive(Debug, Clone)]
 pub struct MemSystem {
-    dtlb: Tlb,
+    dtlb: Cache,
     l1d: Cache,
     /// Bank-conflict model state for the last two data accesses (youngest
     /// first): `last_key` packs `(bank << 32) | line` so "same bank,
@@ -78,7 +78,7 @@ impl MemSystem {
             bank_window: u64::from(p.bank_window),
             bank_conflict_penalty: u64::from(p.bank_conflict_penalty),
             next_line_prefetch: p.next_line_prefetch,
-            dtlb: Tlb::new(p.dtlb),
+            dtlb: Cache::new(p.dtlb.cache()),
             l1d: Cache::new(p.l1d),
             last_key: [u64::MAX; 2],
             last_idx: [0; 2],

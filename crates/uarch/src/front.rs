@@ -13,12 +13,12 @@ use crate::branch::{BranchConfig, BranchPredictor};
 use crate::cache::{Cache, CacheConfig};
 use crate::counters::Counters;
 use crate::ports::L2Port;
-use crate::tlb::{Tlb, TlbConfig};
+use crate::tlb::TlbConfig;
 
 /// The instruction-side timing component.
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
-    itlb: Tlb,
+    itlb: Cache,
     l1i: Cache,
     bp: BranchPredictor,
     /// The fetch window the previous instruction came from; crossing into
@@ -56,7 +56,7 @@ impl FrontEnd {
             itlb_penalty: u64::from(itlb.miss_penalty),
             mispredict_penalty: u64::from(branch.mispredict_penalty),
             btb_miss_penalty: u64::from(branch.btb_miss_penalty),
-            itlb: Tlb::new(itlb),
+            itlb: Cache::new(itlb.cache()),
             line_shift: l1i.line.trailing_zeros(),
             l1i: Cache::new(l1i),
             bp: BranchPredictor::new(branch),

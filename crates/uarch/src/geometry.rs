@@ -4,7 +4,7 @@
 //! (caches, TLBs, BTB, gshare, fetch window, banks) constrains its geometry
 //! to powers of two. Those constraints are checked **once, at
 //! construction** — [`crate::MachineConfig::validate`], [`crate::cache::Cache::try_new`],
-//! [`crate::tlb::Tlb::try_new`] — and never re-asserted on the access path:
+//! [`crate::tlb::TlbConfig::try_sets`] — and never re-asserted on the access path:
 //! an inconsistent configuration is a typed [`ConfigError`] before the
 //! first simulated cycle, not a panic in the middle of a sweep.
 
@@ -35,6 +35,11 @@ pub enum GeometryError {
         entries: u32,
         /// Associativity.
         ways: u32,
+    },
+    /// A TLB's reach, `entries` pages, must fit the 32-bit address space.
+    TlbReachOverflows {
+        /// Total TLB entries.
+        entries: u32,
     },
     /// BTB entry count must be a power of two.
     BtbNotPowerOfTwo {
@@ -82,6 +87,9 @@ impl fmt::Display for GeometryError {
             ),
             GeometryError::TlbSetsNotPowerOfTwo { entries, ways } => {
                 write!(f, "{entries}x{ways} is not a power of two set layout")
+            }
+            GeometryError::TlbReachOverflows { entries } => {
+                write!(f, "{entries} pages overflow the 32-bit address space")
             }
             GeometryError::BtbNotPowerOfTwo { entries } => {
                 write!(f, "{entries} entries not a power of two")

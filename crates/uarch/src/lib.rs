@@ -7,10 +7,10 @@
 //!
 //! The simulator is *mechanistic rather than cycle-exact*: it models the
 //! structures through which memory-layout changes become performance
-//! changes — set-associative caches ([`cache::Cache`]), TLBs
-//! ([`tlb::Tlb`]), an address-indexed branch predictor and BTB
-//! ([`branch::BranchPredictor`]), aligned fetch windows and line/page-split
-//! penalties — and charges simple latencies for each event. That is
+//! changes — set-associative caches ([`cache::Cache`]), TLBs (caches
+//! over pages, [`tlb::TlbConfig`]), an address-indexed branch predictor
+//! and BTB ([`branch::BranchPredictor`]), aligned fetch windows and
+//! line/page-split penalties — and charges simple latencies for each event. That is
 //! exactly the class of mechanism the paper identifies as the source of
 //! measurement bias, so the bias phenomenology (sensitivity to environment
 //! size and link order, with magnitudes comparable to the O2→O3 effect)

@@ -1530,6 +1530,19 @@ mod tests {
         let mut m = MachineConfig::core2();
         m.dtlb.ways = 3;
         assert!(m.validate().is_err());
+        // 2^20 entries: a whole power-of-two set layout whose reach of
+        // 4 KiB pages overflows the 32-bit address space.
+        let mut m = MachineConfig::core2();
+        m.itlb.entries = 1 << 20;
+        assert_eq!(
+            m.validate(),
+            Err(ConfigError::new(
+                "itlb",
+                GeometryError::TlbReachOverflows { entries: 1 << 20 }
+            ))
+        );
+        m.itlb.entries = 1 << 19;
+        assert_eq!(m.validate(), Ok(()));
     }
 
     #[test]

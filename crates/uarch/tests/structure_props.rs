@@ -3,7 +3,7 @@
 
 use biaslab_uarch::branch::{BranchConfig, BranchPredictor};
 use biaslab_uarch::cache::{Cache, CacheConfig};
-use biaslab_uarch::tlb::{Tlb, TlbConfig};
+use biaslab_uarch::tlb::TlbConfig;
 use proptest::prelude::*;
 
 fn small_cache() -> Cache {
@@ -79,7 +79,7 @@ proptest! {
 
     #[test]
     fn tlb_page_locality_hits(pages in proptest::collection::vec(0u32..16, 1..50)) {
-        let mut t = Tlb::new(TlbConfig { entries: 32, ways: 4, miss_penalty: 10 });
+        let mut t = Cache::new(TlbConfig { entries: 32, ways: 4, miss_penalty: 10 }.cache());
         for p in pages {
             let addr = p * 4096;
             t.access(addr);

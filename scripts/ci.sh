@@ -140,32 +140,31 @@ cmp "$tmp/client-cold.out" "$tmp/client-chaos.out" \
 wait "$serve_pid" || true
 [ ! -e "$sock" ] || { echo "FATAL: chaos daemon leaked its socket file" >&2; exit 1; }
 
-echo "==> serve supervision smoke (worker panic -> respawn -> health ok)"
+echo "==> serve panic smoke (a worker outlives its panic and serves the next request)"
 BIASLAB_FAULTS="seed=42,serve.worker_panic=@1" \
-    BIASLAB_RESULTS_DIR="$tmp/serve-sup-results" \
-    ./target/release/biaslab serve --addr "unix:$sock" --workers 4 --queue 32 \
-    > "$tmp/serve-sup.log" 2>&1 &
+    BIASLAB_RESULTS_DIR="$tmp/serve-panic-results" \
+    ./target/release/biaslab serve --addr "unix:$sock" --workers 1 --queue 32 \
+    > "$tmp/serve-panic.log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
-[ -S "$sock" ] || { echo "FATAL: supervised daemon did not bind $sock" >&2; exit 1; }
+[ -S "$sock" ] || { echo "FATAL: panic-smoke daemon did not bind $sock" >&2; exit 1; }
 # The first measurement job trips the one-shot panic; the client gets a
 # typed error terminal, never a hang or a torn line.
 ./target/release/biaslab client measure hmmer --addr "unix:$sock" --id 21 \
     > "$tmp/client-panic.out"
 grep -q '"code":"panic"' "$tmp/client-panic.out" \
     || { echo "FATAL: injected worker panic not surfaced as typed error" >&2; exit 1; }
-# The supervisor must respawn the worker and report health back at ok.
-health=""
-for _ in $(seq 1 50); do
-    ./target/release/biaslab client stats --addr "unix:$sock" --id 22 > "$tmp/stats-sup.out"
-    if grep -q '"health":"ok"' "$tmp/stats-sup.out"; then health=ok; break; fi
-    sleep 0.1
-done
-[ "$health" = ok ] \
-    || { echo "FATAL: health never returned to ok: $(cat "$tmp/stats-sup.out")" >&2; exit 1; }
-respawns="$(sed -n 's/.*"serve\.worker\.respawn":\([0-9]*\).*/\1/p' "$tmp/stats-sup.out")"
-[ -n "$respawns" ] && [ "$respawns" -ge 1 ] \
-    || { echo "FATAL: no worker respawn recorded after injected panic" >&2; exit 1; }
+# The one worker caught its panic; it answers the next request itself.
+./target/release/biaslab client measure hmmer --addr "unix:$sock" --id 22 \
+    > "$tmp/client-after-panic.out"
+grep -q '"status":"ok"' "$tmp/client-after-panic.out" \
+    || { echo "FATAL: no ok answer after the panic: $(cat "$tmp/client-after-panic.out")" >&2; exit 1; }
+./target/release/biaslab client stats --addr "unix:$sock" --id 23 > "$tmp/stats-panic.out"
+grep -q '"health":"ok"' "$tmp/stats-panic.out" \
+    || { echo "FATAL: health is not ok after a panic: $(cat "$tmp/stats-panic.out")" >&2; exit 1; }
+panics="$(sed -n 's/.*"serve\.worker\.panic":\([0-9]*\).*/\1/p' "$tmp/stats-panic.out")"
+[ "$panics" = 1 ] \
+    || { echo "FATAL: serve.worker.panic is '$panics', not 1" >&2; exit 1; }
 ./target/release/biaslab client shutdown --addr "unix:$sock" > /dev/null
 wait "$serve_pid"
 

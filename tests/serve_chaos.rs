@@ -9,9 +9,16 @@
 //! [`faults::scoped`] guard for its whole body; schedules swap via
 //! [`faults::install`] under the same guard. The `@n` one-shot trigger
 //! gives an exact-replay regression: the same schedule, re-installed,
-//! produces the same retry count.
+//! produces the same retry count. Worker panics (`serve.worker_panic`,
+//! `leader.panic.hard`) must cost their request and nothing else. One
+//! test turns tracing on, which the same guard keeps from overlapping
+//! the others.
 
+use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use biaslab_core::faults::{self, FaultSpec};
 use biaslab_core::serve::{
@@ -19,6 +26,7 @@ use biaslab_core::serve::{
     MeasureSpec, Server, ServerConfig,
 };
 use biaslab_core::setup::LinkOrder;
+use biaslab_core::telemetry::{self, SpanEvent, TraceEvent};
 use biaslab_core::Orchestrator;
 use biaslab_toolchain::OptLevel;
 use biaslab_workloads::InputSize;
@@ -113,6 +121,68 @@ fn pool() -> Vec<MeasureSpec> {
         .collect()
 }
 
+/// One raw connection whose reads time out, so a request the daemon
+/// never answers fails its test instead of hanging it. Unlike [`Client`],
+/// it never skips a line: each read must be the answer just asked for.
+struct Conn {
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
+}
+
+impl Conn {
+    fn open(addr: &Addr) -> Conn {
+        let Addr::Unix(path) = addr else {
+            panic!("test daemons bind unix sockets")
+        };
+        let writer = UnixStream::connect(path).expect("connect");
+        writer
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let reader = BufReader::new(writer.try_clone().expect("clone the socket"));
+        Conn { reader, writer }
+    }
+
+    /// Sends one request line and reads the one line that answers it.
+    fn ask(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut buf = String::new();
+        self.reader
+            .read_line(&mut buf)
+            .unwrap_or_else(|e| panic!("no answer within the read timeout to {line}: {e}"));
+        assert!(
+            buf.ends_with('\n'),
+            "torn or missing answer to {line}: {buf:?}"
+        );
+        let resp = buf.trim_end().to_owned();
+        validate_response_line(&resp).expect("sealed, schema-valid line");
+        assert_eq!(serve::line_id(&resp), serve::line_id(line), "{resp}");
+        resp
+    }
+
+    fn stats(&mut self) -> String {
+        self.ask(&encode_control(999, "stats"))
+    }
+}
+
+fn is_panic(resp: &str) -> bool {
+    serve::line_status(resp) == Some("err") && resp.contains("\"code\":\"panic\"")
+}
+
+/// The direct-path response to each [`pool`] spec, by index.
+fn direct_responses(pool: &[MeasureSpec]) -> Vec<String> {
+    let direct = Orchestrator::default();
+    pool.iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let harness = direct.harness(&s.bench).expect("known benchmark");
+            let result = direct.measure(&harness, &s.setup().expect("known machine"), s.size);
+            encode_response(i as u64, &result)
+        })
+        .collect()
+}
+
 /// Every schedule: concurrent clients under fire all end in verified
 /// success, every line passes the crc seal and schema check, responses
 /// still match the direct path byte-for-byte, the admission queue drains,
@@ -122,17 +192,8 @@ fn seeded_socket_schedules_never_tear_or_wedge() {
     let _guard = faults::scoped(&spec("seed=1"));
     // Direct-path expectations, computed fault-free (serve.* sites only
     // fire at the socket layer, but a clean registry keeps this exact).
-    let direct = Orchestrator::default();
     let pool = pool();
-    let expected: Vec<String> = pool
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let harness = direct.harness(&s.bench).expect("known benchmark");
-            let result = direct.measure(&harness, &s.setup().expect("known machine"), s.size);
-            encode_response(i as u64, &result)
-        })
-        .collect();
+    let expected = direct_responses(&pool);
 
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 3;
@@ -250,70 +311,90 @@ fn one_shot_trigger_replays_exactly() {
     }
 }
 
-/// Worker panics under load: the pool shrinks and recovers through the
-/// supervisor, every victim client gets exactly one typed `panic`
-/// terminal (no lost or duplicated responses, no failed exchanges), the
-/// respawn counter moves, health returns to `ok` at full strength, and the
-/// recovered pool then serves a fault-free load without a failure.
+/// Regression: a daemon whose jobs keep panicking keeps every worker.
+/// Workers once died after answering a panic, and a supervisor respawned
+/// them within a lifetime restart budget; a default daemon (4 workers,
+/// budget 8) answered 12 panics, then left the 13th request unanswered.
 #[test]
-fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
+fn a_default_daemon_answers_after_twelve_panics_in_a_row() {
     let _guard = faults::scoped(&spec("seed=1"));
-    faults::install(&spec("seed=606,serve.worker_panic=0.08"));
+    let addr = temp_sock("crashloop");
+    let server = Server::start(
+        &ServerConfig::new(addr.clone()),
+        Arc::new(Orchestrator::default()),
+    )
+    .expect("server starts");
+    let pool = pool();
+    let mut conn = Conn::open(&addr);
+    faults::install(&spec("seed=707,serve.worker_panic=1"));
+    for id in 0..12 {
+        let resp = conn.ask(&encode_measure(id, &pool[0]));
+        assert!(is_panic(&resp), "request {id}: {resp}");
+    }
+    faults::install(&spec("seed=1"));
+    let resp = conn.ask(&encode_measure(0, &pool[0]));
+    assert_eq!(resp, direct_responses(&pool)[0], "the 13th request");
+    assert_eq!(serve::line_health(&conn.stats()), Some("ok"));
+    server.shutdown();
+}
+
+/// Worker panics under load: each panic costs its request and nothing
+/// else. Every victim gets exactly one typed `panic` terminal, `ok`
+/// responses stay byte-identical to the direct path, `serve.worker.panic`
+/// counts exactly the panics the clients saw, health reads `ok`
+/// throughout, and the same pool then serves a fault-free load.
+#[test]
+fn worker_panic_schedule_keeps_the_pool_serving() {
+    let _guard = faults::scoped(&spec("seed=1"));
     let addr = temp_sock("wpanic");
     let mut cfg = ServerConfig::new(addr.clone());
     cfg.workers = 3;
-    cfg.restart_budget = 256; // never exhaust: the pool must always recover
-    cfg.restart_seed = 606;
     let server = Server::start(&cfg, Arc::new(Orchestrator::default())).expect("server starts");
-
-    let direct = Orchestrator::default();
     let pool = pool();
-    let expected: Vec<String> = pool
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let harness = direct.harness(&s.bench).expect("known benchmark");
-            let result = direct.measure(&harness, &s.setup().expect("known machine"), s.size);
-            encode_response(i as u64, &result)
-        })
-        .collect();
+    let expected = direct_responses(&pool);
+    // The panic counter is process-wide: count this test's panics as a
+    // difference.
+    let panics_counted = || {
+        let stats = Conn::open(&addr).stats();
+        assert_eq!(serve::line_health(&stats), Some("ok"));
+        serve::stats_counter(&stats, "serve.worker.panic").unwrap_or(0)
+    };
+    let before = panics_counted();
 
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 4;
+    let requests = (CLIENTS * ROUNDS * pool.len()) as u64;
+    let schedule = spec("seed=606,serve.worker_panic=0.08");
+    // Each request hits the site once, so the schedule alone decides how
+    // many of them panic, whichever worker takes which.
+    let scheduled = (0..requests)
+        .filter(|&hit| schedule.fires(faults::site::SERVE_WORKER_PANIC, hit))
+        .count() as u64;
+    assert!(
+        scheduled >= 1,
+        "the 8% schedule fires on none of {requests} requests"
+    );
+    faults::install(&schedule);
     let panics: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let addr = addr.clone();
-                let pool = &pool;
-                let expected = &expected;
+            .map(|_| {
+                let (addr, pool, expected) = (&addr, &pool, &expected);
                 scope.spawn(move || {
-                    let mut client = Client::new(addr).with_backoff_seed(c as u64);
+                    let mut conn = Conn::open(addr);
                     let mut panics = 0u64;
                     for _ in 0..ROUNDS {
                         for (i, s) in pool.iter().enumerate() {
-                            let ex = client
-                                .request(&encode_measure(i as u64, s))
-                                .expect("every exchange ends in a terminal, never a failure");
-                            for line in &ex.lines {
-                                validate_response_line(line)
-                                    .expect("sealed, schema-valid lines under worker panics");
-                            }
-                            match serve::line_status(ex.terminal()) {
-                                Some("ok") => assert_eq!(
-                                    ex.terminal(),
-                                    expected[i],
+                            let resp = conn.ask(&encode_measure(i as u64, s));
+                            if is_panic(&resp) {
+                                panics += 1;
+                            } else {
+                                assert_eq!(
+                                    resp, expected[i],
                                     "ok responses stay byte-identical under panics"
-                                ),
-                                Some("err") => {
-                                    assert!(
-                                        ex.terminal().contains("\"code\":\"panic\""),
-                                        "only typed panic errors expected: {}",
-                                        ex.terminal()
-                                    );
-                                    panics += 1;
-                                }
-                                other => panic!("unexpected terminal status {other:?}"),
+                                );
                             }
+                            let stats = conn.stats();
+                            assert_eq!(serve::line_health(&stats), Some("ok"), "{stats}");
                         }
                     }
                     panics
@@ -325,59 +406,25 @@ fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
             .map(|h| h.join().expect("client thread"))
             .sum()
     });
-    assert!(
-        panics >= 1,
-        "the 8% panic schedule never fired over {} requests",
-        CLIENTS * ROUNDS * pool.len()
-    );
-
-    // The supervisor must restore the pool to configured strength and
-    // health to `ok` (respawn delays are capped under ~200ms each).
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while (server.live_workers() < cfg.workers || server.health() != "ok")
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(server.live_workers(), cfg.workers, "pool recovered");
-    assert_eq!(server.health(), "ok", "health degraded -> ok");
-
-    // The daemon's own accounting agrees: panics were observed and every
-    // one of them was answered by a respawn.
-    let mut client = Client::new(addr.clone());
-    let ex = client
-        .request(&encode_control(999, "stats"))
-        .expect("stats answered");
-    let stat = |name: &str| serve::stats_counter(ex.terminal(), name).unwrap_or(0);
-    assert_eq!(serve::line_health(ex.terminal()), Some("ok"));
-    assert!(stat("serve.worker.panic") >= panics, "panics counted");
     assert_eq!(
-        stat("serve.worker.panic"),
-        stat("serve.worker.respawn"),
-        "every panic within budget is matched by a respawn"
+        panics, scheduled,
+        "one typed panic terminal per fired panic"
     );
-
-    // With the schedule lifted, the recovered pool serves a full load:
-    // every exchange succeeds with an `ok` response byte-identical to the
-    // direct path.
     faults::install(&spec("seed=1"));
+    assert_eq!(panics_counted() - before, panics, "serve.worker.panic");
+
+    // The same pool serves a fault-free load.
     std::thread::scope(|scope| {
-        for c in 0..4 {
-            let addr = addr.clone();
-            let pool = &pool;
-            let expected = &expected;
+        for c in 0..CLIENTS {
+            let (addr, pool, expected) = (&addr, &pool, &expected);
             scope.spawn(move || {
-                let mut client = Client::new(addr);
+                let mut conn = Conn::open(addr);
                 for r in 0..10 {
                     let i = (c + r) % pool.len();
-                    let ex = client
-                        .request(&encode_measure(i as u64, &pool[i]))
-                        .expect("the recovered pool answers every request");
-                    assert_eq!(serve::line_status(ex.terminal()), Some("ok"));
+                    let resp = conn.ask(&encode_measure(i as u64, &pool[i]));
                     assert_eq!(
-                        ex.terminal(),
-                        expected[i],
-                        "responses after recovery match the direct path"
+                        resp, expected[i],
+                        "responses after panics match the direct path"
                     );
                 }
             });
@@ -385,6 +432,54 @@ fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
     });
     assert_eq!(server.queue_len(), 0, "admission queue drained");
     server.shutdown();
+}
+
+/// A panic can unwind out of a job with spans still open (here the
+/// orchestrator's `measure` span, from a leader that dies). The worker
+/// that catches it starts its next job with no open span, so each of the
+/// next request's spans has either parent 0 or a parent in the trace.
+#[test]
+fn a_caught_panic_leaves_no_span_open_for_the_next_request() {
+    let _guard = faults::scoped(&spec("seed=1"));
+    let addr = temp_sock("panicspan");
+    let mut cfg = ServerConfig::new(addr.clone());
+    cfg.workers = 1;
+    let server = Server::start(&cfg, Arc::new(Orchestrator::default())).expect("server starts");
+    let pool = pool();
+    let mut conn = Conn::open(&addr);
+    let _ = telemetry::drain();
+    telemetry::enable();
+    faults::install(&spec("seed=808,leader.panic.hard=@1"));
+    let first = conn.ask(&encode_measure(0, &pool[0]));
+    let second = conn.ask(&encode_measure(0, &pool[0]));
+    telemetry::disable();
+    let events = telemetry::drain();
+    server.shutdown();
+    assert!(is_panic(&first), "{first}");
+    assert_eq!(serve::line_status(&second), Some("ok"), "{second}");
+    let spans: Vec<&SpanEvent> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Span(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    let ids: HashSet<u64> = spans.iter().map(|s| s.id).collect();
+    let roots: Vec<&str> = spans
+        .iter()
+        .filter(|s| s.parent == 0)
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(roots, ["measure"], "the second request's one root span");
+    for s in &spans {
+        assert!(
+            s.parent == 0 || ids.contains(&s.parent),
+            "span {} ({}) has parent {}, which no span in the trace has",
+            s.id,
+            s.name,
+            s.parent
+        );
+    }
 }
 
 /// A mid-response disconnect on a sweep still converges: the client
