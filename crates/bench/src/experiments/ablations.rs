@@ -3,13 +3,13 @@
 
 use std::fmt::Write as _;
 
-use biaslab_core::bias::sweep_factor;
+use biaslab_core::bias::{sweep_factor, BiasReport};
 use biaslab_core::report::Table;
 use biaslab_core::stats::Summary;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::MachineConfig;
 
-use super::{base_setup, env_points, harness, link_figs_orders, Effort};
+use super::{base_setup, env_bias, env_points, harness, link_figs_orders, Effort};
 
 /// `abl-align`: does the optimization level's code alignment (4/16/32
 /// bytes) mask or amplify link-order sensitivity? Measured as the spread
@@ -70,16 +70,7 @@ pub(crate) fn abl_aslr(effort: Effort) -> String {
 
     // Environment sweep.
     let envs = env_points(n, 176);
-    let env_setups: Vec<_> = envs.iter().map(|e| base.with_env(e.clone())).collect();
-    let env_report = sweep_factor(
-        &h,
-        "environment size",
-        &env_setups,
-        OptLevel::O2,
-        OptLevel::O3,
-        effort.input(),
-    )
-    .expect("sweep succeeds");
+    let env_report = env_bias("perlbench", &[MachineConfig::core2()], &envs, effort).remove(0);
 
     // Text-offset sweep (the linker intervention, in page-fraction steps).
     let text_setups: Vec<_> = (0..n as u32)
@@ -129,23 +120,21 @@ pub(crate) fn abl_machine(effort: Effort) -> String {
     );
     let n = effort.points(16);
     let envs = env_points(n, 256);
+    let ways = [1u32, 2, 4, 8];
+    let machines: Vec<MachineConfig> = ways
+        .iter()
+        .map(|&ways| {
+            let mut machine = MachineConfig::o3cpu();
+            machine.name = format!("o3cpu-{ways}way");
+            machine.l1d.ways = ways;
+            machine
+        })
+        .collect();
     let mut table = Table::new(vec!["l1d-ways", "min", "max", "bias%"]);
-    for ways in [1u32, 2, 4, 8] {
-        let mut machine = MachineConfig::o3cpu();
-        machine.name = format!("o3cpu-{ways}way");
-        machine.l1d.ways = ways;
-        let h = harness("perlbench");
-        let base = base_setup(machine, OptLevel::O2);
-        let setups: Vec<_> = envs.iter().map(|e| base.with_env(e.clone())).collect();
-        let report = sweep_factor(
-            &h,
-            "environment size",
-            &setups,
-            OptLevel::O2,
-            OptLevel::O3,
-            effort.input(),
-        )
-        .expect("sweep succeeds");
+    for (ways, report) in ways
+        .iter()
+        .zip(env_bias("perlbench", &machines, &envs, effort))
+    {
         table.row(vec![
             format!("{ways}"),
             format!("{:.4}", report.violin.min()),
@@ -223,31 +212,28 @@ pub(crate) fn abl_prefetch(effort: Effort) -> String {
     );
     let n = effort.points(16);
     let envs = env_points(n, 176);
+    let machines: Vec<MachineConfig> = [false, true]
+        .into_iter()
+        .map(|prefetch| MachineConfig {
+            name: if prefetch { "o3cpu+pf" } else { "o3cpu" }.into(),
+            l1d_next_line_prefetch: prefetch,
+            ..MachineConfig::o3cpu()
+        })
+        .collect();
+    // One sweep per benchmark covers both modes; the rows list each mode's
+    // benchmarks in turn.
+    let names = ["perlbench", "mcf"];
+    let reports: Vec<Vec<BiasReport>> = names
+        .iter()
+        .map(|name| env_bias(name, &machines, &envs, effort))
+        .collect();
     let mut table = Table::new(vec!["prefetch", "benchmark", "min", "max", "bias%"]);
-    for prefetch in [false, true] {
-        let mut machine = MachineConfig::o3cpu();
-        machine.name = if prefetch {
-            "o3cpu+pf".into()
-        } else {
-            "o3cpu".into()
-        };
-        machine.l1d_next_line_prefetch = prefetch;
-        for name in ["perlbench", "mcf"] {
-            let h = harness(name);
-            let base = base_setup(machine.clone(), OptLevel::O2);
-            let setups: Vec<_> = envs.iter().map(|e| base.with_env(e.clone())).collect();
-            let report = sweep_factor(
-                &h,
-                "environment size",
-                &setups,
-                OptLevel::O2,
-                OptLevel::O3,
-                effort.input(),
-            )
-            .expect("sweep succeeds");
+    for (mode, label) in ["off", "on"].into_iter().enumerate() {
+        for (name, per_mode) in names.iter().zip(&reports) {
+            let report = &per_mode[mode];
             table.row(vec![
-                if prefetch { "on".into() } else { "off".into() },
-                name.to_owned(),
+                label.to_owned(),
+                (*name).to_owned(),
                 format!("{:.4}", report.violin.min()),
                 format!("{:.4}", report.violin.max()),
                 format!("{:.3}", 100.0 * report.bias_magnitude),

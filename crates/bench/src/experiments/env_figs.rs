@@ -2,14 +2,13 @@
 
 use std::fmt::Write as _;
 
-use biaslab_core::bias::sweep_factor;
 use biaslab_core::report::{render_series, sparkline, Table};
 use biaslab_core::stats::ViolinSummary;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::MachineConfig;
 use biaslab_workloads::benchmark_names;
 
-use super::{base_setup, env_points, harness, Effort};
+use super::{base_setup, env_bias, env_points, harness, Effort};
 
 /// Fig. 1 ®: raw perlbench cycle counts at O2 and O3 as the environment
 /// grows — the plot that first reveals that an "inert" variable moves the
@@ -44,25 +43,16 @@ pub(crate) fn fig1(effort: Effort) -> String {
 }
 
 /// Fig. 2 ®: the same sweep as Fig. 3 on every machine model — bias is not
-/// a property of one microarchitecture.
+/// a property of one microarchitecture. One sweep covers all three
+/// machines, so each setup's runs on them share one functional pass.
 pub(crate) fn fig2(effort: Effort) -> String {
-    let h = harness("perlbench");
     let n = effort.points(32);
     let envs = env_points(n, 176);
+    let machines = MachineConfig::all();
+    let reports = env_bias("perlbench", &machines, &envs, effort);
     let mut out = String::new();
     let _ = writeln!(out, "fig2: O3 speedup vs environment size, per machine\n");
-    for machine in MachineConfig::all() {
-        let base = base_setup(machine.clone(), OptLevel::O2);
-        let setups: Vec<_> = envs.iter().map(|e| base.with_env(e.clone())).collect();
-        let report = sweep_factor(
-            &h,
-            "environment size",
-            &setups,
-            OptLevel::O2,
-            OptLevel::O3,
-            effort.input(),
-        )
-        .expect("sweep succeeds");
+    for (machine, report) in machines.iter().zip(&reports) {
         let speedups = report.speedups();
         let _ = writeln!(
             out,
@@ -90,20 +80,9 @@ pub(crate) fn fig2(effort: Effort) -> String {
 /// **Fig. 3** (the caption quoted in the source text): "The effect of UNIX
 /// environment size on the speedup of O3 on Core 2."
 pub(crate) fn fig3(effort: Effort) -> String {
-    let h = harness("perlbench");
     let n = effort.points(64);
     let envs = env_points(n, 56);
-    let base = base_setup(MachineConfig::core2(), OptLevel::O2);
-    let setups: Vec<_> = envs.iter().map(|e| base.with_env(e.clone())).collect();
-    let report = sweep_factor(
-        &h,
-        "environment size",
-        &setups,
-        OptLevel::O2,
-        OptLevel::O3,
-        effort.input(),
-    )
-    .expect("sweep succeeds");
+    let report = env_bias("perlbench", &[MachineConfig::core2()], &envs, effort).remove(0);
 
     let speedups = report.speedups();
     let mut out = String::new();
@@ -150,18 +129,7 @@ pub(crate) fn fig4(effort: Effort) -> String {
         "flips",
     ]);
     for name in benchmark_names() {
-        let h = harness(name);
-        let base = base_setup(MachineConfig::core2(), OptLevel::O2);
-        let setups: Vec<_> = envs.iter().map(|e| base.with_env(e.clone())).collect();
-        let report = sweep_factor(
-            &h,
-            "environment size",
-            &setups,
-            OptLevel::O2,
-            OptLevel::O3,
-            effort.input(),
-        )
-        .expect("sweep succeeds");
+        let report = env_bias(name, &[MachineConfig::core2()], &envs, effort).remove(0);
         let v: &ViolinSummary = &report.violin;
         table.row(vec![
             name.to_owned(),

@@ -5,57 +5,63 @@
 //! is decidable from the linked image alone. This experiment runs the
 //! static ranking (zero simulations, checked against the orchestrator's
 //! instrumentation), then measures the O3/O2 speedup spread over a
-//! setup grid for every benchmark and reports the Spearman rank
-//! correlation per machine model.
+//! setup grid for every benchmark, in one sweep per benchmark across the
+//! machines, and reports the Spearman rank correlation per machine model.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use biaslab_analyze::rank_suite;
+use biaslab_core::bias::sweep_factors;
 use biaslab_core::report::Table;
 use biaslab_core::setup::LinkOrder;
 use biaslab_core::stats::spearman;
-use biaslab_core::{ExperimentSetup, Orchestrator};
+use biaslab_core::ExperimentSetup;
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::MachineConfig;
+use biaslab_workloads::benchmark_names;
 
-use super::Effort;
+use super::{harness, Effort};
 
 /// The "careless experimenter" grid the measured side wanders over.
 const ENV_SIZES: [u32; 4] = [0, 528, 1056, 1584];
 const ORDERS: [LinkOrder; 2] = [LinkOrder::Default, LinkOrder::Reversed];
 
-/// Measured sensitivity: the range of the O3/O2 cycle ratio over the
-/// env-size × link-order grid.
-fn measured_spread(bench: &str, machine: &MachineConfig, effort: Effort) -> f64 {
-    let orch = Orchestrator::global();
-    let harness = orch.harness(bench).expect("suite benchmark");
+/// Measured sensitivity on each machine, in machine order: the range of
+/// the O3/O2 speedup over the env-size × link-order grid. One sweep covers
+/// every machine.
+fn measured_spreads(bench: &str, machines: &[MachineConfig], effort: Effort) -> Vec<f64> {
     let envs = &ENV_SIZES[..effort.points(ENV_SIZES.len()).min(ENV_SIZES.len())];
-    let mut setups = Vec::new();
-    for opt in [OptLevel::O2, OptLevel::O3] {
-        for &env in envs {
-            for order in ORDERS {
-                let mut s = ExperimentSetup::default_on(machine.clone(), opt);
-                s.link_order = order;
-                if env > 0 {
-                    s.env = Environment::of_total_size(env);
-                }
-                setups.push(s);
-            }
-        }
-    }
-    let results = orch.sweep(&harness, &setups, effort.input());
-    let cycles: Vec<f64> = results
+    let arms: Vec<Vec<ExperimentSetup>> = machines
         .iter()
-        .map(|r| r.as_ref().expect("measurable").counters.cycles as f64)
+        .map(|machine| {
+            let mut grid = Vec::new();
+            for &env in envs {
+                for order in ORDERS {
+                    let mut s = ExperimentSetup::default_on(machine.clone(), OptLevel::O2);
+                    s.link_order = order;
+                    if env > 0 {
+                        s.env = Environment::of_total_size(env);
+                    }
+                    grid.push(s);
+                }
+            }
+            grid
+        })
         .collect();
-    let per_level = setups.len() / 2;
-    let speedups: Vec<f64> = (0..per_level)
-        .map(|i| cycles[i] / cycles[per_level + i])
-        .collect();
-    let lo = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = speedups.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    hi - lo
+    sweep_factors(
+        &harness(bench),
+        "setup grid",
+        &arms,
+        OptLevel::O2,
+        OptLevel::O3,
+        effort.input(),
+    )
+    .expect("measurable")
+    .iter()
+    .map(|r| r.violin.max() - r.violin.min())
+    .collect()
 }
 
 /// `ext-analyze`: predicted vs measured layout sensitivity per machine.
@@ -70,20 +76,25 @@ pub(crate) fn ext_analyze(effort: Effort) -> String {
         "ext-analyze: static sensitivity ranking vs measured O3/O2 spread\n\
          (extension beyond the paper; the static side runs zero simulations)\n"
     );
-    for machine in machines {
-        // The static side's zero-simulation property is asserted by
-        // `tests/static_vs_dynamic.rs` and the CLI `analyze` test, both on
-        // serial orchestrators. It cannot be re-asserted here from global
-        // orchestrator stats: under `repro all --jobs N` other experiments
-        // simulate concurrently, so the counter moves for unrelated reasons.
-        let ranking = rank_suite(&machine).expect("suite analyzes");
-
+    // The static side's zero-simulation property is asserted by
+    // `tests/static_vs_dynamic.rs` and the CLI `analyze` test, both on
+    // serial orchestrators. It cannot be re-asserted here from global
+    // orchestrator stats: under `repro all --jobs N` other experiments
+    // simulate concurrently, so the counter moves for unrelated reasons.
+    let rankings: Vec<_> = machines
+        .iter()
+        .map(|machine| rank_suite(machine).expect("suite analyzes"))
+        .collect();
+    let measured: BTreeMap<&str, Vec<f64>> = benchmark_names()
+        .map(|bench| (bench, measured_spreads(bench, &machines, effort)))
+        .collect();
+    for (at, (machine, ranking)) in machines.iter().zip(&rankings).enumerate() {
         let mut table = Table::new(vec!["rank", "benchmark", "predicted", "measured-spread"]);
-        let (mut predicted, mut measured) = (Vec::new(), Vec::new());
+        let (mut predicted, mut spreads) = (Vec::new(), Vec::new());
         for (i, r) in ranking.iter().enumerate() {
-            let m = measured_spread(&r.bench, &machine, effort);
+            let m = measured[r.bench.as_str()][at];
             predicted.push(r.predicted_spread);
-            measured.push(m);
+            spreads.push(m);
             table.row(vec![
                 format!("{}", i + 1),
                 r.bench.clone(),
@@ -91,7 +102,7 @@ pub(crate) fn ext_analyze(effort: Effort) -> String {
                 format!("{m:.4}"),
             ]);
         }
-        let rho = spearman(&predicted, &measured);
+        let rho = spearman(&predicted, &spreads);
         let _ = writeln!(out, "machine {}:", machine.name);
         let _ = write!(out, "{table}");
         let _ = writeln!(out, "spearman(predicted, measured) = {rho:.3}\n");

@@ -8,9 +8,12 @@
 //! is applied as a setup factor (the symbol layout the lint pass linked
 //! through `Harness::link` to pre-register it, or compensating loader
 //! stack shifts) and the predicted counter is measured in simulation.
-//! Every validation run, remedied or not, goes through
-//! `Orchestrator::measure` or `Orchestrator::sweep`, so it is verified,
-//! cached and persisted like any other measurement.
+//! Each benchmark is linted once per machine, and one `Orchestrator::sweep`
+//! per benchmark measures every finding's validation setups on all three
+//! machines, so the runs a setup makes on them share one functional pass
+//! and run as one lockstep group. Every validation run, remedied or not,
+//! is verified, cached and persisted like any other measurement, and each
+//! finding is judged from its own slice of the sweep's results.
 //! The per-class *precision* — the fraction of findings whose remedy
 //! moves the metric in the predicted direction — is the evidence that
 //! lint output is diagnosis, not opinion.
@@ -24,12 +27,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use biaslab_analyze::{lint_benchmark, Finding, FindingClass, Remedy};
+use biaslab_core::harness::{MeasureError, Measurement};
 use biaslab_core::report::Table;
-use biaslab_core::{ExperimentSetup, Harness, Orchestrator, SymbolLayout};
+use biaslab_core::{ExperimentSetup, Orchestrator};
 use biaslab_toolchain::load::Environment;
-use biaslab_toolchain::OptLevel;
-use biaslab_uarch::MachineConfig;
-use biaslab_workloads::InputSize;
+use biaslab_uarch::{Counters, MachineConfig};
 
 use super::Effort;
 
@@ -43,99 +45,60 @@ fn env_points(effort: Effort) -> Vec<u32> {
     (0..n).map(|i| i * 176).collect()
 }
 
-/// Whether a symbol-layout remedy lowers fetches below the default
-/// layout's, both measured through the orchestrator (the default setup is
-/// usually already cached by another finding or experiment). The harness
-/// verifies every run, so a remedy can never silently change behavior.
-fn layout_lowers_fetches(
-    orch: &Orchestrator,
-    harness: &Harness,
-    base: &ExperimentSetup,
-    layout: &SymbolLayout,
-    size: InputSize,
-) -> bool {
-    let setups = [base.clone(), base.with_symbol_layout(layout.clone())];
-    let fetches: Vec<u64> = orch
-        .sweep(harness, &setups, size)
-        .into_iter()
-        .map(|r| {
-            r.expect("a layout remedy must not change program behavior")
-                .counters
-                .fetches
-        })
-        .collect();
-    fetches[1] < fetches[0]
-}
-
-/// Cycle range over the environment grid, optionally with the
-/// compensating stack shifts that pin `sp` (the "setup randomization
-/// nulls the channel" arm: if the residue classes are the mechanism,
-/// pinning the residue must collapse the spread).
-fn env_cycle_range(
-    orch: &Orchestrator,
-    harness: &Harness,
-    machine: &MachineConfig,
-    level: OptLevel,
-    envs: &[u32],
-    pin_sp: bool,
-    size: InputSize,
-) -> u64 {
-    let stack_bytes: Vec<u32> = envs
-        .iter()
-        .map(|&e| Environment::of_total_size(e).stack_bytes())
-        .collect();
-    let b_max = stack_bytes.iter().copied().max().unwrap_or(0);
-    let setups: Vec<ExperimentSetup> = envs
-        .iter()
-        .zip(&stack_bytes)
-        .map(|(&e, &b)| {
-            let mut s = ExperimentSetup::default_on(machine.clone(), level);
-            s.env = Environment::of_total_size(e);
-            if pin_sp {
-                s.stack_shift = b_max - b;
-            }
-            s
-        })
-        .collect();
-    let results = orch.sweep(harness, &setups, size);
-    let cycles: Vec<u64> = results
-        .iter()
-        .map(|r| r.as_ref().expect("measurable").counters.cycles)
-        .collect();
-    let lo = cycles.iter().copied().min().unwrap_or(0);
-    let hi = cycles.iter().copied().max().unwrap_or(0);
-    hi - lo
-}
-
-/// Applies one finding's remedy and measures the predicted counter.
-/// Returns `None` for findings with no layout remedy (`code-fix`),
-/// `Some(confirmed)` otherwise.
-fn validate(
-    orch: &Orchestrator,
-    harness: &Harness,
+/// The validation setups one finding needs on `machine`, at the
+/// finding's level: the default layout then the remedied one, or the
+/// environment grid unpinned then pinned (each grid point's compensating
+/// stack shift holds `sp` fixed: the "setup randomization nulls the
+/// channel" arm). Empty for a finding with no layout remedy (`code-fix`).
+fn validation_setups(
     machine: &MachineConfig,
     finding: &Finding,
     effort: Effort,
-) -> Option<bool> {
-    let size = effort.input();
-    let level = finding.level;
-    let base_setup = ExperimentSetup::default_on(machine.clone(), level);
+) -> Vec<ExperimentSetup> {
+    let base = ExperimentSetup::default_on(machine.clone(), finding.level);
     match &finding.remedy {
-        Remedy::Layout(layout) => Some(layout_lowers_fetches(
-            orch,
-            harness,
-            &base_setup,
-            layout,
-            size,
-        )),
+        Remedy::Layout(layout) => vec![base.clone(), base.with_symbol_layout(layout.clone())],
         Remedy::SetupRandomization => {
-            let envs = env_points(effort);
-            let base = env_cycle_range(orch, harness, machine, level, &envs, false, size);
-            let pinned = env_cycle_range(orch, harness, machine, level, &envs, true, size);
+            let envs: Vec<Environment> = env_points(effort)
+                .into_iter()
+                .map(Environment::of_total_size)
+                .collect();
+            let b_max = envs.iter().map(Environment::stack_bytes).max().unwrap_or(0);
+            let unpinned = envs.iter().map(|e| base.with_env(e.clone()));
+            let pinned = envs.iter().map(|e| ExperimentSetup {
+                stack_shift: b_max - e.stack_bytes(),
+                ..base.with_env(e.clone())
+            });
+            unpinned.chain(pinned).collect()
+        }
+        Remedy::CodeFix => Vec::new(),
+    }
+}
+
+/// Judges a finding from the measurements of its [`validation_setups`],
+/// in order: `None` for a finding with no layout remedy, otherwise
+/// whether the remedy moved the predicted counter the predicted way. The
+/// harness verifies every run, so a remedy can never silently change
+/// behavior.
+fn verdict(remedy: &Remedy, measured: &[Result<Measurement, MeasureError>]) -> Option<bool> {
+    let counters: Vec<Counters> = measured
+        .iter()
+        .map(|r| {
+            r.as_ref()
+                .expect("a remedy must not change program behavior")
+                .counters
+        })
+        .collect();
+    match remedy {
+        Remedy::Layout(_) => Some(counters[1].fetches < counters[0].fetches),
+        Remedy::SetupRandomization => {
+            let cycles: Vec<u64> = counters.iter().map(|c| c.cycles).collect();
+            let (grid, pinned) = cycles.split_at(cycles.len() / 2);
+            let range = |c: &[u64]| c.iter().max().unwrap_or(&0) - c.iter().min().unwrap_or(&0);
             // Predicted: the env-size channel is real (the grid moves
             // cycles) and acts through the stack residue (pinning sp
             // collapses the spread).
-            Some(base > 0 && pinned < base)
+            Some(range(grid) > 0 && range(pinned) < range(grid))
         }
         Remedy::CodeFix => None,
     }
@@ -159,7 +122,6 @@ pub(crate) fn ext_lint(effort: Effort) -> String {
     // o3cpu's 32-byte fetch), and precision is reported per machine.
     // Effort scales input size and grid density.
     let machines = MachineConfig::all();
-    let orch = Orchestrator::global();
 
     let mut out = String::new();
     let _ = writeln!(
@@ -171,32 +133,56 @@ pub(crate) fn ext_lint(effort: Effort) -> String {
          tests/lint_gate.rs and the analyzer unit suite.)\n"
     );
 
+    // Lint each (machine, benchmark) pair once, and validate a benchmark's
+    // findings on every machine in one sweep. Each finding keeps the index
+    // of the machine that found it.
+    let orch = Orchestrator::global();
+    let mut judged: Vec<(usize, &str, Finding, Option<bool>)> = Vec::new();
+    for name in biaslab_workloads::benchmark_names() {
+        let mut findings = Vec::new();
+        for (at, machine) in machines.iter().enumerate() {
+            for f in lint_benchmark(name, machine).expect("suite lints").findings {
+                let setups = validation_setups(machine, &f, effort);
+                findings.push((at, f, setups));
+            }
+        }
+        let all: Vec<ExperimentSetup> = findings
+            .iter()
+            .flat_map(|(_, _, setups)| setups.iter().cloned())
+            .collect();
+        let harness = orch.harness(name).expect("suite benchmark");
+        let measured = orch.sweep(&harness, &all, effort.input());
+        let mut rest = measured.as_slice();
+        for (at, f, setups) in findings {
+            let (mine, after) = rest.split_at(setups.len());
+            rest = after;
+            let v = verdict(&f.remedy, mine);
+            judged.push((at, name, f, v));
+        }
+    }
+
     let mut overall: Tally = BTreeMap::new();
-    for machine in machines {
+    for (at, machine) in machines.iter().enumerate() {
         let mut tally: Tally = BTreeMap::new();
         let mut examples: Vec<String> = Vec::new();
-        for name in biaslab_workloads::benchmark_names() {
-            let report = lint_benchmark(name, &machine).expect("suite lints");
-            let harness = orch.harness(name).expect("suite benchmark");
-            for finding in &report.findings {
-                let class = finding.class.name();
-                let t = tally.entry(class).or_default();
-                t.0 += 1;
-                let Some(confirmed) = validate(orch, &harness, &machine, finding, effort) else {
-                    continue;
-                };
-                t.1 += 1;
-                t.2 += usize::from(confirmed);
-                if !confirmed && examples.len() < 3 {
-                    examples.push(format!(
-                        "  refuted: {}/{} {} — {} ({})",
-                        name,
-                        finding.level.name(),
-                        class,
-                        finding.function,
-                        finding.remedy.arg(),
-                    ));
-                }
+        for (_, name, finding, verdict) in judged.iter().filter(|j| j.0 == at) {
+            let class = finding.class.name();
+            let t = tally.entry(class).or_default();
+            t.0 += 1;
+            let Some(confirmed) = *verdict else {
+                continue;
+            };
+            t.1 += 1;
+            t.2 += usize::from(confirmed);
+            if !confirmed && examples.len() < 3 {
+                examples.push(format!(
+                    "  refuted: {}/{} {} — {} ({})",
+                    name,
+                    finding.level.name(),
+                    class,
+                    finding.function,
+                    finding.remedy.arg(),
+                ));
             }
         }
 

@@ -11,6 +11,7 @@ mod tables;
 
 pub(crate) use link_figs::orders as link_figs_orders;
 
+use biaslab_core::bias::{sweep_factors, BiasReport};
 use biaslab_core::harness::Harness;
 use biaslab_core::setup::ExperimentSetup;
 use biaslab_toolchain::load::Environment;
@@ -203,6 +204,39 @@ pub(crate) fn env_points(n: usize, step: u32) -> Vec<Environment> {
 #[must_use]
 pub(crate) fn base_setup(machine: MachineConfig, opt: OptLevel) -> ExperimentSetup {
     ExperimentSetup::default_on(machine, opt)
+}
+
+/// The O3-over-O2 environment-size bias of `bench` on each machine, in
+/// machine order. One sweep covers every machine, so a setup's runs on
+/// all of them share one functional pass and run as one lockstep group.
+///
+/// # Panics
+///
+/// Panics on an unknown benchmark or a failed measurement (experiment
+/// code, not user input).
+#[must_use]
+pub(crate) fn env_bias(
+    bench: &str,
+    machines: &[MachineConfig],
+    envs: &[Environment],
+    effort: Effort,
+) -> Vec<BiasReport> {
+    let arms: Vec<Vec<ExperimentSetup>> = machines
+        .iter()
+        .map(|machine| {
+            let base = base_setup(machine.clone(), OptLevel::O2);
+            envs.iter().map(|e| base.with_env(e.clone())).collect()
+        })
+        .collect();
+    sweep_factors(
+        &harness(bench),
+        "environment size",
+        &arms,
+        OptLevel::O2,
+        OptLevel::O3,
+        effort.input(),
+    )
+    .expect("sweep succeeds")
 }
 
 #[cfg(test)]

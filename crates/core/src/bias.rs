@@ -98,7 +98,7 @@ impl BiasReport {
 
 /// Sweeps a factor: measures `base_opt` and `test_opt` under each setup
 /// (which should differ only in the factor under study) and reports the
-/// induced bias.
+/// induced bias. The one-arm case of [`sweep_factors`].
 ///
 /// # Errors
 ///
@@ -111,25 +111,55 @@ pub fn sweep_factor(
     test_opt: OptLevel,
     size: InputSize,
 ) -> Result<BiasReport, MeasureError> {
-    let mut all: Vec<ExperimentSetup> = Vec::with_capacity(setups.len() * 2);
-    for s in setups {
-        all.push(s.with_opt(base_opt));
-        all.push(s.with_opt(test_opt));
-    }
-    let results = crate::orchestrator::Orchestrator::global().sweep(harness, &all, size);
-    let mut observations = Vec::with_capacity(setups.len());
-    let mut iter = results.into_iter();
-    for s in setups {
-        let base: Measurement = iter.next().expect("paired result")?;
-        let test: Measurement = iter.next().expect("paired result")?;
-        observations.push(SpeedupObservation {
-            setup: s.summary(),
-            base_cycles: base.cycles(),
-            test_cycles: test.cycles(),
-            speedup: speedup(base.cycles(), test.cycles()),
-        });
-    }
-    Ok(BiasReport::from_observations(factor, observations))
+    let mut reports = sweep_factors(harness, &factor.into(), &[setups], base_opt, test_opt, size)?;
+    Ok(reports.pop().expect("one report per arm"))
+}
+
+/// Sweeps a factor in several arms at once, typically one arm per machine:
+/// every arm's setups at `base_opt` and `test_opt` go into one
+/// [`Orchestrator::sweep`](crate::orchestrator::Orchestrator::sweep), so
+/// setups of different arms that share a functional pass run as one
+/// lockstep group. Returns one report per arm, in arm order, each the one
+/// [`sweep_factor`] gives for that arm alone.
+///
+/// # Errors
+///
+/// Propagates the first [`MeasureError`] encountered, in arm order.
+pub fn sweep_factors<A: AsRef<[ExperimentSetup]>>(
+    harness: &Harness,
+    factor: &str,
+    arms: &[A],
+    base_opt: OptLevel,
+    test_opt: OptLevel,
+    size: InputSize,
+) -> Result<Vec<BiasReport>, MeasureError> {
+    let all: Vec<ExperimentSetup> = arms
+        .iter()
+        .flat_map(AsRef::as_ref)
+        .flat_map(|s| [s.with_opt(base_opt), s.with_opt(test_opt)])
+        .collect();
+    let mut results = crate::orchestrator::Orchestrator::global()
+        .sweep(harness, &all, size)
+        .into_iter();
+    arms.iter()
+        .map(|arm| {
+            let observations = arm
+                .as_ref()
+                .iter()
+                .map(|s| {
+                    let base: Measurement = results.next().expect("paired result")?;
+                    let test: Measurement = results.next().expect("paired result")?;
+                    Ok(SpeedupObservation {
+                        setup: s.summary(),
+                        base_cycles: base.cycles(),
+                        test_cycles: test.cycles(),
+                        speedup: speedup(base.cycles(), test.cycles()),
+                    })
+                })
+                .collect::<Result<Vec<_>, MeasureError>>()?;
+            Ok(BiasReport::from_observations(factor, observations))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -194,6 +224,28 @@ mod tests {
                 o.speedup
             );
         }
+    }
+
+    #[test]
+    fn sweep_factors_over_machine_arms_equals_one_sweep_factor_per_arm() {
+        let h = Harness::new(benchmark_by_name("mcf").expect("known"));
+        let arms: Vec<Vec<ExperimentSetup>> = MachineConfig::all()
+            .into_iter()
+            .map(|machine| {
+                let base = ExperimentSetup::default_on(machine, OptLevel::O2);
+                (0..3)
+                    .map(|i| base.with_env(Environment::of_total_size(64 + 176 * i)))
+                    .collect()
+            })
+            .collect();
+        let (o2, o3, size) = (OptLevel::O2, OptLevel::O3, InputSize::Test);
+        let together = sweep_factors(&h, "environment size", &arms, o2, o3, size).unwrap();
+        let apart: Vec<BiasReport> = arms
+            .iter()
+            .map(|arm| sweep_factor(&h, "environment size", arm, o2, o3, size).unwrap())
+            .collect();
+        assert_eq!(together, apart);
+        assert_eq!(together.len(), 3);
     }
 
     #[test]

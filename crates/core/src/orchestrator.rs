@@ -256,12 +256,16 @@ impl MeasureKey {
 /// experiment's share.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OrchestratorStats {
-    /// Measurement requests served from the cache.
+    /// Measurement requests answered without leading a simulation:
+    /// recalled from the cache, waited for while another request led
+    /// them, or repeated within one sweep.
     pub hits: u64,
-    /// Measurement requests that missed the cache.
+    /// Measurement requests that led their key's simulation.
     pub misses: u64,
-    /// Simulations actually run (≤ `misses`: single-flight simulates each
-    /// key once, however many requests for it overlap).
+    /// Simulations actually run: one per miss (single-flight simulates
+    /// each key once, however many requests for it overlap), except where
+    /// a deadline expired before the leader simulated (fewer) or a waiter
+    /// took over a key its leader abandoned (more).
     pub simulated: u64,
     /// Records restored from a persisted results file.
     pub loaded: u64,
@@ -785,7 +789,7 @@ impl Orchestrator {
         let span = telemetry::enabled()
             .then(|| telemetry::Span::open("measure", &key.bench).with_key(key.digest()));
         let (r, outcome) = self
-            .group_request(harness, &[(&key, setup)], size, deadline, true)
+            .group_request(harness, &[(&key, setup)], size, deadline)
             .pop()
             .expect("one answer per member");
         if let Some(span) = span {
@@ -802,9 +806,9 @@ impl Orchestrator {
     /// when cached, waited for when another request leads it, and led
     /// otherwise; the keys this request leads run as one group
     /// ([`Orchestrator::simulate_group`]), and each is logged and
-    /// published on its own. With `count` set, each key counts one hit or
-    /// miss (a sweep counts its requests in its lookup pass instead).
-    /// Results come back in member order.
+    /// published on its own. Each key counts one hit or miss: a miss
+    /// where this request leads its simulation, a hit where it recalls or
+    /// waits. Results come back in member order, each with its outcome.
     ///
     /// The protocol is a loop because a leader can die: a key whose
     /// leader abandoned it goes around again and — finding neither a
@@ -821,15 +825,12 @@ impl Orchestrator {
         members: &[(&MeasureKey, &ExperimentSetup)],
         size: InputSize,
         deadline: Option<Instant>,
-        count: bool,
     ) -> Vec<(Answer, CacheOutcome)> {
         let mut answers: Vec<Option<Answer>> = vec![None; members.len()];
         let mut noted: Vec<Option<CacheOutcome>> = vec![None; members.len()];
         let mut note_once = |i: usize, outcome: CacheOutcome| {
             *noted[i].get_or_insert_with(|| {
-                if count {
-                    self.note(outcome, members[i].0);
-                }
+                self.note(outcome, members[i].0);
                 outcome
             })
         };
@@ -1117,10 +1118,12 @@ impl Orchestrator {
             .map(|s| MeasureKey::new(bench, s, size))
             .collect();
 
-        // Lookup pass: one hit or miss per request; the first request of
-        // each uncached key becomes work. Results are collected directly,
-        // never re-read from the cache, so a capacity bound evicting
-        // mid-sweep cannot lose a requested measurement.
+        // Lookup pass: a cached key, or a key this sweep already
+        // requested, counts a hit; the first request of each uncached key
+        // becomes work, and its worker's `group_request` counts it (a miss
+        // only where it leads the simulation). Results are collected
+        // directly, never re-read from the cache, so a capacity bound
+        // evicting mid-sweep cannot lose a requested measurement.
         let hits: Vec<Option<Result<Measurement, MeasureError>>> = {
             let cache = self.cache.lock();
             keys.iter().map(|k| cache.records.get(k).cloned()).collect()
@@ -1128,13 +1131,10 @@ impl Orchestrator {
         let mut work: Vec<(&MeasureKey, &ExperimentSetup)> = Vec::new();
         let mut claimed: HashSet<&MeasureKey> = HashSet::new();
         for ((key, setup), hit) in keys.iter().zip(setups).zip(&hits) {
-            if hit.is_some() {
+            if hit.is_some() || !claimed.insert(key) {
                 self.note(CacheOutcome::Hit, key);
             } else {
-                self.note(CacheOutcome::Miss, key);
-                if claimed.insert(key) {
-                    work.push((key, setup));
-                }
+                work.push((key, setup));
             }
         }
 
@@ -1190,17 +1190,14 @@ impl Orchestrator {
                             // `measure` span; each other key gets its own
                             // `measure` span right after.
                             let span = |(key, _): &(&MeasureKey, _)| {
-                                telemetry::Span::open("measure", &key.bench)
-                                    .with_key(key.digest())
-                                    .with_outcome(CacheOutcome::Miss)
+                                telemetry::Span::open("measure", &key.bench).with_key(key.digest())
                             };
                             let first = traced.then(|| span(&group[0]));
-                            // The lookup pass already counted these requests.
-                            let rs = self.group_request(harness, group, size, deadline, false);
+                            let rs = self.group_request(harness, group, size, deadline);
                             if let Some(first) = first {
-                                first.close();
-                                for member in &group[1..] {
-                                    span(member).close();
+                                first.with_outcome(rs[0].1).close();
+                                for (member, &(_, outcome)) in group[1..].iter().zip(&rs[1..]) {
+                                    span(member).with_outcome(outcome).close();
                                 }
                             }
                             done.extend(group.iter().zip(rs).map(|(&(key, _), (r, _))| (key, r)));
@@ -1943,8 +1940,10 @@ mod tests {
         let doubled = vec![one[0].clone(), one[0].clone(), one[0].clone()];
         let results = orch.sweep(&h, &doubled, InputSize::Test);
         assert_eq!(results.len(), 3);
-        assert_eq!(orch.stats().simulated, 1);
-        assert_eq!(orch.stats().misses, 3);
+        let stats = orch.stats();
+        assert_eq!(stats.simulated, 1);
+        assert_eq!(stats.misses, 1, "the request that leads the simulation");
+        assert_eq!(stats.hits, 2, "the repeats within the sweep");
     }
 
     #[test]
@@ -2638,6 +2637,7 @@ mod tests {
         });
         let stats = orch.stats();
         assert_eq!(stats.simulated, 4, "one simulation per key");
+        assert_eq!(stats.misses, 4, "a miss only where a request leads");
         assert_eq!(stats.hits + stats.misses, 9, "one count per request");
         let counters = |rs: &[Result<Measurement, MeasureError>]| -> Vec<Counters> {
             rs.iter()
@@ -2749,7 +2749,8 @@ mod tests {
         }
         let stats = orch.stats();
         assert_eq!(stats.simulated, 9, "one simulation per distinct key");
-        assert_eq!(stats.misses, 10, "one count per request");
+        assert_eq!(stats.misses, 9, "a miss per key the sweep leads");
+        assert_eq!(stats.hits, 1, "the repeated request");
         assert_eq!(stats.cached, 9);
     }
 

@@ -61,7 +61,12 @@ trace_file="$tmp/results/traces/repro-fig1-quick.jsonl"
 echo "==> chaos smoke (repro all under a canned fault schedule)"
 chaos_spec="seed=7,save.io=0.4,save.short=0.3,load.io=0.5,leader.panic=0.1,measure.delay=0.05,measure.runaway=0.02,worker.delay=0.2"
 BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort quick \
-    2>/dev/null > "$tmp/plain.out"
+    2>"$tmp/plain.err" > "$tmp/plain.out"
+# A request counts a miss only where it leads a simulation, so a cold run
+# reads as many misses as simulations, however its threads interleave.
+grep -q '^\[repro\] totals: cache [0-9]* hit / \([0-9][0-9]*\) miss (\1 simulated, ' \
+    "$tmp/plain.err" \
+    || { echo "FATAL: misses and simulations differ: $(grep totals "$tmp/plain.err")" >&2; exit 1; }
 BIASLAB_RESULTS_DIR="$tmp/chaos-results" ./target/release/repro all --effort quick \
     --faults "$chaos_spec" 2>/dev/null > "$tmp/chaos.out"
 cmp "$tmp/plain.out" "$tmp/chaos.out" \
@@ -215,10 +220,12 @@ loaded="$(sed -n 's/.*"orch\.loaded":\([0-9]*\).*/\1/p' "$tmp/restart-restarted.
     || { echo "FATAL: the restarted daemon simulated $simulated and loaded $loaded (want 0 and 3)" >&2; exit 1; }
 
 echo "==> lockstep sweep smoke (perfbench sweep-ref: every child's counters digest must match its pin)"
-# The quick suite's sweeps run one machine each, so this is the one
-# end-to-end run of sweeps whose setups share a functional pass: 432
-# simulations in lockstep groups of three. perfbench exits non-zero when a
-# child's digest differs from the pinned one or an operation fails.
+# Sweeps whose setups share a functional pass at Ref size: 432
+# simulations in lockstep groups of three. (The quick suite groups too,
+# at Test size: fig2, abl-machine, abl-prefetch and ext-lint sweep each
+# benchmark across machines, and the telemetry guard below checks its
+# stdout against perfbench's pinned digest.) perfbench exits non-zero when
+# a child's digest differs from the pinned one or an operation fails.
 CARGO_TARGET_DIR=target bash perfbench/run.sh --workload sweep-ref --seed 1 --seconds 1 \
     --trace 0 > /dev/null \
     || { echo "FATAL: sweep-ref failed or its counters drifted from the pins" >&2; exit 1; }

@@ -301,6 +301,44 @@ fn lockstep_groups_match_the_oracle_across_a_moved_layout() {
     check_group("perlbench moved", &exe, &load, &unlike_front_ends(), 2);
 }
 
+#[test]
+fn lockstep_groups_match_the_oracle_on_the_ablation_machines() {
+    // Two groups the quick suite forms that mix no paper machines:
+    // abl-machine's first, o3cpu with 1-, 2- and 4-way L1Ds, and
+    // abl-prefetch's, o3cpu with next-line prefetch off and on (no preset
+    // enables prefetch).
+    let ways: Vec<MachineConfig> = [1, 2, 4]
+        .into_iter()
+        .map(|ways| {
+            let mut machine = MachineConfig {
+                name: format!("o3cpu-{ways}way"),
+                ..MachineConfig::o3cpu()
+            };
+            machine.l1d.ways = ways;
+            machine
+        })
+        .collect();
+    let prefetch: Vec<MachineConfig> = [false, true]
+        .into_iter()
+        .map(|on| MachineConfig {
+            name: if on { "o3cpu+pf" } else { "o3cpu" }.into(),
+            l1d_next_line_prefetch: on,
+            ..MachineConfig::o3cpu()
+        })
+        .collect();
+    for name in ["perlbench", "mcf"] {
+        let h = Harness::new(benchmark_by_name(name).expect("known benchmark"));
+        for opt in [OptLevel::O2, OptLevel::O3] {
+            let setup = ExperimentSetup::default_on(MachineConfig::o3cpu(), opt);
+            let exe = h.link(&setup).expect("links");
+            let load = || load_setup(&h, &setup, &exe);
+            let what = format!("{name}/{opt}");
+            check_group(&what, &exe, &load, &ways, 1);
+            check_group(&what, &exe, &load, &prefetch, 1);
+        }
+    }
+}
+
 /// A module whose `main` loads and sums the first `loads` words of a
 /// 64-word table in one straight line of code, then, when `loop_after`,
 /// spins forever.
