@@ -21,10 +21,7 @@ fn configured() -> Criterion {
     // The harness reports the fastest of `sample_size` iterations; 150
     // samples keep that minimum stable against interference bursts on a
     // shared host while the whole suite stays under a second.
-    Criterion::default()
-        .sample_size(150)
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(3))
+    Criterion::default().sample_size(150)
 }
 
 /// hmmer at O2, linked in declaration order: the image every simulator
@@ -162,7 +159,7 @@ fn bench_machine(c: &mut Criterion) {
         solos.iter().sum::<f64>() / grouped[0]
     );
 
-    // The profiled run pays for per-instruction attribution.
+    // The profiled run pays for one attribution record per block.
     c.bench_function("simulate-profiled", |b| {
         b.iter(|| {
             let process = Loader::new().load(&exe, &env, &[2]).expect("loads");

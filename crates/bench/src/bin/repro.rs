@@ -6,7 +6,7 @@
 //! repro fig3 --effort quick     # reduced size (CI-friendly); --quick works too
 //! repro all [--effort quick]    # everything, in paper order
 //! repro all --jobs 4            # run experiments concurrently
-//! repro all --serial            # one at a time, in-process
+//! repro all --jobs 1            # one at a time
 //! repro fig1 --trace            # also export a telemetry trace
 //! repro fig1 --trace-profile    # trace + per-function cycle attribution
 //! repro all --faults seed=7,save.io=0.5   # deterministic fault injection
@@ -23,7 +23,8 @@
 //! `repro all` runs experiments concurrently on the shared orchestrator
 //! cache (`--jobs N` to pick the worker count, default the machine's
 //! parallelism). Output is buffered per experiment and flushed in paper
-//! order, so stdout is byte-identical to `--serial` at any worker count.
+//! order, so stdout is byte-identical at any worker count, and a panicking
+//! experiment reports in its own block while the rest still run.
 //!
 //! `--faults <spec>` (or the `BIASLAB_FAULTS` environment variable; the
 //! flag wins) installs a deterministic fault schedule — seeded I/O errors,
@@ -48,7 +49,7 @@ use biaslab_core::{faults, telemetry, Orchestrator};
 /// Usage text shown on parse errors, before the experiment list.
 const USAGE: &str = "\
 usage: repro <experiment-id | all | list> [--effort quick|full | --quick] [--no-resume]
-             [--jobs N | --serial] [--trace | --trace-profile] [--faults <spec>]
+             [--jobs N] [--trace | --trace-profile] [--faults <spec>]
 env: BIASLAB_FAULTS=<spec> installs a fault schedule like --faults
      (e.g. seed=7,save.io=0.5,leader.panic=@1)";
 
@@ -60,7 +61,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--quick", false),
     ("--no-resume", false),
     ("--jobs", true),
-    ("--serial", false),
     ("--trace", false),
     ("--trace-profile", false),
     ("--faults", true),
@@ -75,24 +75,15 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// How `repro all` schedules experiments.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    /// One at a time, in-process — the reference for stdout byte-identity.
-    Serial,
-    /// Concurrent on this many workers, output flushed in paper order.
-    Parallel(usize),
-}
-
 /// A parsed command line. Where flags conflict (`--quick` and `--effort`,
-/// `--serial` and `--jobs`, a repeated flag) the last one given wins.
+/// a repeated flag) the last one given wins.
 struct Options {
     /// An experiment id, `all` or `list`.
     target: String,
     effort: Effort,
-    /// One worker per available core unless `--jobs` or `--serial` says
-    /// otherwise.
-    mode: Mode,
+    /// How many experiments `repro all` runs at once: one per available
+    /// core unless `--jobs` says otherwise.
+    jobs: usize,
     resume: bool,
     trace: bool,
     trace_profiles: bool,
@@ -105,7 +96,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
     let mut o = Options {
         target: String::new(),
         effort: Effort::Full,
-        mode: Mode::Parallel(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         resume: true,
         trace: false,
         trace_profiles: false,
@@ -145,10 +136,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--quick" => o.effort = Effort::Quick,
             "--no-resume" => o.resume = false,
             "--jobs" => match value.parse::<usize>() {
-                Ok(n) if n >= 1 => o.mode = Mode::Parallel(n),
+                Ok(n) if n >= 1 => o.jobs = n,
                 _ => return Err("--jobs takes a positive integer".to_owned()),
             },
-            "--serial" => o.mode = Mode::Serial,
             "--trace" => o.trace = true,
             "--trace-profile" => o.trace_profiles = true,
             _ => o.faults = Some(value.to_owned()),
@@ -248,52 +238,40 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "all" => {
-            let code = match o.mode {
-                Mode::Serial => {
-                    for e in EXPERIMENTS {
-                        parallel::write_banner(&mut std::io::stdout(), e.id, e.title)
-                            .expect("write to stdout");
-                        run_one(e.id, e.title, effort);
-                    }
-                    ExitCode::SUCCESS
+            let orch = Orchestrator::global();
+            let mut out = std::io::stdout().lock();
+            let failures = parallel::run_all(EXPERIMENTS, effort, o.jobs, &mut out, |run| {
+                if telemetry::enabled() {
+                    telemetry::metrics().counter("repro.experiments").add(1);
                 }
-                Mode::Parallel(jobs) => {
-                    let orch = Orchestrator::global();
-                    let mut out = std::io::stdout().lock();
-                    let failures = parallel::run_all(EXPERIMENTS, effort, jobs, &mut out, |run| {
+                match &run.outcome {
+                    Ok(_) => {
+                        eprintln!("[repro] {} ({}): {:.2}s", run.id, run.title, run.seconds)
+                    }
+                    Err(msg) => {
                         if telemetry::enabled() {
-                            telemetry::metrics().counter("repro.experiments").add(1);
+                            telemetry::metrics().counter("repro.panics").add(1);
                         }
-                        match &run.outcome {
-                            Ok(_) => {
-                                eprintln!("[repro] {} ({}): {:.2}s", run.id, run.title, run.seconds)
-                            }
-                            Err(msg) => {
-                                if telemetry::enabled() {
-                                    telemetry::metrics().counter("repro.panics").add(1);
-                                }
-                                eprintln!(
-                                    "[repro] {} ({}): PANICKED after {:.2}s: {msg}",
-                                    run.id, run.title, run.seconds
-                                );
-                            }
-                        }
-                        orch.sync();
-                    })
-                    .expect("write to stdout");
-                    out.flush().expect("flush stdout");
-                    drop(out);
-                    if failures > 0 {
-                        eprintln!("[repro] {failures} experiment(s) panicked");
-                        ExitCode::FAILURE
-                    } else {
-                        ExitCode::SUCCESS
+                        eprintln!(
+                            "[repro] {} ({}): PANICKED after {:.2}s: {msg}",
+                            run.id, run.title, run.seconds
+                        );
                     }
                 }
+                orch.sync();
+            })
+            .expect("write to stdout");
+            out.flush().expect("flush stdout");
+            drop(out);
+            let code = if failures > 0 {
+                eprintln!("[repro] {failures} experiment(s) panicked");
+                ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
             };
             eprintln!(
                 "[repro] totals: {}, {} reference interpretation(s)",
-                Orchestrator::global().stats(),
+                orch.stats(),
                 biaslab_workloads::reference_interpretations()
             );
             export_trace("all", effort);

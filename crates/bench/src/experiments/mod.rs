@@ -20,7 +20,8 @@ use biaslab_uarch::MachineConfig;
 use biaslab_workloads::InputSize;
 
 /// How much work to spend: `Full` regenerates the figure at measurement
-/// size; `Quick` shrinks inputs and sweeps for CI and Criterion.
+/// size; `Quick` shrinks inputs and sweeps for CI, the tests and
+/// perfbench's quick-suite workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Reduced input size and sweep density.

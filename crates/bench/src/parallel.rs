@@ -5,7 +5,8 @@
 //! only observable ordering is stdout. The driver therefore buffers each
 //! experiment's output block and flushes blocks strictly in registry
 //! (paper) order as they complete, which keeps stdout byte-identical to
-//! the serial path whatever the worker count or completion order.
+//! running the experiments one after another, whatever the worker count
+//! or completion order.
 //!
 //! A panicking experiment is confined to its block: the worker catches the
 //! unwind, the block reports the panic in place of the figure, and the

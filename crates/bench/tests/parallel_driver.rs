@@ -1,6 +1,7 @@
 //! The cross-experiment parallel driver's two contracts: stdout is
-//! byte-identical to the serial path at any worker count, and one
-//! panicking experiment is confined to its own output block.
+//! byte-identical to running the experiments one after another, at any
+//! worker count, and one panicking experiment is confined to its own
+//! output block.
 
 use std::time::Duration;
 
@@ -41,7 +42,8 @@ fn registry(entries: &[(&'static str, RunFn)]) -> Vec<ExperimentInfo> {
 }
 
 /// The serial reference: banner + output + newline per experiment, in
-/// registry order — exactly what `repro all --serial` writes to stdout.
+/// registry order, each experiment run after the last — what `repro all`
+/// must write to stdout at any `--jobs`.
 fn serial_reference(experiments: &[ExperimentInfo], effort: Effort) -> Vec<u8> {
     let mut out = Vec::new();
     for e in experiments {

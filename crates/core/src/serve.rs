@@ -21,7 +21,7 @@
 //! Failure model: the socket-boundary `serve.*` fault sites (accept
 //! failure, short write, mid-response disconnect, slow client) leave a
 //! client observing at worst a typed error or a torn / truncated line; it
-//! reconnects with seeded jittered backoff and retries the whole exchange,
+//! reconnects after a jittered backoff and retries the whole exchange,
 //! and the orchestrator's caches make the retry cheap and the response
 //! identical. Inside the daemon the pool holds the same line: every pool
 //! job runs under `catch_unwind`, and a worker whose job panicked answers
@@ -1661,25 +1661,25 @@ const BACKOFF_BASE_MS: u64 = 1;
 const BACKOFF_CAP_MS: u64 = 64;
 
 /// Full-jitter exponential backoff before retry number `attempt`
-/// (0-based): a seeded-hash draw in `[0, min(base << attempt, cap))`.
-/// Pure function of `(seed, id, attempt)` — a fixed seed replays the
-/// exact delay schedule, which keeps chaos-test retry counts and timing
-/// deterministic, while distinct seeds (one per concurrent client) spread
-/// simultaneous retries instead of thundering back in lockstep.
+/// (0-based): a hash draw in `[0, min(base << attempt, cap))`. Pure
+/// function of `(id, attempt)` — a request replays the exact delay
+/// schedule, which keeps chaos-test retry counts and timing deterministic,
+/// while requests with distinct ids spread their retries instead of
+/// thundering back in lockstep.
 #[must_use]
-pub fn backoff_delay_ms(seed: u64, id: u64, attempt: u32) -> u64 {
+pub fn backoff_delay_ms(id: u64, attempt: u32) -> u64 {
     let span = (BACKOFF_BASE_MS << attempt.min(6)).clamp(1, BACKOFF_CAP_MS);
-    fnv64(&format!("backoff {seed}:{id}:{attempt}")) % span
+    fnv64(&format!("backoff {id}:{attempt}")) % span
 }
 
 /// A reconnecting client. Responses that arrive torn (EOF mid-exchange,
 /// truncated line, crc mismatch) drop the connection and replay the whole
-/// request on a fresh one after a seeded jittered exponential backoff;
-/// the daemon's caches make the replay idempotent.
+/// request on a fresh one after a jittered exponential backoff
+/// ([`backoff_delay_ms`], drawn from the request's id); the daemon's
+/// caches make the replay idempotent.
 pub struct Client {
     addr: Addr,
     attempts: u32,
-    backoff_seed: u64,
     conn: Option<(BufReader<Stream>, Stream)>,
 }
 
@@ -1690,7 +1690,6 @@ impl Client {
         Client {
             addr,
             attempts: 4,
-            backoff_seed: 0,
             conn: None,
         }
     }
@@ -1699,13 +1698,6 @@ impl Client {
     #[must_use]
     pub fn with_attempts(mut self, attempts: u32) -> Client {
         self.attempts = attempts.max(1);
-        self
-    }
-
-    /// Seeds the retry backoff jitter (see [`backoff_delay_ms`]).
-    #[must_use]
-    pub fn with_backoff_seed(mut self, seed: u64) -> Client {
-        self.backoff_seed = seed;
         self
     }
 
@@ -1738,11 +1730,7 @@ impl Client {
                     retries += 1;
                     last = e;
                     if attempt + 1 < self.attempts {
-                        thread::sleep(Duration::from_millis(backoff_delay_ms(
-                            self.backoff_seed,
-                            id,
-                            attempt,
-                        )));
+                        thread::sleep(Duration::from_millis(backoff_delay_ms(id, attempt)));
                     }
                 }
             }
@@ -2300,17 +2288,17 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_capped_and_seed_spread() {
+    fn backoff_is_deterministic_capped_and_spread_over_ids() {
         for attempt in 0..10 {
-            let a = backoff_delay_ms(7, 42, attempt);
-            assert_eq!(a, backoff_delay_ms(7, 42, attempt), "deterministic");
+            let a = backoff_delay_ms(42, attempt);
+            assert_eq!(a, backoff_delay_ms(42, attempt), "deterministic");
             assert!(a < BACKOFF_CAP_MS, "within cap");
             let span = (BACKOFF_BASE_MS << attempt.min(6)).min(BACKOFF_CAP_MS);
             assert!(a < span.max(1), "within this attempt's span");
         }
         let spread: std::collections::HashSet<u64> =
-            (0..32).map(|seed| backoff_delay_ms(seed, 1, 6)).collect();
-        assert!(spread.len() > 8, "distinct seeds spread retry delays");
+            (0..32).map(|id| backoff_delay_ms(id, 6)).collect();
+        assert!(spread.len() > 8, "distinct ids spread retry delays");
     }
 
     proptest! {

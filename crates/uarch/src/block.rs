@@ -427,8 +427,6 @@ pub enum BlockEnd {
 pub struct DecodedBlock {
     /// Entry address.
     pub entry: u32,
-    /// Entry word index into the text segment (`(entry - text_base) / 4`).
-    pub word: u32,
     /// Total instructions, terminator included (cut blocks have none).
     pub len: u32,
     /// Instructions before the terminator (`len` for cut blocks).
@@ -440,9 +438,8 @@ pub struct DecodedBlock {
     /// Summed multiply/divide extra cycles across the body (replayed into
     /// `cycles` and `stall_compute` at block entry).
     pub extra_cycles: u64,
-    /// Pre-decoded body instructions (`body_len` of them), the executor's
-    /// fast-path form; the budget-fallback and profiled paths execute the
-    /// raw text instead.
+    /// Pre-decoded body instructions (`body_len` of them): what the
+    /// executor runs for the body, profiled or not, up to the budget.
     pub uops: Box<[Uop]>,
     /// The entry instruction's fetch window. Whether its crossing fires
     /// depends on the front end's current window, so the executor checks
@@ -710,7 +707,6 @@ pub fn decode(text: &[Inst], word: u32, p: &DecodeParams, boundaries: &[u32]) ->
 
     DecodedBlock {
         entry,
-        word,
         len,
         body_len,
         loads,

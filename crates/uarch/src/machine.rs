@@ -565,7 +565,9 @@ impl Machine {
     /// # Errors
     ///
     /// The run's [`RunError`], which is the same for every member: both
-    /// kinds are properties of the functional pass.
+    /// kinds are properties of the functional pass. A budget error leaves
+    /// each member's caches and predictors as its own run leaves them,
+    /// wherever in a block the budget expires.
     ///
     /// # Panics
     ///
@@ -807,9 +809,10 @@ impl Machine {
     /// [`BlockCache`], then dispatch whole blocks over one [`RegionMem`]
     /// built from the process's pages. The first member's uops drive the
     /// one functional pass; every member replays its own block's timing
-    /// summary and events. Monomorphized per group size and on `PROFILE`
-    /// (profiled runs are groups of one), so a plain run carries no
-    /// per-instruction bookkeeping at all.
+    /// summary and events. Every block body runs as its uops, whether the
+    /// run is plain or profiled and wherever the budget expires.
+    /// Monomorphized per group size and on `PROFILE` (profiled runs are
+    /// groups of one), which adds only the per-block span bookkeeping.
     ///
     /// Bit-identity argument, piece by piece, for each member:
     ///
@@ -832,9 +835,10 @@ impl Machine {
     /// * **Static counter sums** (`instructions`, base `cycles`, ALU
     ///   extras, `loads`/`stores`) are accumulated at block entry instead
     ///   of per instruction. Every counter is an order-independent sum and
-    ///   nothing on this path reads an intermediate value, so hoisting is
-    ///   an exact algebraic rewrite. (Profiled runs *do* read intermediate
-    ///   cycles, so under `PROFILE` the statics stay per-instruction.)
+    ///   nothing reads an intermediate value, so hoisting is an exact
+    ///   algebraic rewrite. Attribution reads `cycles` only between
+    ///   blocks, where every earlier block's sums are complete, and at the
+    ///   halt, whose own base cycle it takes back out (see below).
     /// * **Fetch crossings** replay per I-cache line. The entry crossing
     ///   stays dynamic: whether it fires depends on the front end's
     ///   current window, exactly like the interpreted check. Every later
@@ -857,23 +861,28 @@ impl Machine {
     ///   at every member's kept crossings, so each crossing fires before
     ///   the data access of its own instruction and after those of the
     ///   instructions before it. The block's last window is written back
-    ///   after the block, where the interpreted loop leaves it. The plain,
-    ///   profiled and budget paths all replay this one table.
+    ///   after the block, where the interpreted loop leaves it.
     /// * **Bank conflicts** read the retired-instruction index; the
     ///   hoisted path reconstructs the interpreted value as
     ///   `entry_instructions + i + 1`, the same for every member.
     /// * **Budget**: members share one budget and retire the same
-    ///   instructions, so one check serves them all. A block that would
-    ///   cross `max_instructions` falls back to per-instruction execution
-    ///   of every member with the interpreted check order, so the error
-    ///   fires at the same instruction and leaves each member's warm state
-    ///   identical to the interpreted path's (the window it leaves is not
-    ///   warm state: every run starts by resetting it).
+    ///   instructions, so one check serves them all. In a block that would
+    ///   retire past `max_instructions`, the interpreted loop's check
+    ///   trips at body index `max_instructions - entry_instructions`,
+    ///   before that instruction's fetch (the terminator cannot run: the
+    ///   trip point is at or before it). So the walk stops there: the uops
+    ///   before it run with their crossings and data accesses, and the
+    ///   error follows, leaving each member's warm state identical to the
+    ///   interpreted path's (the window it leaves is not warm state: every
+    ///   run starts by resetting it). The counters replayed at entry are
+    ///   dropped with the error.
     /// * **Profile attribution** accrues one span per block (the entry
     ///   bucket covers the whole block because decode cuts at function
-    ///   symbols); the deltas telescope to the per-instruction sums, with
-    ///   the final halt's own fetch excluded via a cycle snapshot, exactly
-    ///   as the interpreted attributor never records the halt.
+    ///   symbols), read at block entry before the block's statics, so the
+    ///   deltas telescope to the per-instruction sums. The interpreted
+    ///   attributor never records the halt, so the last span ends before
+    ///   the halt's fetch and one cycle short of the running count: the
+    ///   halt's own cycle, already replayed with the statics.
     fn run_lockstep<const N: usize, const PROFILE: bool>(
         members: [&mut Machine; N],
         exe: &Executable,
@@ -948,65 +957,6 @@ impl Machine {
                 }
             };
         }
-        // One body (non-terminator) instruction on every member, with the
-        // interpreted per-instruction accounting: the budget and profiled
-        // paths.
-        macro_rules! body_inst {
-            ($inst:expr) => {{
-                for lane in &mut lanes {
-                    lane.c.instructions += 1;
-                    lane.c.cycles += 1;
-                }
-                match $inst {
-                    Inst::Alu { op, rd, rs1, rs2 } => {
-                        wr!(rd, op.eval(rd!(rs1), rd!(rs2)));
-                        for lane in &mut lanes {
-                            lane.compute(op);
-                        }
-                    }
-                    Inst::AluImm { op, rd, rs1, imm } => {
-                        wr!(rd, op.eval(rd!(rs1), op.extend_imm(imm)));
-                        for lane in &mut lanes {
-                            lane.compute(op);
-                        }
-                    }
-                    Inst::Lui { rd, imm } => wr!(rd, u64::from(imm) << 16),
-                    Inst::Load {
-                        width,
-                        rd,
-                        base,
-                        offset,
-                    } => {
-                        let addr = (rd!(base) as u32).wrapping_add(offset as i32 as u32);
-                        for lane in &mut lanes {
-                            lane.c.loads += 1;
-                            lane.data(addr, width.bytes(), false, lane.c.instructions);
-                        }
-                        wr!(rd, mem.read_le(addr, width.bytes()));
-                    }
-                    Inst::Store {
-                        width,
-                        rs,
-                        base,
-                        offset,
-                    } => {
-                        let addr = (rd!(base) as u32).wrapping_add(offset as i32 as u32);
-                        for lane in &mut lanes {
-                            lane.c.stores += 1;
-                            lane.data(addr, width.bytes(), true, lane.c.instructions);
-                        }
-                        mem.write_le(addr, width.bytes(), rd!(rs));
-                    }
-                    Inst::Chk { rs } => checksum = checksum_fold(checksum, rd!(rs)),
-                    Inst::Nop => {}
-                    // Decode terminates blocks at control transfers, so
-                    // none can appear in a body.
-                    Inst::Branch { .. } | Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Halt => {
-                        unreachable!("control instruction in block body")
-                    }
-                }
-            }};
-        }
 
         loop {
             // Same check order as the interpreted loop's block-entry
@@ -1038,197 +988,170 @@ impl Machine {
                     span = Some((pc, lanes[0].c.cycles, b.len));
                 }
             }
-            for lane in &mut lanes {
+            for (lane, mb) in lanes.iter_mut().zip(bs) {
+                // Replay the block's static summary in one step; see the
+                // method docs for why this is exact.
                 lane.li = 0;
+                lane.c.fetches += u64::from(mb.crossings);
+                lane.c.instructions += u64::from(mb.len);
+                lane.c.cycles += u64::from(mb.len) + mb.extra_cycles;
+                lane.c.stall_compute += mb.extra_cycles;
+                lane.c.loads += u64::from(mb.loads);
+                lane.c.stores += u64::from(mb.stores);
             }
-            if inst_base + u64::from(b.len) > max_instructions {
-                // The budget expires inside this block: execute it per
-                // instruction with the interpreted check order. The budget
-                // trips before the terminator can execute (base + len >
-                // max implies the check fails at index max - base < len),
-                // so this path always errors — but the instructions before
-                // the trip point must run in full, leaving warm machine
-                // state identical to the interpreted path's.
-                let body = &text[b.word as usize..(b.word + b.body_len) as usize];
-                for (i, &inst) in body.iter().enumerate() {
-                    if lanes[0].c.instructions >= max_instructions {
-                        return Err(RunError::Budget(max_instructions));
+            // One fused match per body instruction, unconditional
+            // destination writes (decode remapped `ZERO` to the scratch
+            // slot), immediates pre-extended. Each ALU arm mirrors
+            // `AluOp::eval` exactly; `body_uops_match_text` and the block
+            // differential tests pin the equivalence.
+            macro_rules! a {
+                ($u:expr) => {
+                    regs[$u.rs1 as usize & (REG_SLOTS - 1)]
+                };
+            }
+            macro_rules! b {
+                ($u:expr) => {
+                    regs[$u.rs2 as usize & (REG_SLOTS - 1)]
+                };
+            }
+            macro_rules! set {
+                ($u:expr, $v:expr) => {
+                    regs[$u.rd as usize & (REG_SLOTS - 1)] = $v
+                };
+            }
+            // Walk the body a segment at a time: replay the crossings
+            // that open the segment, then run its uops in a tight inner
+            // loop with no per-instruction fetch test. A segment ends at
+            // the next kept crossing of any member. Order is unchanged for
+            // every member — a crossing at index `idx` fires immediately
+            // before the instruction at `idx`, exactly as the interpreted
+            // loop interleaves them. A crossing at `body_len` belongs to
+            // the terminator and fires after. A block the budget expires
+            // in walks only the uops before the trip point (see the method
+            // docs).
+            let trips = inst_base + u64::from(b.len) > max_instructions;
+            let uops = if trips {
+                &b.uops[..(max_instructions - inst_base) as usize]
+            } else {
+                &b.uops[..]
+            };
+            let mut seg_start = 0usize;
+            while seg_start < uops.len() {
+                let mut seg_end = uops.len();
+                for (lane, mb) in lanes.iter_mut().zip(bs) {
+                    lane.crossing(mb, seg_start as u32);
+                    if let Some(f) = mb.lines.get(lane.li) {
+                        seg_end = seg_end.min(f.idx as usize);
                     }
-                    for (lane, mb) in lanes.iter_mut().zip(bs) {
-                        lane.crossing(mb, i as u32);
-                    }
-                    body_inst!(inst);
                 }
+                for (k, u) in uops[seg_start..seg_end].iter().enumerate() {
+                    let i = seg_start + k;
+                    match u.kind {
+                        UopKind::Add => set!(u, a!(u).wrapping_add(b!(u))),
+                        UopKind::Sub => set!(u, a!(u).wrapping_sub(b!(u))),
+                        UopKind::Mul => set!(u, a!(u).wrapping_mul(b!(u))),
+                        UopKind::Div => {
+                            let d = b!(u);
+                            set!(
+                                u,
+                                if d == 0 {
+                                    u64::MAX
+                                } else {
+                                    (a!(u) as i64).wrapping_div(d as i64) as u64
+                                }
+                            );
+                        }
+                        UopKind::Rem => {
+                            let d = b!(u);
+                            set!(
+                                u,
+                                if d == 0 {
+                                    a!(u)
+                                } else {
+                                    (a!(u) as i64).wrapping_rem(d as i64) as u64
+                                }
+                            );
+                        }
+                        UopKind::And => set!(u, a!(u) & b!(u)),
+                        UopKind::Or => set!(u, a!(u) | b!(u)),
+                        UopKind::Xor => set!(u, a!(u) ^ b!(u)),
+                        UopKind::Sll => set!(u, a!(u).wrapping_shl(b!(u) as u32 & 63)),
+                        UopKind::Srl => set!(u, a!(u).wrapping_shr(b!(u) as u32 & 63)),
+                        UopKind::Sra => {
+                            set!(u, (a!(u) as i64).wrapping_shr(b!(u) as u32 & 63) as u64);
+                        }
+                        UopKind::Slt => set!(u, u64::from((a!(u) as i64) < (b!(u) as i64))),
+                        UopKind::Sltu => set!(u, u64::from(a!(u) < b!(u))),
+                        UopKind::Seq => set!(u, u64::from(a!(u) == b!(u))),
+                        UopKind::Sne => set!(u, u64::from(a!(u) != b!(u))),
+                        UopKind::AddI => set!(u, a!(u).wrapping_add(u.imm)),
+                        UopKind::SubI => set!(u, a!(u).wrapping_sub(u.imm)),
+                        UopKind::MulI => set!(u, a!(u).wrapping_mul(u.imm)),
+                        UopKind::DivI => {
+                            set!(
+                                u,
+                                if u.imm == 0 {
+                                    u64::MAX
+                                } else {
+                                    (a!(u) as i64).wrapping_div(u.imm as i64) as u64
+                                }
+                            );
+                        }
+                        UopKind::RemI => {
+                            set!(
+                                u,
+                                if u.imm == 0 {
+                                    a!(u)
+                                } else {
+                                    (a!(u) as i64).wrapping_rem(u.imm as i64) as u64
+                                }
+                            );
+                        }
+                        UopKind::AndI => set!(u, a!(u) & u.imm),
+                        UopKind::OrI => set!(u, a!(u) | u.imm),
+                        UopKind::XorI => set!(u, a!(u) ^ u.imm),
+                        UopKind::SllI => set!(u, a!(u).wrapping_shl(u.imm as u32 & 63)),
+                        UopKind::SrlI => set!(u, a!(u).wrapping_shr(u.imm as u32 & 63)),
+                        UopKind::SraI => {
+                            set!(u, (a!(u) as i64).wrapping_shr(u.imm as u32 & 63) as u64);
+                        }
+                        UopKind::SltI => set!(u, u64::from((a!(u) as i64) < (u.imm as i64))),
+                        UopKind::SltuI => set!(u, u64::from(a!(u) < u.imm)),
+                        UopKind::SeqI => set!(u, u64::from(a!(u) == u.imm)),
+                        UopKind::SneI => set!(u, u64::from(a!(u) != u.imm)),
+                        UopKind::Lui => set!(u, u.imm),
+                        UopKind::Load => {
+                            let addr = (a!(u) as u32).wrapping_add(u.imm as u32);
+                            let idx = inst_base + i as u64 + 1;
+                            let width = u32::from(u.width);
+                            for lane in &mut lanes {
+                                lane.data(addr, width, false, idx);
+                            }
+                            set!(u, mem.read_le(addr, width));
+                        }
+                        UopKind::Store => {
+                            let addr = (a!(u) as u32).wrapping_add(u.imm as u32);
+                            let idx = inst_base + i as u64 + 1;
+                            let width = u32::from(u.width);
+                            for lane in &mut lanes {
+                                lane.data(addr, width, true, idx);
+                            }
+                            mem.write_le(addr, width, b!(u));
+                        }
+                        UopKind::Chk => checksum = checksum_fold(checksum, a!(u)),
+                        UopKind::Nop => {}
+                    }
+                }
+                seg_start = seg_end;
+            }
+            if trips {
                 return Err(RunError::Budget(max_instructions));
             }
-            for (lane, mb) in lanes.iter_mut().zip(bs) {
-                lane.c.fetches += u64::from(mb.crossings);
-                if !PROFILE {
-                    // Replay the block's static summary in one step; see
-                    // the method docs for why this is exact.
-                    lane.c.instructions += u64::from(mb.len);
-                    lane.c.cycles += u64::from(mb.len) + mb.extra_cycles;
-                    lane.c.stall_compute += mb.extra_cycles;
-                    lane.c.loads += u64::from(mb.loads);
-                    lane.c.stores += u64::from(mb.stores);
-                }
-            }
 
-            if PROFILE {
-                // Profiled runs read intermediate cycles per instruction,
-                // so they execute the raw text with full accounting.
-                let body = &text[b.word as usize..(b.word + b.body_len) as usize];
-                for (i, &inst) in body.iter().enumerate() {
-                    for (lane, mb) in lanes.iter_mut().zip(bs) {
-                        lane.crossing(mb, i as u32);
-                    }
-                    body_inst!(inst);
-                }
-            } else {
-                // The uop fast path: one fused match per body instruction,
-                // unconditional destination writes (decode remapped `ZERO`
-                // to the scratch slot), immediates pre-extended. Each ALU
-                // arm mirrors `AluOp::eval` exactly; `body_uops_match_text`
-                // and the block differential tests pin the equivalence.
-                macro_rules! a {
-                    ($u:expr) => {
-                        regs[$u.rs1 as usize & (REG_SLOTS - 1)]
-                    };
-                }
-                macro_rules! b {
-                    ($u:expr) => {
-                        regs[$u.rs2 as usize & (REG_SLOTS - 1)]
-                    };
-                }
-                macro_rules! set {
-                    ($u:expr, $v:expr) => {
-                        regs[$u.rd as usize & (REG_SLOTS - 1)] = $v
-                    };
-                }
-                // Walk the body a segment at a time: replay the crossings
-                // that open the segment, then run its uops in a tight
-                // inner loop with no per-instruction fetch test. A segment
-                // ends at the next kept crossing of any member. Order is
-                // unchanged for every member — a crossing at index `idx`
-                // fires immediately before the instruction at `idx`,
-                // exactly as the interpreted loop interleaves them. A
-                // crossing at `body_len` belongs to the terminator and
-                // fires after.
-                let uops = &b.uops[..];
-                let mut seg_start = 0usize;
-                while seg_start < uops.len() {
-                    let mut seg_end = uops.len();
-                    for (lane, mb) in lanes.iter_mut().zip(bs) {
-                        lane.crossing(mb, seg_start as u32);
-                        if let Some(f) = mb.lines.get(lane.li) {
-                            seg_end = seg_end.min(f.idx as usize);
-                        }
-                    }
-                    for (k, u) in uops[seg_start..seg_end].iter().enumerate() {
-                        let i = seg_start + k;
-                        match u.kind {
-                            UopKind::Add => set!(u, a!(u).wrapping_add(b!(u))),
-                            UopKind::Sub => set!(u, a!(u).wrapping_sub(b!(u))),
-                            UopKind::Mul => set!(u, a!(u).wrapping_mul(b!(u))),
-                            UopKind::Div => {
-                                let d = b!(u);
-                                set!(
-                                    u,
-                                    if d == 0 {
-                                        u64::MAX
-                                    } else {
-                                        (a!(u) as i64).wrapping_div(d as i64) as u64
-                                    }
-                                );
-                            }
-                            UopKind::Rem => {
-                                let d = b!(u);
-                                set!(
-                                    u,
-                                    if d == 0 {
-                                        a!(u)
-                                    } else {
-                                        (a!(u) as i64).wrapping_rem(d as i64) as u64
-                                    }
-                                );
-                            }
-                            UopKind::And => set!(u, a!(u) & b!(u)),
-                            UopKind::Or => set!(u, a!(u) | b!(u)),
-                            UopKind::Xor => set!(u, a!(u) ^ b!(u)),
-                            UopKind::Sll => set!(u, a!(u).wrapping_shl(b!(u) as u32 & 63)),
-                            UopKind::Srl => set!(u, a!(u).wrapping_shr(b!(u) as u32 & 63)),
-                            UopKind::Sra => {
-                                set!(u, (a!(u) as i64).wrapping_shr(b!(u) as u32 & 63) as u64);
-                            }
-                            UopKind::Slt => set!(u, u64::from((a!(u) as i64) < (b!(u) as i64))),
-                            UopKind::Sltu => set!(u, u64::from(a!(u) < b!(u))),
-                            UopKind::Seq => set!(u, u64::from(a!(u) == b!(u))),
-                            UopKind::Sne => set!(u, u64::from(a!(u) != b!(u))),
-                            UopKind::AddI => set!(u, a!(u).wrapping_add(u.imm)),
-                            UopKind::SubI => set!(u, a!(u).wrapping_sub(u.imm)),
-                            UopKind::MulI => set!(u, a!(u).wrapping_mul(u.imm)),
-                            UopKind::DivI => {
-                                set!(
-                                    u,
-                                    if u.imm == 0 {
-                                        u64::MAX
-                                    } else {
-                                        (a!(u) as i64).wrapping_div(u.imm as i64) as u64
-                                    }
-                                );
-                            }
-                            UopKind::RemI => {
-                                set!(
-                                    u,
-                                    if u.imm == 0 {
-                                        a!(u)
-                                    } else {
-                                        (a!(u) as i64).wrapping_rem(u.imm as i64) as u64
-                                    }
-                                );
-                            }
-                            UopKind::AndI => set!(u, a!(u) & u.imm),
-                            UopKind::OrI => set!(u, a!(u) | u.imm),
-                            UopKind::XorI => set!(u, a!(u) ^ u.imm),
-                            UopKind::SllI => set!(u, a!(u).wrapping_shl(u.imm as u32 & 63)),
-                            UopKind::SrlI => set!(u, a!(u).wrapping_shr(u.imm as u32 & 63)),
-                            UopKind::SraI => {
-                                set!(u, (a!(u) as i64).wrapping_shr(u.imm as u32 & 63) as u64);
-                            }
-                            UopKind::SltI => set!(u, u64::from((a!(u) as i64) < (u.imm as i64))),
-                            UopKind::SltuI => set!(u, u64::from(a!(u) < u.imm)),
-                            UopKind::SeqI => set!(u, u64::from(a!(u) == u.imm)),
-                            UopKind::SneI => set!(u, u64::from(a!(u) != u.imm)),
-                            UopKind::Lui => set!(u, u.imm),
-                            UopKind::Load => {
-                                let addr = (a!(u) as u32).wrapping_add(u.imm as u32);
-                                let idx = inst_base + i as u64 + 1;
-                                let width = u32::from(u.width);
-                                for lane in &mut lanes {
-                                    lane.data(addr, width, false, idx);
-                                }
-                                set!(u, mem.read_le(addr, width));
-                            }
-                            UopKind::Store => {
-                                let addr = (a!(u) as u32).wrapping_add(u.imm as u32);
-                                let idx = inst_base + i as u64 + 1;
-                                let width = u32::from(u.width);
-                                for lane in &mut lanes {
-                                    lane.data(addr, width, true, idx);
-                                }
-                                mem.write_le(addr, width, b!(u));
-                            }
-                            UopKind::Chk => checksum = checksum_fold(checksum, a!(u)),
-                            UopKind::Nop => {}
-                        }
-                    }
-                    seg_start = seg_end;
-                }
-            }
-
-            // Cycles at the terminator's top, before its fetch: the halt
-            // is never attributed, so its span ends here.
-            let cycles_at_term = if PROFILE { lanes[0].c.cycles } else { 0 };
+            // Cycles at the terminator's top, before its fetch and less
+            // its own cycle, which the statics already hold: the halt is
+            // never attributed, so its span ends here.
+            let cycles_at_term = if PROFILE { lanes[0].c.cycles - 1 } else { 0 };
             // The terminator's crossing: the entry's when the body is
             // empty, else the one kept line crossing left, if any (a cut
             // block has none). Then the window the block leaves.
@@ -1245,12 +1168,6 @@ impl Machine {
                 // no terminator, fall through.
                 pc = b.next_pc;
                 continue;
-            }
-            if PROFILE {
-                for lane in &mut lanes {
-                    lane.c.instructions += 1;
-                    lane.c.cycles += 1;
-                }
             }
             match b.end {
                 BlockEnd::Branch {
@@ -1373,14 +1290,6 @@ impl Lane<'_> {
             self.dmem
                 .access_lines(&mut self.c, addr, width, is_store, &mut l2);
         }
-    }
-
-    /// An ALU instruction's extra cycles on this member.
-    #[inline(always)]
-    fn compute(&mut self, op: biaslab_isa::AluOp) {
-        let extra = self.hot.alu_extra(op);
-        self.c.cycles += extra;
-        self.c.stall_compute += extra;
     }
 }
 

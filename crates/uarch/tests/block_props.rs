@@ -115,7 +115,6 @@ proptest! {
             let ba = a.get_or_decode(word, &text, &p).clone();
             let bb = b.get_or_decode(word, &text, &p).clone();
             prop_assert_eq!(&ba, &bb);
-            prop_assert_eq!(ba.word, word);
             prop_assert_eq!(ba.entry, TEXT_BASE + 4 * word);
             prop_assert_eq!(ba.next_pc, ba.entry + 4 * ba.len);
             prop_assert_eq!(ba.uops.len() as u32, ba.body_len);

@@ -85,12 +85,12 @@ cmp "$tmp/plain.out" "$tmp/resumed.out" \
 grep -q '^\[repro\] totals: cache [0-9]* hit / 0 miss (0 simulated, .*, 0 reference interpretation(s)$' \
     "$tmp/resumed.err" \
     || { echo "FATAL: the resumed run measured or interpreted again: $(grep totals "$tmp/resumed.err")" >&2; exit 1; }
-# The same resume on one thread: the static analyzers share per-level
-# facts across threads, so the serial and parallel paths must agree.
-BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort quick --serial \
-    2>/dev/null > "$tmp/resumed-serial.out"
-cmp "$tmp/plain.out" "$tmp/resumed-serial.out" \
-    || { echo "FATAL: resumed --serial stdout differs from cold stdout" >&2; exit 1; }
+# The same resume on one worker: the static analyzers share per-level
+# facts across threads, so one worker and several must agree.
+BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort quick --jobs 1 \
+    2>/dev/null > "$tmp/resumed-jobs1.out"
+cmp "$tmp/plain.out" "$tmp/resumed-jobs1.out" \
+    || { echo "FATAL: resumed --jobs 1 stdout differs from cold stdout" >&2; exit 1; }
 # A traced resume: no machine runs at all, so the trace carries no
 # block-cache metric (a simulation outside the cache would add one).
 BIASLAB_RESULTS_DIR="$tmp/plain-results" ./target/release/repro all --effort quick --trace \

@@ -121,11 +121,12 @@ fn block_dispatch_matches_the_oracle_across_layouts() {
 fn block_dispatch_profiles_identically_to_the_interpreter() {
     // Attribution accrues per block on the block path (one span per
     // block, deltas telescoping over the body) and per instruction on the
-    // interpreted path; the resulting profiles must be the same object.
-    let bench = suite().into_iter().next().expect("non-empty suite");
-    let h = Harness::new(bench);
-    let order: Vec<usize> = (0..h.object_names().len()).collect();
-    for machine in MachineConfig::all() {
+    // interpreted path; on every benchmark and machine the resulting
+    // profiles must be the same object.
+    for bench in suite() {
+        let h = Harness::new(bench);
+        let name = h.benchmark().name();
+        let order: Vec<usize> = (0..h.object_names().len()).collect();
         let exe = h.executable(OptLevel::O2, &order, 0).expect("links");
         let load = || {
             Loader::new()
@@ -136,28 +137,30 @@ fn block_dispatch_profiles_identically_to_the_interpreter() {
                 )
                 .expect("loads")
         };
-        let mut block = Machine::with_kernel(machine.clone(), KernelMode::Block);
-        let (block_result, block_profile) = block.run_profiled(&exe, load()).expect("runs");
-        let mut interp = Machine::with_kernel(machine.clone(), KernelMode::Collapsed);
-        let (interp_result, interp_profile) = interp.run_profiled(&exe, load()).expect("runs");
-        assert_eq!(
-            block_result, interp_result,
-            "{}: profiled run results disagree",
-            machine.name
-        );
-        assert_eq!(
-            block_profile, interp_profile,
-            "{}: profiles disagree",
-            machine.name
-        );
-        // Profiling itself must not perturb the block path's counters.
-        let mut plain = Machine::with_kernel(machine.clone(), KernelMode::Block);
-        let plain_result = plain.run(&exe, load()).expect("runs");
-        assert_eq!(
-            block_result, plain_result,
-            "{}: attribution changed block-path counters",
-            machine.name
-        );
+        for machine in MachineConfig::all() {
+            let mut block = Machine::with_kernel(machine.clone(), KernelMode::Block);
+            let (block_result, block_profile) = block.run_profiled(&exe, load()).expect("runs");
+            let mut interp = Machine::with_kernel(machine.clone(), KernelMode::Collapsed);
+            let (interp_result, interp_profile) = interp.run_profiled(&exe, load()).expect("runs");
+            assert_eq!(
+                block_result, interp_result,
+                "{name}/{}: profiled run results disagree",
+                machine.name
+            );
+            assert_eq!(
+                block_profile, interp_profile,
+                "{name}/{}: profiles disagree",
+                machine.name
+            );
+            // Profiling itself must not perturb the block path's counters.
+            let mut plain = Machine::with_kernel(machine.clone(), KernelMode::Block);
+            let plain_result = plain.run(&exe, load()).expect("runs");
+            assert_eq!(
+                block_result, plain_result,
+                "{name}/{}: attribution changed block-path counters",
+                machine.name
+            );
+        }
     }
 }
 
@@ -339,18 +342,18 @@ fn lockstep_groups_match_the_oracle_on_the_ablation_machines() {
     }
 }
 
-/// A module whose `main` loads and sums the first `loads` words of a
-/// 64-word table in one straight line of code, then, when `loop_after`,
-/// spins forever.
-fn straight_line_program(loads: i32, loop_after: bool) -> Module {
-    let words: Vec<u64> = (1..=64).collect();
+/// A module whose `main` loads and sums `loads` words of a 40-word table,
+/// `stride` words apart from the first, in one straight line of code, then,
+/// when `loop_after`, spins forever.
+fn straight_line_program(loads: i32, stride: i32, loop_after: bool) -> Module {
+    let words: Vec<u64> = (1..=40).collect();
     let mut mb = ModuleBuilder::new();
     let table = mb.global(Global::from_words("table", &words));
     mb.function("main", 0, true, |fb| {
         let g = fb.addr_global(table);
         let mut acc = fb.load(Width::B8, g, 0);
         for k in 1..loads {
-            let v = fb.load(Width::B8, g, 8 * k);
+            let v = fb.load(Width::B8, g, 8 * stride * k);
             acc = fb.add(acc, v);
         }
         fb.chk(acc);
@@ -369,13 +372,16 @@ fn straight_line_program(loads: i32, loop_after: bool) -> Module {
 #[test]
 fn a_budget_that_trips_mid_block_leaves_every_member_as_a_solo_run_does() {
     // The first program's entry block is one straight line of 40 loads
-    // and adds across several I-cache lines, and each budget trips inside
-    // it on its first, cold pass, where the executor steps every member
-    // per instruction. The error must be each solo run's, and so must
-    // the warm state left behind: a short second program, laid out from
-    // the same text and data addresses and within the budget, must give
-    // each tripped member the counters it gives a tripped solo machine
-    // and the tripped oracle.
+    // and adds, across several I-cache lines and all five of the table's
+    // 64-byte lines, and every budget from 20 to 84 trips inside it on its
+    // first, cold pass, where the executor walks only the instructions
+    // before the trip point. The error must be each solo run's, and so
+    // must the warm state left behind: a short probe, laid out from the
+    // same text and data addresses, halting within every budget and
+    // loading one word from each of the table's lines, must give each
+    // tripped member the counters it gives a tripped solo machine and the
+    // tripped oracle. A load too many or too few before the trip point
+    // leaves a line cached or not, and the probe's misses show it.
     let link = |module: &Module| {
         Linker::new()
             .link(
@@ -384,14 +390,14 @@ fn a_budget_that_trips_mid_block_leaves_every_member_as_a_solo_run_does() {
             )
             .expect("links")
     };
-    let long = link(&straight_line_program(40, true));
-    let short = link(&straight_line_program(6, false));
+    let long = link(&straight_line_program(40, 1, true));
+    let probe = link(&straight_line_program(5, 8, false));
     let load = |exe: &Executable| {
         Loader::new()
             .load(exe, &Environment::new(), &[])
             .expect("loads")
     };
-    for budget in [28, 41, 57] {
+    for budget in 20..=84 {
         let configs: Vec<MachineConfig> = MachineConfig::all()
             .into_iter()
             .map(|c| MachineConfig {
@@ -402,12 +408,12 @@ fn a_budget_that_trips_mid_block_leaves_every_member_as_a_solo_run_does() {
         let mut group: Vec<Machine> = configs.iter().cloned().map(Machine::new).collect();
         let tripped = Machine::run_group(&mut group, &long, load(&long));
         assert_eq!(tripped, Err(RunError::Budget(budget)));
-        let warm = Machine::run_group(&mut group, &short, load(&short)).expect("halts in budget");
+        let warm = Machine::run_group(&mut group, &probe, load(&probe)).expect("halts in budget");
         for (config, got) in configs.iter().zip(&warm) {
             for kernel in [KernelMode::Block, KernelMode::Collapsed] {
                 let mut solo = Machine::with_kernel(config.clone(), kernel);
                 assert_eq!(solo.run(&long, load(&long)), Err(RunError::Budget(budget)));
-                let want = solo.run(&short, load(&short)).expect("halts in budget");
+                let want = solo.run(&probe, load(&probe)).expect("halts in budget");
                 assert_eq!(
                     got, &want,
                     "budget {budget}: {} after the trip vs {kernel:?} alone",
